@@ -5,16 +5,19 @@ solve, closed-form evaluation, vectorised job scan) so regressions in the
 substrates are visible independently of the experiment harness.
 """
 
+import time
+
 import numpy as np
 
 from repro.core.markov_supplementary import MarkovSupplementaryModel
 from repro.core.params import CPUModelParams
-from repro.core.petri_cpu import build_cpu_net
+from repro.core.petri_cpu import PetriCPUModel, build_cpu_net
 from repro.core.phase_type import PhaseTypeModel
 from repro.core.simulation_cpu import CPUEventSimulator, simulate_job_scan
 from repro.des.engine import Simulator
 from repro.markov.ctmc import CTMC
 from repro.petri.simulator import PetriNetSimulator
+from tests.petri.reference_simulator import reference_run
 
 
 def test_des_engine_event_throughput(benchmark):
@@ -47,6 +50,46 @@ def test_petri_token_game_throughput(benchmark):
 
     result = benchmark(run)
     assert result.firing_counts["AR"] > 300
+
+
+def test_token_game_speedup_vs_full_rescan():
+    """Incremental enabling must be >= 1.5x the full-rescan reference loop
+    on the Figure 3 net (T = 0.3, D = 0.001, 2000 s), with bitwise-identical
+    results.  Interleaved rounds, best of 3 each."""
+    params = CPUModelParams.paper_defaults(T=0.3, D=0.001)
+
+    def simulator():
+        return PetriCPUModel(params, seed=1)._make_simulator()
+
+    best = {"incremental": float("inf"), "reference": float("inf")}
+    results = {}
+    for _ in range(3):
+        for name, run in (
+            ("incremental", lambda sim: sim.run(horizon=2_000.0)),
+            ("reference", lambda sim: reference_run(sim, horizon=2_000.0)),
+        ):
+            sim = simulator()
+            t0 = time.perf_counter()
+            results[name] = run(sim)
+            best[name] = min(best[name], time.perf_counter() - t0)
+
+    got, want = results["incremental"], results["reference"]
+    assert got.mean_tokens_vector.tobytes() == want.mean_tokens_vector.tobytes()
+    assert got.watcher_means == want.watcher_means
+    assert got.firing_counts == want.firing_counts
+    assert got.final_marking == want.final_marking
+    assert (got.events_executed, got.immediate_firings) == (
+        want.events_executed,
+        want.immediate_firings,
+    )
+    speedup = best["reference"] / best["incremental"]
+    firings = got.events_executed + got.immediate_firings
+    print(
+        f"\ntoken game, {firings} firings: reference "
+        f"{best['reference'] * 1e3:.1f} ms, incremental "
+        f"{best['incremental'] * 1e3:.1f} ms, speedup {speedup:.2f}x"
+    )
+    assert speedup >= 1.5, f"incremental token game only {speedup:.2f}x faster"
 
 
 def test_cpu_event_simulator_throughput(benchmark):

@@ -22,7 +22,6 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 __all__ = [
     "TimeWeightedStatistic",
@@ -269,7 +268,11 @@ def confidence_interval(
     sem = float(arr.std(ddof=1)) / math.sqrt(n)
     if sem == 0.0:
         return (mean, mean)
-    t = float(_scipy_stats.t.ppf(0.5 + level / 2.0, df=n - 1))
+    # imported here, its only use: scipy.stats alone costs most of the
+    # package's import time
+    from scipy import stats
+
+    t = float(stats.t.ppf(0.5 + level / 2.0, df=n - 1))
     return (mean - t * sem, mean + t * sem)
 
 

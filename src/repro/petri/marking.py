@@ -3,8 +3,8 @@
 A marking is stored as a NumPy ``int64`` vector indexed by place index.
 :class:`Marking` is a thin wrapper adding name-based access, hashability
 (for reachability-set membership) and the arithmetic the token game needs.
-The simulator works on the raw array for speed and only materialises
-:class:`Marking` objects at API boundaries.
+The simulator works on a plain list of ints for speed and only
+materialises :class:`Marking` objects at API boundaries.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ cached and invalidated on any structural mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,7 +23,11 @@ from repro.petri.transitions import (
     Transition,
 )
 
-__all__ = ["Place", "PetriNet", "NetStructureError", "CompiledNet"]
+__all__ = ["Place", "PetriNet", "NetStructureError", "CompiledNet", "TokenVector"]
+
+# an integer-indexable token vector: the simulator's plain list or the
+# ``int64`` arrays of the reachability analysis
+TokenVector = Union[np.ndarray, List[int]]
 
 
 class NetStructureError(ValueError):
@@ -72,7 +76,7 @@ class CompiledNet:
 
     place_names: List[str]
     initial_marking: np.ndarray
-    capacities: np.ndarray  # -1 means unbounded
+    capacities: List[int]  # -1 means unbounded
     transitions: List[Transition]
     inputs: List[Tuple[Tuple[int, int], ...]]
     outputs: List[Tuple[Tuple[int, int], ...]]
@@ -83,11 +87,13 @@ class CompiledNet:
     capacity_checks: List[Tuple[Tuple[int, int], ...]] = field(
         default_factory=list
     )
+    # (place, net token delta) for every place a firing changes
+    deltas: List[Tuple[Tuple[int, int], ...]] = field(default_factory=list)
     # transitions whose enabling may change when a given place changes
     affected_by_place: List[List[int]] = field(default_factory=list)
     guarded_indices: List[int] = field(default_factory=list)
 
-    def enabled(self, t_index: int, marking: np.ndarray) -> bool:
+    def enabled(self, t_index: int, marking: TokenVector) -> bool:
         """Enabling test for one transition under *marking*.
 
         Uses *capacity semantics*: a transition whose firing would push a
@@ -107,7 +113,7 @@ class CompiledNet:
             return False
         return True
 
-    def fire(self, t_index: int, marking: np.ndarray) -> None:
+    def fire(self, t_index: int, marking: TokenVector) -> None:
         """Apply the firing of transition *t_index* to *marking* in place."""
         for p, mult in self.inputs[t_index]:
             marking[p] -= mult
@@ -333,26 +339,21 @@ class PetriNet:
             else:
                 inhibitors[ti].append((pi, arc.multiplicity))
 
-        capacities = np.array(
-            [
-                -1 if p.capacity is None else p.capacity
-                for p in self._places.values()
-            ],
-            dtype=np.int64,
-        )
+        capacities = [
+            -1 if p.capacity is None else p.capacity
+            for p in self._places.values()
+        ]
         capacity_checks: List[List[Tuple[int, int]]] = []
+        deltas: List[Tuple[Tuple[int, int], ...]] = []
         for ti in range(n_t):
             delta: Dict[int, int] = {}
             for p, mult in inputs[ti]:
                 delta[p] = delta.get(p, 0) - mult
             for p, mult in outputs[ti]:
                 delta[p] = delta.get(p, 0) + mult
+            deltas.append(tuple((p, d) for p, d in delta.items() if d))
             capacity_checks.append(
-                [
-                    (p, d)
-                    for p, d in delta.items()
-                    if d > 0 and capacities[p] >= 0
-                ]
+                [(p, d) for p, d in deltas[ti] if d > 0 and capacities[p] >= 0]
             )
 
         affected: List[List[int]] = [[] for _ in place_names]
@@ -376,6 +377,7 @@ class PetriNet:
             outputs=[tuple(x) for x in outputs],
             inhibitors=[tuple(x) for x in inhibitors],
             capacity_checks=[tuple(x) for x in capacity_checks],
+            deltas=deltas,
             immediate_indices=[
                 i for i, t in enumerate(transitions) if t.is_immediate
             ],

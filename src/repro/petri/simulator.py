@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +45,8 @@ from repro.petri.transitions import MemoryPolicy, TimedTransition
 
 __all__ = ["PetriNetSimulator", "SimulationResult"]
 
-Watcher = Callable[[np.ndarray], float]
+# receives an integer-indexable token vector (indexed by place index)
+Watcher = Callable[[Sequence[int]], float]
 
 
 @dataclass
@@ -131,11 +133,39 @@ class PetriNetSimulator:
             self.streams.get(f"petri/{net.name}/t/{t.name}")
             for t in c.transitions
         ]
-        # immediates sorted by descending priority for the cascade scan
-        self._immediates_by_priority = sorted(
+        # immediates by descending priority, index order within a priority
+        # (the order of the conflict draws), each with its equal-priority rivals
+        self._immediate_order = sorted(
             c.immediate_indices,
             key=lambda i: -c.transitions[i].priority,  # type: ignore[attr-defined]
         )
+        self._rivals: Dict[int, Tuple[int, ...]] = {
+            ti: tuple(
+                i for i in self._immediate_order
+                if c.transitions[i].priority == c.transitions[ti].priority  # type: ignore[attr-defined]
+            )
+            for ti in c.immediate_indices
+        }
+        # dependency sets: firing t can change the enabling only of the
+        # transitions sensitive to a place whose token count t changes, and
+        # of every guarded transition (a guard may read any place).  A timed
+        # transition also depends on itself: it draws a fresh timer after
+        # firing.  Timed dependents are a bitmask over transition indices,
+        # so a cascade's sets union cheaply and expand in index order.
+        self._immediate_deps: List[Tuple[int, ...]] = []
+        self._timed_deps: List[int] = []
+        for ti, t in enumerate(c.transitions):
+            deps = set(c.guarded_indices)
+            for p, _ in c.deltas[ti]:
+                deps.update(c.affected_by_place[p])
+            if not t.is_immediate:
+                deps.add(ti)
+            self._immediate_deps.append(
+                tuple(d for d in sorted(deps) if c.transitions[d].is_immediate)
+            )
+            self._timed_deps.append(
+                sum(1 << d for d in deps if not c.transitions[d].is_immediate)
+            )
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -143,8 +173,9 @@ class PetriNetSimulator:
     def watch(self, name: str, fn: Watcher) -> "PetriNetSimulator":
         """Register a marking watcher.
 
-        *fn* receives the raw token vector and returns a float; its
-        time-weighted mean over the observation window is reported in
+        *fn* receives an integer-indexable token vector (indexed by place
+        index; index it, do not rely on array methods) and returns a float;
+        its time-weighted mean over the observation window is reported in
         :attr:`SimulationResult.watcher_means`.
         """
         self._watchers[name] = fn
@@ -171,70 +202,80 @@ class PetriNetSimulator:
             raise ValueError(f"need 0 <= warmup < horizon, got warmup={warmup}")
 
         c = self.compiled
-        n_places = len(c.place_names)
-        n_trans = len(c.transitions)
+        enabled = c.enabled
+        fire = c.fire
+        transitions = c.transitions
+        n_trans = len(transitions)
 
         engine = Simulator()
-        marking = c.initial_marking.copy()
+        marking: List[int] = c.initial_marking.tolist()
         pending: Dict[int, Event] = {}
         age_remaining: Dict[int, float] = {}
         identical_sample: Dict[int, float] = {}
-        firing_counts = np.zeros(n_trans, dtype=np.int64)
+        firing_counts = [0] * n_trans
         immediate_firings = 0
+        timed_firings = 0
 
         # --- statistics state ------------------------------------------ #
-        area = np.zeros(n_places)
+        area = [0.0] * len(marking)
         watcher_names = list(self._watchers)
         watcher_fns = [self._watchers[w] for w in watcher_names]
-        watcher_area = np.zeros(len(watcher_fns))
-        watcher_values = np.zeros(len(watcher_fns))
+        watcher_area = [0.0] * len(watcher_fns)
+        watcher_values = [0.0] * len(watcher_fns)
         last_time = 0.0
-        stats_started = warmup == 0.0
 
         def recompute_watchers() -> None:
-            for i, fn in enumerate(watcher_fns):
-                watcher_values[i] = fn(marking)
+            watcher_values[:] = [float(fn(marking)) for fn in watcher_fns]
 
         def accumulate(now: float) -> None:
             nonlocal last_time
             dt = now - last_time
             if dt > 0.0:
-                area[:] += marking * dt
+                area[:] = [a + m * dt for a, m in zip(area, marking)]
                 if watcher_fns:
-                    watcher_area[:] += watcher_values * dt
+                    watcher_area[:] = [
+                        a + v * dt for a, v in zip(watcher_area, watcher_values)
+                    ]
             last_time = now
 
         # --- vanishing-marking cascade ---------------------------------- #
-        transitions = c.transitions
-        imm_sorted = self._immediates_by_priority
+        imm_order = self._immediate_order
+        rivals = self._rivals
+        imm_deps = self._immediate_deps
+        timed_deps = self._timed_deps
+        imm_enabled = [False] * n_trans
+        for ti in imm_order:
+            imm_enabled[ti] = enabled(ti, marking)
 
-        def stabilize() -> None:
+        def stabilize(retest: int) -> int:
+            """Fire immediates until the marking is tangible; return the
+            *retest* mask widened by the cascade's timed dependents."""
             nonlocal immediate_firings
             chain = 0
             while True:
-                best_priority: Optional[int] = None
-                conflict: List[int] = []
-                for ti in imm_sorted:
-                    prio = transitions[ti].priority  # type: ignore[attr-defined]
-                    if best_priority is not None and prio < best_priority:
+                for chosen in imm_order:
+                    if imm_enabled[chosen]:
                         break
-                    if c.enabled(ti, marking):
-                        best_priority = prio
-                        conflict.append(ti)
-                if best_priority is None:
-                    return
-                if len(conflict) == 1:
-                    chosen = conflict[0]
                 else:
-                    weights = np.array(
-                        [transitions[i].weight for i in conflict]  # type: ignore[attr-defined]
-                    )
-                    chosen = conflict[
-                        self._conflict_rng.choice(len(conflict), p=weights / weights.sum())
-                    ]
-                c.fire(chosen, marking)
+                    return retest
+                # *chosen* is the first enabled transition of the highest
+                # enabled priority: it competes with its enabled rivals
+                group = rivals[chosen]
+                if len(group) > 1:
+                    conflict = [i for i in group if imm_enabled[i]]
+                    if len(conflict) > 1:
+                        weights = np.array(
+                            [transitions[i].weight for i in conflict]  # type: ignore[attr-defined]
+                        )
+                        chosen = conflict[
+                            self._conflict_rng.choice(len(conflict), p=weights / weights.sum())
+                        ]
+                fire(chosen, marking)
                 firing_counts[chosen] += 1
                 immediate_firings += 1
+                for ti in imm_deps[chosen]:
+                    imm_enabled[ti] = enabled(ti, marking)
+                retest |= timed_deps[chosen]
                 chain += 1
                 if chain > self.max_immediate_chain:
                     raise SimulationError(
@@ -258,58 +299,70 @@ class PetriNetSimulator:
                 return delay
             return float(t.distribution.sample(self._t_rng[ti]))
 
-        def update_timed_schedule(fired: Optional[int]) -> None:
+        # mask -> its timed transitions in index order, the order the full
+        # rescan visited them in: timers are scheduled (event sequence
+        # numbers assigned) exactly as before
+        expanded: Dict[int, Tuple[int, ...]] = {}
+
+        def update_timed_schedule(retest: int) -> None:
+            # invariant between firings: a timed transition holds a timer
+            # iff it is enabled, so only the *retest* mask can need a change
+            order = expanded.get(retest)
+            if order is None:
+                order = expanded[retest] = tuple(
+                    ti for ti in c.timed_indices if retest >> ti & 1
+                )
             now = engine.now
-            for ti in c.timed_indices:
-                enabled = c.enabled(ti, marking)
+            for ti in order:
+                is_enabled = enabled(ti, marking)
                 ev = pending.get(ti)
                 if ev is not None:
-                    if enabled and ti != fired:
+                    if is_enabled:
                         continue  # clock keeps running
-                    # disabled (or it just fired elsewhere): withdraw timer
+                    # disabled: withdraw the timer
                     engine.cancel(ev)
                     del pending[ti]
-                    if not enabled:
-                        t = transitions[ti]
-                        assert isinstance(t, TimedTransition)
-                        if t.memory_policy is MemoryPolicy.AGE:
-                            age_remaining[ti] = max(ev.time - now, 0.0)
-                        # IDENTICAL keeps identical_sample as is; RESAMPLE drops
-                        continue
-                if enabled and ti not in pending:
-                    delay = sample_delay(ti)
+                    t = transitions[ti]
+                    assert isinstance(t, TimedTransition)
+                    if t.memory_policy is MemoryPolicy.AGE:
+                        age_remaining[ti] = max(ev.time - now, 0.0)
+                    # IDENTICAL keeps identical_sample as is; RESAMPLE drops
+                elif is_enabled:
                     pending[ti] = engine.schedule(
-                        delay, _FireAction(self, ti), priority=1, tag=transitions[ti].name
+                        sample_delay(ti), actions[ti], 1, transitions[ti].name
                     )
 
         # --- firing a timed transition ----------------------------------- #
         def fire_timed(ti: int) -> None:
+            nonlocal timed_firings
             accumulate(engine.now)
-            pending.pop(ti, None)
+            del pending[ti]
             identical_sample.pop(ti, None)  # fired: sample consumed
-            c.fire(ti, marking)
+            fire(ti, marking)
             firing_counts[ti] += 1
-            stabilize()
+            timed_firings += 1
+            for tj in imm_deps[ti]:
+                imm_enabled[tj] = enabled(tj, marking)
+            retest = stabilize(timed_deps[ti])
             recompute_watchers()
-            update_timed_schedule(fired=ti)
-            if max_firings is not None and int(firing_counts.sum()) >= max_firings:
+            update_timed_schedule(retest)
+            if max_firings is not None and timed_firings + immediate_firings >= max_firings:
                 engine.stop()
 
-        self._fire_timed = fire_timed  # used by _FireAction
+        actions = {ti: partial(fire_timed, ti) for ti in c.timed_indices}
 
         # --- run ---------------------------------------------------------- #
-        stabilize()
+        retest = stabilize(sum(1 << ti for ti in c.timed_indices))
         recompute_watchers()
-        update_timed_schedule(fired=None)
+        update_timed_schedule(retest)
 
-        firing_offset = np.zeros(n_trans, dtype=np.int64)
+        firing_offset = [0] * n_trans
         if warmup > 0.0:
             engine.run_until(warmup)
             accumulate(warmup)
-            area[:] = 0.0
-            watcher_area[:] = 0.0
-            firing_offset[:] = firing_counts
-            stats_started = True
+            area[:] = [0.0] * len(area)
+            watcher_area[:] = [0.0] * len(watcher_area)
+            firing_offset = list(firing_counts)
         engine.run_until(horizon)
         accumulate(engine.now)
         # close the window exactly at the horizon even if the queue drained
@@ -317,24 +370,21 @@ class PetriNetSimulator:
             accumulate(horizon)
 
         observed = horizon - warmup
-        mean_tokens = area / observed if observed > 0 else area * 0.0
-        watcher_means = {
-            name: float(watcher_area[i] / observed)
-            for i, name in enumerate(watcher_names)
-        }
-        assert stats_started
         return SimulationResult(
             net_name=self.net.name,
             horizon=horizon,
             warmup=warmup,
             observed_time=observed,
             place_names=list(c.place_names),
-            mean_tokens_vector=mean_tokens,
+            mean_tokens_vector=np.array(area) / observed,
             firing_counts={
-                t.name: int(firing_counts[i] - firing_offset[i])
+                t.name: firing_counts[i] - firing_offset[i]
                 for i, t in enumerate(transitions)
             },
-            watcher_means=watcher_means,
+            watcher_means={
+                name: watcher_area[i] / observed
+                for i, name in enumerate(watcher_names)
+            },
             final_marking=Marking(marking, c.place_names),
             events_executed=engine.events_executed,
             immediate_firings=immediate_firings,
@@ -359,16 +409,3 @@ class PetriNetSimulator:
             self.run(horizon=batch_length + warmup, warmup=warmup)
             for _ in range(n_batches)
         ]
-
-
-class _FireAction:
-    """Picklable, allocation-light callable bound to one transition firing."""
-
-    __slots__ = ("sim", "ti")
-
-    def __init__(self, sim: PetriNetSimulator, ti: int) -> None:
-        self.sim = sim
-        self.ti = ti
-
-    def __call__(self) -> None:
-        self.sim._fire_timed(self.ti)

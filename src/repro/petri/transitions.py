@@ -41,7 +41,7 @@ from repro.des.distributions import Distribution, Exponential
 
 __all__ = ["MemoryPolicy", "Transition", "ImmediateTransition", "TimedTransition"]
 
-Guard = Callable[["object"], bool]  # receives the raw marking vector
+Guard = Callable[["object"], bool]  # receives an integer-indexable token vector
 
 
 class MemoryPolicy(enum.Enum):
@@ -55,9 +55,10 @@ class MemoryPolicy(enum.Enum):
 class Transition:
     """Common base: name plus an optional marking guard.
 
-    Guards receive the raw NumPy token vector (indexed by place index) and
-    must be side-effect free.  A transition with a guard is re-evaluated on
-    every marking change, so guards should be cheap.
+    Guards receive an integer-indexable token vector (indexed by place
+    index; index it, do not rely on array methods) and must be side-effect
+    free.  A transition with a guard is re-evaluated on every marking
+    change, so guards should be cheap.
     """
 
     __slots__ = ("name", "guard")

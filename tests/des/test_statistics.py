@@ -1,6 +1,10 @@
 """Statistics collectors: hand-computed trajectories and known answers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,3 +186,18 @@ class TestMSER:
 
     def test_short_series_returns_zero(self):
         assert mser_truncation_point([1.0, 2.0, 3.0], batch=5) == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is most of the package's import time; only
+    # confidence_interval needs it, and it imports it on first use
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = (
+        "import sys, repro.experiments.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+        "from repro.des.statistics import confidence_interval\n"
+        "lo, hi = confidence_interval([1.0, 2.0, 3.0])\n"
+        "assert lo < 2.0 < hi and 'scipy.stats' in sys.modules\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
