@@ -20,6 +20,12 @@ can verify it is negligible).  ``k = 1`` is the naive "make everything
 exponential" Markov model — a useful baseline showing *why* the paper needed
 supplementary variables — and ``k ≈ 64`` is numerically indistinguishable
 from the exact renewal solution (a convergence the test suite asserts).
+
+The chain needs no linear solve: inside a queue level the stages only move
+forward, the idle block is geometric, and the busy level follows from
+level-cut balance, so :func:`stage_chain_stationary` computes the exact
+stationary vector by an ``O(states)`` recursion, vectorised over a whole
+stack of rate vectors.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 from scipy import sparse
 
+from repro import obs
 from repro.core.params import CPUModelParams, PowerProfile, StateFractions
-from repro.markov.ctmc import sparse_steady_state
+from repro.markov.ctmc import _finalize_pi
 
 __all__ = [
     "PhaseTypeSolution",
@@ -41,8 +48,10 @@ __all__ = [
     "RATE_SERVICE",
     "RATE_POWERUP_STAGE",
     "RATE_IDLE_STAGE",
+    "StageLattice",
+    "build_stage_lattice",
     "build_stage_structure",
-    "stacked_rate_data",
+    "stage_chain_stationary",
     "stage_rate_vector",
     "state_power_vector",
 ]
@@ -131,6 +140,174 @@ def build_stage_structure(
     )
 
 
+@dataclass(frozen=True)
+class StageLattice:
+    """Rate-independent tables of the stage chain's level recursion.
+
+    One lattice serves every rate vector bound to the same stage counts
+    and truncation level (see :func:`stage_chain_stationary`).  The block
+    slices locate each state kind in :func:`build_stage_structure`'s
+    state order: ``standby`` first, then the power-up block (stage-major,
+    ``(j, n)`` at ``(j - 1) * n_max + n - 1``), the busy levels, and the
+    idle stages.
+    """
+
+    k_d: int
+    k_t: int
+    n_max: int
+    has_powerup: bool
+    has_idle: bool
+    #: ``log C(n + j - 2, j - 1)`` at power-up stage ``j`` (rows) and queue
+    #: level ``n < n_max`` (columns): the lattice-path counts
+    log_binom: np.ndarray
+    #: ``n - 1`` as a ``(1, n_max - 1)`` row and ``j - 1`` as a
+    #: ``(k_d, 1)`` column: exponents of the two per-point step ratios
+    level_steps: np.ndarray
+    stage_steps: np.ndarray
+    #: ``i - 1`` for idle stage ``i``: the exponent of the idle ratio
+    idle_steps: np.ndarray
+
+    @property
+    def n_powerup(self) -> int:
+        return self.k_d * self.n_max if self.has_powerup else 0
+
+    @property
+    def n_states(self) -> int:
+        return 1 + self.n_powerup + self.n_max + (self.k_t if self.has_idle else 0)
+
+    @property
+    def powerup(self) -> slice:
+        return slice(1, 1 + self.n_powerup)
+
+    @property
+    def busy(self) -> slice:
+        start = 1 + self.n_powerup
+        return slice(start, start + self.n_max)
+
+    @property
+    def idle(self) -> slice:
+        return slice(self.busy.stop, self.n_states)
+
+
+def build_stage_lattice(
+    k_d: int,
+    k_t: int,
+    n_max: int,
+    has_powerup: bool = True,
+    has_idle: bool = True,
+) -> StageLattice:
+    """The :class:`StageLattice` of :func:`build_stage_structure`'s chain.
+
+    The log-binomial table costs ``k_d + n_max`` ``lgamma`` calls and
+    one ``(k_d, n_max - 1)`` gather; it depends on no rate, so a sweep
+    builds it once.
+    """
+    if k_d < 1 or k_t < 1 or n_max < 2:
+        raise ValueError(
+            f"need k_d >= 1, k_t >= 1 and n_max >= 2, got "
+            f"k_d={k_d}, k_t={k_t}, n_max={n_max}"
+        )
+    lgamma = np.array([math.lgamma(m) for m in range(1, k_d + n_max)])
+    stage = np.arange(k_d)[:, None]  # j - 1
+    level = np.arange(n_max - 1)[None, :]  # n - 1
+    # lgamma(m) sits at lgamma[m - 1]
+    log_binom = lgamma[stage + level] - lgamma[stage] - lgamma[level]
+    return StageLattice(
+        k_d=k_d,
+        k_t=k_t,
+        n_max=n_max,
+        has_powerup=has_powerup,
+        has_idle=has_idle,
+        log_binom=log_binom,
+        level_steps=level.astype(np.float64),
+        stage_steps=stage.astype(np.float64),
+        idle_steps=np.arange(k_t, dtype=np.float64),
+    )
+
+
+def stage_chain_stationary(
+    lattice: StageLattice, rate_stack: np.ndarray
+) -> np.ndarray:
+    """Exact stationary vectors of the stage chain, one per rate row.
+
+    Maps a ``(B, 4)`` stack of ``[λ, μ, ν = k_d/D, τ = k_t/T]`` rows (the
+    ``RATE_*`` slot order) to ``(B, n_states)`` normalised vectors in
+    :func:`build_stage_structure`'s state order, from flow balance alone:
+
+    - **idle** (anchored at ``idle(1) = 1``, so every step multiplies by
+      at most 1): ``idle(i) = (τ/(λ+τ))^(i-1)`` and
+      ``standby = idle(k_t)·τ/λ``;
+    - **power-up below the top level**, whose stages and levels only
+      move forward, are lattice-path weights:
+      ``pu(j, n) = λ·standby/(λ+ν) · C(n+j-2, j-1) · a^(n-1) · c^(j-1)``
+      with ``a = λ/(λ+ν)`` and ``c = ν/(λ+ν)`` (computed in log space
+      from the lattice's table, so no binomial overflows);
+    - **power-up top level**: ``pu(j, n_max) = (λ/ν)·Σ_{i≤j} pu(i, n_max-1)``;
+    - **busy**: ``busy(1) = (λ+τ)/μ`` from the ``idle(1)`` balance, then
+      level-cut balance ``busy(n+1) = (λ/μ)·(busy(n) + Σ_j pu(j, n))``.
+
+    Without an idle block (``T = 0``) busy(1) feeds standby directly, so
+    the anchor moves to ``standby = 1`` and ``busy(1) = λ/μ``; without a
+    power-up block (``D = 0``) the level sums vanish.
+
+    Every operation is elementwise per row or reduces within a row, so
+    row ``k`` of the result is bitwise independent of the stack's size
+    and order.  A row whose rates overflow or are invalid comes back
+    non-finite rather than raising: callers validate with
+    :func:`repro.markov.ctmc._finalize_pi` (or the batched backend's
+    stacked form), which fails only the offending point.
+    """
+    rates = np.asarray(rate_stack, dtype=np.float64)
+    if rates.ndim != 2 or rates.shape[1] != 4:
+        raise ValueError(f"rate_stack must be (B, 4), got {rates.shape}")
+    n_points = len(rates)
+    n_max = lattice.n_max
+    # contiguous per-slot columns: transcendental ufuncs may pick another
+    # code path for strided input, which would couple rows to the layout
+    lam, mu, nu, tau = np.ascontiguousarray(rates.T)
+    with obs.span(
+        "solve.stage_recursion", n=lattice.n_states, points=n_points
+    ), np.errstate(all="ignore"):
+        blocks: List[np.ndarray] = []
+        if lattice.has_idle:
+            idle = (tau / (lam + tau))[:, None] ** lattice.idle_steps
+            standby = idle[:, -1] * tau / lam
+            busy_first = (lam + tau) / mu
+        else:
+            standby = np.ones(n_points)
+            busy_first = lam / mu
+        blocks.append(standby[:, None])
+
+        rho = lam / mu
+        busy = np.empty((n_max, n_points))
+        busy[0] = busy_first
+        if lattice.has_powerup:
+            log_a = np.log(lam / (lam + nu))
+            log_c = np.log(nu / (lam + nu))
+            below = log_a[:, None, None] * lattice.level_steps + lattice.log_binom
+            below += log_c[:, None, None] * lattice.stage_steps
+            np.exp(below, out=below)
+            below *= (lam * standby / (lam + nu))[:, None, None]
+            powerup = np.empty((n_points, lattice.k_d, n_max))
+            powerup[:, :, :-1] = below
+            powerup[:, :, -1] = (lam / nu)[:, None] * np.cumsum(
+                below[:, :, -1], axis=1
+            )
+            blocks.append(powerup.reshape(n_points, -1))
+            inflow = below.sum(axis=1).T  # (n_max - 1, B) level sums
+            for n in range(1, n_max):
+                busy[n] = rho * (busy[n - 1] + inflow[n - 1])
+        else:
+            for n in range(1, n_max):
+                busy[n] = rho * busy[n - 1]
+        blocks.append(busy.T)
+        if lattice.has_idle:
+            blocks.append(idle)
+        pi = np.concatenate(blocks, axis=1)
+        pi /= pi.sum(axis=1)[:, None]
+    return pi
+
+
 def stage_rate_vector(
     params: CPUModelParams, k_d: int, k_t: int
 ) -> np.ndarray:
@@ -149,34 +326,6 @@ def stage_rate_vector(
             k_t / T if T > 0.0 else 0.0,
         ]
     )
-
-
-def stacked_rate_data(
-    A_G: np.ndarray, A_c0: np.ndarray, rate_stack: np.ndarray
-) -> np.ndarray:
-    """Materialise *every* grid point's system numbers in one GEMM.
-
-    The augmented steady-state system of the stage-expanded chain is an
-    affine map of the four symbolic rates: for one point,
-    ``A.data = A_G @ rate_vec + A_c0`` with ``A_G`` of shape
-    ``(nnz, 4)``.  Stacking ``B`` grid points' rate vectors as
-    ``rate_stack`` of shape ``(B, 4)`` turns the whole batch's assembly
-    into a single matrix product::
-
-        data_stack = rate_stack @ A_G.T + A_c0          # (B, nnz)
-
-    Row ``k`` of the result is exactly the data slot the pointwise path
-    would have produced for point ``k`` — same floats, same order — so
-    downstream block-diagonal solves are bit-identical per block to the
-    pointwise solves.  Cost is one ``(B, 4) x (4, nnz)`` GEMM: the
-    per-point Python assembly loop disappears entirely.
-    """
-    rate_stack = np.ascontiguousarray(rate_stack, dtype=np.float64)
-    if rate_stack.ndim != 2 or rate_stack.shape[1] != A_G.shape[1]:
-        raise ValueError(
-            f"rate_stack must be (B, {A_G.shape[1]}), got {rate_stack.shape}"
-        )
-    return rate_stack @ A_G.T + A_c0
 
 
 def state_power_vector(states: List[State], profile: PowerProfile) -> np.ndarray:
@@ -275,38 +424,29 @@ class PhaseTypeModel:
         return states, (Q - sparse.diags(out_rates)).tocsr()
 
     def solve(self) -> PhaseTypeSolution:
-        """Assemble the sparse generator and solve ``pi Q = 0``."""
-        states, Q = self.build_generator()
-        n_states = len(states)
-        pi, _ = sparse_steady_state(Q)
+        """Solve ``pi Q = 0`` by the exact level recursion.
 
-        idle = standby = powerup = active = 0.0
-        mean_jobs = 0.0
-        trunc = 0.0
-        for s, prob in zip(states, pi):
-            kind = s[0]
-            if kind == "standby":
-                standby += prob
-            elif kind == "powerup":
-                powerup += prob
-                mean_jobs += prob * s[2]
-                if s[2] == self.n_max:
-                    trunc += prob
-            elif kind == "busy":
-                active += prob
-                mean_jobs += prob * s[1]
-                if s[1] == self.n_max:
-                    trunc += prob
-            else:
-                idle += prob
-
+        See :func:`stage_chain_stationary`; the generator is never built.
+        """
+        lattice = build_stage_lattice(
+            self.k_d, self.k_t, self.n_max, self._has_powerup, self._has_idle
+        )
+        pi = _finalize_pi(
+            stage_chain_stationary(lattice, self.rate_vector()[None, :])[0]
+        )
+        powerup = pi[lattice.powerup].reshape(-1, self.n_max)
+        busy = pi[lattice.busy]
+        per_level = powerup.sum(axis=0) + busy
         return PhaseTypeSolution(
             fractions=StateFractions(
-                idle=idle, standby=standby, powerup=powerup, active=active
+                idle=float(pi[lattice.idle].sum()),
+                standby=float(pi[0]),
+                powerup=float(powerup.sum()),
+                active=float(busy.sum()),
             ),
-            mean_jobs=mean_jobs,
-            truncation_mass=trunc,
-            n_states=n_states,
+            mean_jobs=float(per_level @ np.arange(1, self.n_max + 1)),
+            truncation_mass=float(per_level[-1]),
+            n_states=lattice.n_states,
             stages_powerup=self.k_d if self._has_powerup else 0,
             stages_idle=self.k_t if self._has_idle else 0,
         )

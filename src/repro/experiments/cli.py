@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Union
 
 from repro import obs
 from repro.core.params import CPUModelParams
@@ -28,7 +28,6 @@ from repro.experiments.paper_experiments import EXPERIMENTS, ExperimentConfig
 from repro.markov.ctmc import (
     STEADY_STATE_METHODS,
     ConvergenceError,
-    resolve_steady_state_method,
 )
 from repro.petri.analysis import ReachabilityOptions
 from repro.sweep import (
@@ -170,8 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batched",
         action="store_true",
         help=(
-            "solve the grid in stacked batches — one block-diagonal "
-            "system per batch instead of one solve per point "
+            "solve the grid in stacked batches — one vectorised "
+            "level-recursion call per batch instead of one per point "
             "(--model phase-type; see docs/batched.md)"
         ),
     )
@@ -182,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "grid points per stacked solve under --batched: an int >= 1, "
             "or 'auto' to budget batch memory from the template's "
-            "sparsity (default auto)"
+            "size (default auto)"
         ),
     )
     sweep_p.add_argument(
@@ -950,7 +949,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
             max_markings = (
                 args.max_markings if args.max_markings is not None else 2_000_000
             )
-            backend: object = GSPNBackend(
+            backend: Union[GSPNBackend, PhaseTypeBackend] = GSPNBackend(
                 factory(**size_kwargs),
                 options=ReachabilityOptions(max_markings=max_markings),
                 method=solver,
@@ -1003,7 +1002,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     for name, value in values:
         print(f"{name:30s} {value:.6g}")
     print(
-        f"\n[{n} states solved with {resolve_steady_state_method(n, solver)} "
+        f"\n[{n} states solved with {backend.steady_method} "
         f"in {elapsed:.3f} s — {backend.describe()}]"
     )
     return 0

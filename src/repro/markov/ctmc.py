@@ -56,10 +56,6 @@ __all__ = [
     "SPARSE_AUTO_THRESHOLD",
     "STEADY_STATE_METHODS",
     "SolverCache",
-    "batched_dense_solve",
-    "batched_gmres_solve",
-    "batched_lu_solve",
-    "block_diag_pattern",
     "gmres_augmented_solve",
     "gmres_steady_state",
     "lu_analyse_solve",
@@ -67,7 +63,6 @@ __all__ = [
     "power_steady_state",
     "resolve_steady_state_method",
     "sparse_steady_state",
-    "stacked_block_diag",
 ]
 
 RateDict = Mapping[Tuple[Hashable, Hashable], float]
@@ -195,7 +190,7 @@ class ConvergenceError(RuntimeError):
 
 #: ``SolverCache`` keys holding process-local objects (SuperLU/ILU handles)
 #: that cannot cross a pickle boundary, plus state meaningless without them.
-_PROCESS_LOCAL_KEYS = frozenset({"ilu", "ilu_iters0", "batch_ilu"})
+_PROCESS_LOCAL_KEYS = frozenset({"ilu", "ilu_iters0"})
 
 
 class SolverCache(dict):
@@ -493,320 +488,6 @@ def gmres_augmented_solve(
             cache.pop("ilu_iters0", None)
             obs.incr("solver.ilu.rebuilds")
     return x, iterations
-
-
-def block_diag_pattern(
-    indptr: np.ndarray, indices: np.ndarray, n_blocks: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Sparsity pattern of a block-diagonal stack of *n_blocks* same-pattern
-    blocks.
-
-    Given one block's compressed pattern (``indptr``/``indices`` — CSC or
-    CSR, the construction is symmetric), returns the pattern of the
-    ``(n_blocks * n, n_blocks * n)`` matrix whose diagonal blocks all share
-    it.  Pure index arithmetic, fully vectorised: indices are tiled and
-    shifted by ``k * n``, pointer arrays are tiled and shifted by
-    ``k * nnz``.  One pattern serves every batch of a sweep (cacheable per
-    block count); only the data slot changes per batch.
-    """
-    if n_blocks < 1:
-        raise ValueError(f"n_blocks must be >= 1, got {n_blocks}")
-    n = len(indptr) - 1
-    nnz = len(indices)
-    block_offsets = np.arange(n_blocks, dtype=np.intp)[:, None]
-    bd_indices = (
-        np.tile(indices, n_blocks).reshape(n_blocks, nnz) + block_offsets * n
-    ).ravel()
-    bd_indptr = np.empty(n_blocks * n + 1, dtype=np.intp)
-    bd_indptr[0] = 0
-    bd_indptr[1:] = (
-        np.tile(np.asarray(indptr[1:], dtype=np.intp), n_blocks).reshape(
-            n_blocks, n
-        )
-        + block_offsets * nnz
-    ).ravel()
-    return bd_indptr, bd_indices
-
-
-def stacked_block_diag(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data_stack: np.ndarray,
-    pattern: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> sparse.csc_matrix:
-    """Assemble a block-diagonal CSC matrix from one shared pattern and a
-    ``(n_blocks, nnz)`` data stack.
-
-    The canonical use is a parameter sweep whose per-point systems share
-    one sparsity pattern: materialise every grid point's numbers as one
-    2-D array (e.g. the phase-type backend's affine map, one GEMM for the
-    whole grid) and bind them all into a single sparse operator —
-    ``data_stack.ravel()`` is already in block-then-column order, so no
-    per-point assembly loop survives.
-
-    *pattern* optionally supplies a precomputed
-    :func:`block_diag_pattern` result for this block count (batches of a
-    sweep reuse it); when omitted it is built here.
-    """
-    data_stack = np.ascontiguousarray(data_stack, dtype=np.float64)
-    if data_stack.ndim != 2:
-        raise ValueError(
-            f"data_stack must be 2-D (n_blocks, nnz), got {data_stack.shape}"
-        )
-    n_blocks, nnz = data_stack.shape
-    if nnz != len(indices):
-        raise ValueError(
-            f"data_stack has {nnz} entries per block, pattern has "
-            f"{len(indices)}"
-        )
-    n = len(indptr) - 1
-    if pattern is None:
-        pattern = block_diag_pattern(indptr, indices, n_blocks)
-    bd_indptr, bd_indices = pattern
-    total = n_blocks * n
-    return sparse.csc_matrix(
-        (data_stack.ravel(), bd_indices, bd_indptr), shape=(total, total)
-    )
-
-
-def batched_lu_solve(
-    A_bd: sparse.spmatrix,
-    b_stack: np.ndarray,
-    permc_spec: Optional[str] = None,
-) -> np.ndarray:
-    """Solve a block-diagonal stack of independent systems with **one**
-    SuperLU factorisation.
-
-    ``A_bd`` is the stacked operator (:func:`stacked_block_diag`) holding
-    ``n_blocks`` independent blocks; ``b_stack`` is ``(n_blocks, n)``, one
-    right-hand side per block.  Because the matrix is block diagonal, the
-    complete factorisation's fill stays block-local — memory and flops are
-    the *sum* of the per-block costs — while the per-call overhead
-    (Python, symbolic analysis setup, triangular-solve dispatch) is paid
-    once per stack instead of once per block.  Returns the solutions as
-    ``(n_blocks, n)``.
-
-    *permc_spec* passes through to ``splu``.  The default (COLAMD) runs
-    the fill-reducing analysis over the whole stack — fine for one-off
-    stacks, but a sweep should pre-permute each block's columns with one
-    block's cached ordering and pass ``"NATURAL"``: same fill, and the
-    symbolic analysis cost drops from every batch to once per sweep
-    (exactly the pointwise path's :func:`lu_analyse_solve` /
-    :func:`lu_resolve_permuted` split, lifted to stacks).
-
-    Raises
-    ------
-    NumericalSolveError
-        If *any* block is singular — SuperLU reports the stack as
-        singular without naming the block.  Callers that need per-block
-        isolation catch this and re-solve block-by-block to find the
-        offender(s).
-    """
-    b_stack = np.asarray(b_stack, dtype=np.float64)
-    n_blocks, n = b_stack.shape
-    with obs.span("solve.batch_lu", blocks=n_blocks, n=n):
-        try:
-            if permc_spec is None:
-                lu = splu(A_bd.tocsc())
-            else:
-                lu = splu(A_bd.tocsc(), permc_spec=permc_spec)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise NumericalSolveError(
-                f"singular generator in batched stack: {exc}"
-            ) from exc
-        x = lu.solve(b_stack.ravel())
-        obs.incr("solver.batch.lu_solves")
-        obs.incr("solver.batch.points", n_blocks)
-    return x.reshape(n_blocks, n)
-
-
-def batched_dense_solve(
-    A_stack: np.ndarray, b_stack: np.ndarray
-) -> np.ndarray:
-    """Solve a stack of small dense systems with one batched LAPACK call.
-
-    ``A_stack`` is ``(n_blocks, n, n)``, ``b_stack`` is ``(n_blocks, n)``;
-    returns the solutions as ``(n_blocks, n)``.  For blocks small enough
-    to densify (tens of states), ``numpy.linalg.solve`` on the stacked
-    array runs the whole batch through LAPACK's ``gesv`` with *no* Python
-    in the loop — partial pivoting included — which beats any sparse
-    factorisation whose per-column bookkeeping dwarfs the O(n^3) flops at
-    these sizes.
-
-    Raises
-    ------
-    NumericalSolveError
-        If LAPACK reports an exactly singular block (the stack fails as a
-        whole; callers isolate by re-solving block-by-block).
-    """
-    n_blocks, n = b_stack.shape
-    with obs.span("solve.batch_dense", blocks=n_blocks, n=n):
-        try:
-            x = np.linalg.solve(A_stack, b_stack[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise NumericalSolveError(
-                f"singular generator in batched dense stack: {exc}"
-            ) from exc
-        obs.incr("solver.batch.dense_solves")
-        obs.incr("solver.batch.points", n_blocks)
-    return x
-
-
-def batched_gmres_solve(
-    A_bd: sparse.spmatrix,
-    b_stack: np.ndarray,
-    A_block: Optional[sparse.spmatrix] = None,
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
-    x0_stack: Optional[np.ndarray] = None,
-    cache: Optional[Dict] = None,
-    drop_tol: Optional[float] = None,
-    fill_factor: Optional[float] = None,
-) -> Tuple[np.ndarray, int]:
-    """Solve a block-diagonal stack of independent systems with **one**
-    restarted GMRES iteration, preconditioned by a single shared block ILU.
-
-    The Krylov iteration runs on the whole ``(n_blocks * n,)`` stacked
-    system — every matvec advances *all* blocks at once through one CSR
-    kernel — and converges when every block has.  The preconditioner is an
-    incomplete factorisation of **one representative block** (*A_block*,
-    typically the middle grid point of the batch), applied block-wise as a
-    single multi-RHS triangular solve: on a smooth parameter grid the
-    blocks are near-identical operators, so one ILU preconditions the
-    whole family (a property the pointwise warm-started sweep already
-    exploits across time; here it is exploited across the batch).
-
-    Parameters
-    ----------
-    A_bd, b_stack : sparse matrix, ndarray
-        The stacked operator and the ``(n_blocks, n)`` right-hand sides.
-    A_block : sparse matrix, optional
-        Representative block to build the shared ILU from.  When omitted
-        (and no cached ILU fits), the iteration runs unpreconditioned.
-    tol : float, optional
-        *Per-block* relative residual target (default
-        ``ITERATIVE_DEFAULT_TOL``).  The global stopping tolerance is
-        scaled by ``1/sqrt(n_blocks)`` so the stacked convergence
-        criterion implies each block's residual is below *tol* even in the
-        worst case where one block carries all the residual.
-    max_iter : int, optional
-        Inner-iteration budget (default ``GMRES_DEFAULT_MAX_ITER``).
-    x0_stack : ndarray, optional
-        ``(n_blocks, n)`` initial guesses (e.g. the previous batch's last
-        solution tiled across the blocks).
-    cache : dict, optional
-        :class:`SolverCache` shared across the batches of a sweep.  The
-        shared block ILU lives under ``"batch_ilu"`` (dropped and rebuilt
-        when the block size changes); the last block's solution lands
-        under ``"pi0"`` so the *next* batch — and any interleaved
-        pointwise solve — warm-starts from the nearest grid point.
-    drop_tol, fill_factor : float, optional
-        ILU strength for the representative block (defaults
-        :data:`ILU_DROP_TOL` / :data:`ILU_FILL_FACTOR`).
-
-    Returns
-    -------
-    (x_stack, iterations) : ndarray, int
-        Raw per-block solutions ``(n_blocks, n)`` (un-normalised; pass
-        each through ``_finalize_pi``) and the inner iteration count.
-
-    Raises
-    ------
-    ConvergenceError
-        If the stacked residual has not reached the scaled tolerance
-        within the budget.  Callers that need per-block isolation fall
-        back to pointwise solves.
-    """
-    b_stack = np.asarray(b_stack, dtype=np.float64)
-    n_blocks, n = b_stack.shape
-    total = n_blocks * n
-    if tol is None:
-        tol = ITERATIVE_DEFAULT_TOL
-    if max_iter is None:
-        max_iter = GMRES_DEFAULT_MAX_ITER
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    # the worst case concentrates the whole stacked residual in one block;
-    # scaling by 1/sqrt(n_blocks) keeps the per-block guarantee honest
-    global_tol = max(tol / math.sqrt(n_blocks), 1e-13)
-
-    ilu = None
-    if cache is not None:
-        entry = cache.get("batch_ilu")
-        if entry is not None and entry.shape == (n, n):
-            ilu = entry
-    if ilu is None and A_block is not None:
-        with obs.span("solve.ilu_build", n=n) as ilu_sp:
-            try:
-                raw = spilu(
-                    sparse.csc_matrix(A_block),
-                    drop_tol=ILU_DROP_TOL if drop_tol is None else drop_tol,
-                    fill_factor=(
-                        ILU_FILL_FACTOR if fill_factor is None else fill_factor
-                    ),
-                )
-                ilu = LinearOperator((n, n), raw.solve, matmat=raw.solve)
-                obs.incr("solver.ilu.builds")
-                if cache is not None:
-                    cache["batch_ilu"] = ilu
-            except RuntimeError:
-                # zero pivot in the representative block: iterate
-                # unpreconditioned and let the convergence check speak
-                ilu_sp.set("failed", True)
-    M = None
-    if ilu is not None:
-        _solve_block = ilu.matmat  # (n, k) multi-RHS triangular solve
-
-        def _apply_blockwise(v: np.ndarray, _s=_solve_block) -> np.ndarray:
-            return np.asarray(
-                _s(v.reshape(n_blocks, n).T)
-            ).T.ravel()
-
-        M = LinearOperator((total, total), _apply_blockwise)
-
-    residual_history: List[float] = []
-
-    def _record(pr_norm: float) -> None:
-        residual_history.append(float(pr_norm))
-
-    restart = max(1, min(GMRES_RESTART, max_iter, total))
-    outer = max(1, -(-max_iter // restart))  # ceil division
-    x0 = None if x0_stack is None else np.asarray(x0_stack).ravel()
-    with obs.span("solve.batch_gmres", blocks=n_blocks, n=n) as sp:
-        x, info = gmres(
-            A_bd,
-            b_stack.ravel(),
-            x0=x0,
-            rtol=global_tol,
-            atol=0.0,
-            restart=restart,
-            maxiter=outer,
-            M=M,
-            callback=_record,
-            callback_type="pr_norm",
-        )
-        iterations = len(residual_history)
-        sp.set("iterations", iterations)
-        if residual_history:
-            sp.set("final_residual", residual_history[-1])
-        obs.incr("solver.batch.gmres_solves")
-        obs.incr("solver.batch.points", n_blocks)
-        obs.incr("solver.gmres.iterations", iterations)
-        if info != 0:
-            b_flat = b_stack.ravel()
-            residual = float(
-                np.linalg.norm(A_bd @ x - b_flat) / np.linalg.norm(b_flat)
-            )
-            raise ConvergenceError(
-                "gmres", iterations, residual, global_tol, residual_history
-            )
-    x_stack = x.reshape(n_blocks, n)
-    if cache is not None:
-        # the last block is the batch's far edge on the grid — the best
-        # warm start for whatever comes next (next batch's first block)
-        cache["pi0"] = x_stack[-1].copy()
-        cache["residual_history"] = tuple(residual_history)
-    return x_stack, iterations
 
 
 def gmres_steady_state(

@@ -11,12 +11,12 @@ ship:
               rebinding (the original sweep path, now behind the
               protocol)
 ``phase-type``  the deterministic-delay CPU model, stage-expanded into
-              a CTMC with a grid-invariant sparsity pattern and a
-              shared symbolic LU — Figure 4/5-style threshold/delay
-              sweeps run batched; its ``phase-type-batched`` variant
+              a CTMC solved exactly by a level recursion (no linear
+              solve) — Figure 4/5-style threshold/delay sweeps; its
+              ``phase-type-batched`` variant
               (:class:`BatchedPhaseTypeBackend`, CLI ``--batched``)
-              solves whole spans of the grid as one block-diagonal
-              stacked system — see ``docs/batched.md``
+              runs that recursion over whole spans of the grid in one
+              vectorised call — see ``docs/batched.md``
 ``renewal``   the exact renewal-reward closed form, for ground-truth
               cross-checks of the other two
 ============  ========================================================
@@ -67,7 +67,7 @@ __all__ = [
 #: CLI-facing registry; ``gspn`` needs a net, the CPU backends take params.
 #: ``phase-type`` additionally has a batched variant
 #: (``phase-type-batched`` here, ``--batched`` on the CLI) that solves
-#: whole spans of the grid as one block-diagonal system.
+#: whole spans of the grid in one vectorised kernel call.
 BACKEND_NAMES = ("gspn", "phase-type", "renewal")
 
 

@@ -1,63 +1,36 @@
-"""Batched phase-type backend: every grid point in one stacked solve.
+"""Batched phase-type backend: every grid point of a batch in one call.
 
 The pointwise :class:`~repro.sweep.backends.phase_type.PhaseTypeBackend`
-already reduces each grid point to an affine rebinding of one fixed CSC
-pattern — ``A.data = A_G @ rate_vec + A_c0`` — followed by one sparse
-solve.  That loop still pays per-point Python and SuperLU overhead a
-few hundred times per grid.  This backend removes the loop:
+solves each grid point by the exact level recursion of the stage chain
+(:func:`repro.core.phase_type.stage_chain_stationary`) as a one-row call.
+The recursion is elementwise in the rate vector, so this backend stacks a
+whole batch's ``(B, 4)`` rate rows and runs it **once**: the per-point
+Python overhead is paid per batch instead.  Row ``k`` of the stacked
+result is bitwise the vector the pointwise path computes for point ``k``,
+whatever the batch's size or order.
 
-- **assemble** every point of a batch at once:
-  ``data_stack = rate_stack @ A_G.T + A_c0`` (one GEMM,
-  :func:`repro.core.phase_type.stacked_rate_data`), bound into a single
-  block-diagonal CSC operator
-  (:func:`repro.markov.ctmc.stacked_block_diag`) whose ``k``-th diagonal
-  block is bit-identical to the matrix the pointwise path would have
-  built for point ``k``;
-- **solve** the whole stack in one shot: one ``splu`` of the
-  block-diagonal system for the LU regime (fill stays block-local, so
-  cost is the sum of the per-block costs minus all the per-call
-  overhead), or one batched GMRES with a shared single-block ILU
-  preconditioner above the iterative auto threshold
-  (:func:`repro.markov.ctmc.batched_gmres_solve`, reusing the
-  :class:`~repro.markov.ctmc.SolverCache` the pointwise sweeps warm-start
-  through).
-
-Per-point failure isolation survives batching: a singular block makes the
-stacked factorisation fail, and the backend then re-solves the batch
-block-by-block so only the offending point(s) carry an exception — the
-sweep runner turns those into NaN rows + ``PointFailure`` records exactly
-as on the pointwise paths.
+Per-point failure isolation survives batching: a point whose parameters
+fail to bind never enters the stack, and a row the kernel returns
+non-finite fails alone at validation — the sweep runner turns those into
+NaN rows + ``PointFailure`` records exactly as on the pointwise paths.
 
 Batch size is a memory knob, not a correctness knob: ``batch_size="auto"``
-budgets ``BATCH_MEMORY_BUDGET`` bytes against the stacked system's
-``nnz x 8`` bytes per point (times an LU fill fudge) and chunks the grid
-accordingly.  See ``docs/batched.md`` for the derivation, the memory
-model, and when this path beats the pool/distributed fan-out.
+budgets ``BATCH_MEMORY_BUDGET`` bytes against the kernel's working set
+and chunks the grid accordingly.  See ``docs/batched.md`` for the
+derivation and the memory model.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro import obs
 from repro.core.params import CPUModelParams
-from repro.core.phase_type import stacked_rate_data
-from repro.markov.ctmc import (
-    _finalize_pi,
-    batched_dense_solve,
-    batched_gmres_solve,
-    batched_lu_solve,
-    block_diag_pattern,
-    lu_analyse_solve,
-    resolve_steady_state_method,
-    stacked_block_diag,
-)
+from repro.core.phase_type import stage_chain_stationary
+from repro.markov.ctmc import _finalize_pi
 from repro.sweep.backends.phase_type import (
-    _ILU_DROP_TOL,
-    _ILU_FILL_FACTOR,
     PhaseTypeBackend,
     PhaseTypeSweepSolution,
     PhaseTypeTemplate,
@@ -71,23 +44,13 @@ __all__ = ["BatchedPhaseTypeBackend"]
 #: ``RuntimeError``); anything else is a configuration bug and propagates.
 _POINT_FAILURE_TYPES = (ValueError, ArithmeticError, RuntimeError)
 
-#: ``auto`` batch sizing: keep one batch's stacked system — data stack,
-#: CSC matrix, and the (block-local) LU fill — under this many bytes.
+#: ``auto`` batch sizing: keep one batch's kernel working set under this
+#: many bytes.
 BATCH_MEMORY_BUDGET = 256 * 2**20
 
-#: How much larger than the assembled stack the working set gets once the
-#: block-diagonal LU factors land next to it (per-block fill is modest on
-#: the narrow-banded stage-expanded chain; 16x is deliberately generous).
-LU_FILL_FUDGE = 16
-
-#: Blocks at or below this many states solve as a *dense* ``(B, n, n)``
-#: stack through one batched LAPACK ``gesv`` — at these sizes the O(n^3)
-#: flops are trivia and sparse factorisations lose to their own
-#: per-column bookkeeping.  Above it, the block-diagonal sparse LU (or
-#: batched GMRES) takes over.  Measured crossover on the stage-expanded
-#: chain sits between n=65 (dense ~2.7x faster) and n=130 (sparse ~2.2x
-#: faster).
-DENSE_BLOCK_LIMIT = 96
+#: Arrays of one batch's full width alive at the kernel's peak: its
+#: output, the power-up lattice block, and validation's copies.
+WORKING_SET_COPIES = 4
 
 
 def _finalize_pi_stack(
@@ -129,17 +92,17 @@ class BatchedPhaseTypeBackend(PhaseTypeBackend):
     Parameters
     ----------
     batch_size : int or "auto"
-        Grid points stacked into one block-diagonal solve.  ``"auto"``
-        (default) budgets :data:`BATCH_MEMORY_BUDGET` bytes for the
-        stacked system; an explicit ``int >= 1`` pins the batch size
-        (CLI: ``--batch-size``).  The last batch of a grid is simply
-        smaller — batching never changes *which* systems are solved,
-        only how many share one factorisation call.
+        Grid points per kernel call.  ``"auto"`` (default) budgets
+        :data:`BATCH_MEMORY_BUDGET` bytes for the kernel's working set;
+        an explicit ``int >= 1`` pins the batch size (CLI:
+        ``--batch-size``).  The last batch of a grid is simply smaller —
+        batching never changes any point's result, only how many share
+        one call.
     (remaining parameters)
         As for :class:`PhaseTypeBackend` — ``params``, ``stages``,
         ``stages_powerup``, ``stages_idle``, ``n_max``, ``method``
-        (``"power"`` has no stacked form and falls back to pointwise
-        solves), ``tol``, ``max_iter``.
+        (an explicit ``"lu"``, ``"gmres"`` or ``"power"`` has no stacked
+        form and solves point by point), ``tol``, ``max_iter``.
     """
 
     name = "phase-type-batched"
@@ -178,23 +141,18 @@ class BatchedPhaseTypeBackend(PhaseTypeBackend):
                     f"batch_size must be >= 1, got {batch_size}"
                 )
         self.batch_size = batch_size
-        # one block-diagonal pattern per distinct block count seen (the
-        # full batches of a sweep share one; the tail batch gets its own)
-        self._bd_patterns: dict = {}
-        # COO view of the CSC pattern, for the dense small-block scatter
-        self._dense_scatter: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # batch protocol
     # ------------------------------------------------------------------ #
     def resolve_batch_size(self, n_points: int) -> int:
-        """Points per stacked solve for an *n_points* sweep.
+        """Points per kernel call for an *n_points* sweep.
 
         An explicit ``batch_size`` is used as-is (clamped to the grid).
-        ``"auto"`` divides :data:`BATCH_MEMORY_BUDGET` by the per-point
-        footprint of the stacked system — ``nnz`` doubles (the data
-        stack and the CSC copy) times :data:`LU_FILL_FUDGE` for the
-        factor's block-local fill — so deep-buffer templates batch
+        ``"auto"`` divides :data:`BATCH_MEMORY_BUDGET` by the kernel's
+        per-point working set — ``n_states + k_d * n_max`` doubles (the
+        output row and the power-up lattice block) times
+        :data:`WORKING_SET_COPIES` — so deep-buffer templates batch
         narrower and small ones swallow the whole grid.
         """
         if n_points < 1:
@@ -202,21 +160,20 @@ class BatchedPhaseTypeBackend(PhaseTypeBackend):
         if self.batch_size != "auto":
             return min(int(self.batch_size), n_points)
         tpl = self.prepare()
-        per_point = len(tpl.A_c0) * 8 * LU_FILL_FUDGE
-        if tpl.n_states <= DENSE_BLOCK_LIMIT:
-            # the dense path materialises (B, n, n) plus LAPACK's copy
-            per_point = max(per_point, tpl.n_states**2 * 8 * 3)
+        per_point = (
+            8 * WORKING_SET_COPIES * (tpl.n_states + self.k_d * self.n_max)
+        )
         return max(1, min(n_points, BATCH_MEMORY_BUDGET // per_point))
 
     def solve_batch(
         self, points: List[Mapping[str, float]]
     ) -> List[Union[PhaseTypeSweepSolution, Exception]]:
-        """Solve one batch of grid points through a single stacked system.
+        """Solve one batch of grid points in a single kernel call.
 
         Returns a list aligned with *points*: a
         :class:`PhaseTypeSweepSolution` per solved point, or the
         numerical exception that felled it (zero-delay parameter points,
-        singular blocks, convergence stalls).  Configuration errors —
+        non-finite rows, convergence stalls).  Configuration errors —
         unknown axes and the like, which would fail on every point —
         propagate instead.
         """
@@ -235,16 +192,11 @@ class BatchedPhaseTypeBackend(PhaseTypeBackend):
                 continue
             bound.append((pos, params, self._rate_vector(params)))
         if bound:
-            method = resolve_steady_state_method(tpl.n_states, self.method)
-            if method == "power":
-                # power iteration has no stacked form: honest pointwise
-                pis = self._solve_pointwise(
-                    tpl, [rv for _, _, rv in bound]
-                )
+            rate_vecs = [rv for _, _, rv in bound]
+            if self.method == "auto":
+                pis = self._solve_stack(tpl, rate_vecs)
             else:
-                pis = self._solve_stack(
-                    tpl, [rv for _, _, rv in bound], method
-                )
+                pis = self._solve_pointwise(tpl, rate_vecs)
             for (pos, params, rate_vec), pi in zip(bound, pis):
                 if isinstance(pi, Exception):
                     results[pos] = pi
@@ -258,182 +210,27 @@ class BatchedPhaseTypeBackend(PhaseTypeBackend):
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------ #
-    # the stacked solves
-    # ------------------------------------------------------------------ #
     def _solve_stack(
-        self,
-        tpl: PhaseTypeTemplate,
-        rate_vecs: List[np.ndarray],
-        method: str,
-    ) -> List[Union[np.ndarray, Exception]]:
-        n = tpl.n_states
-        n_blocks = len(rate_vecs)
-        with obs.span(
-            "sweep.assemble", points=n_blocks, nnz=len(tpl.A_c0)
-        ):
-            data_stack = stacked_rate_data(
-                tpl.A_G, tpl.A_c0, np.vstack(rate_vecs)
-            )
-        b_stack = np.zeros((n_blocks, n))
-        b_stack[:, -1] = 1.0
+        self, tpl: PhaseTypeTemplate, rate_vecs: Sequence[np.ndarray]
+    ) -> Sequence[Union[np.ndarray, Exception]]:
+        """One kernel call for the batch; bad rows fail alone."""
         try:
-            if method == "gmres":
-                A_bd = self._assemble_stack(
-                    tpl.A_indptr, tpl.A_indices, data_stack, permuted=False
-                )
-                x_stack = self._gmres_stack(
-                    tpl, data_stack, A_bd, b_stack
-                )
-            elif n <= DENSE_BLOCK_LIMIT:
-                x_stack = self._dense_stack(tpl, data_stack, b_stack)
-            else:
-                x_stack = self._lu_stack(tpl, data_stack, b_stack)
+            raw = stage_chain_stationary(tpl.lattice, np.vstack(rate_vecs))
         except _POINT_FAILURE_TYPES:
-            # the stacked solve fails as a whole (SuperLU names no block;
-            # GMRES converges globally or not at all) — fall back to
-            # pointwise solves so only the offending point(s) fail
+            # the call failed as a whole, naming no row: retry per point
+            # so only the offending point(s) fail
             obs.incr("solver.batch.isolation_fallbacks")
             return self._solve_pointwise(tpl, rate_vecs)
-        return _finalize_pi_stack(x_stack)
-
-    def _assemble_stack(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        data_stack: np.ndarray,
-        permuted: bool,
-    ) -> sparse.csc_matrix:
-        """Stacked block-diagonal operator, caching the tiled pattern
-        per (block count, permuted?) — the full batches of a sweep share
-        one pattern; only the tail batch builds its own."""
-        key = (len(data_stack), permuted)
-        pattern = self._bd_patterns.get(key)
-        if pattern is None:
-            pattern = block_diag_pattern(indptr, indices, len(data_stack))
-            self._bd_patterns[key] = pattern
-        return stacked_block_diag(
-            indptr, indices, data_stack, pattern=pattern
-        )
-
-    def _dense_stack(
-        self,
-        tpl: PhaseTypeTemplate,
-        data_stack: np.ndarray,
-        b_stack: np.ndarray,
-    ) -> np.ndarray:
-        """Small-block regime: one batched LAPACK call for the whole batch.
-
-        Scatters the batch's CSC data into a ``(B, n, n)`` dense stack
-        (one fancy-indexed assignment — the COO view of the pattern is
-        computed once per sweep) and solves it through
-        :func:`repro.markov.ctmc.batched_dense_solve`: no Python between
-        blocks at all.
-        """
-        n = tpl.n_states
-        scatter = self._dense_scatter
-        if scatter is None:
-            cols = np.repeat(
-                np.arange(n, dtype=np.intp), np.diff(tpl.A_indptr)
-            )
-            scatter = self._dense_scatter = (tpl.A_indices, cols)
-        rows, cols = scatter
-        A_stack = np.zeros((len(data_stack), n, n))
-        A_stack[:, rows, cols] = data_stack
-        return batched_dense_solve(A_stack, b_stack)
-
-    def _lu_stack(
-        self,
-        tpl: PhaseTypeTemplate,
-        data_stack: np.ndarray,
-        b_stack: np.ndarray,
-    ) -> np.ndarray:
-        """One SuperLU factorisation for the whole batch.
-
-        Letting ``splu`` run its fill-reducing analysis over the stacked
-        matrix would re-discover the same per-block ordering every batch
-        — and its cost grows super-linearly in the stack width.  Instead
-        the batch reuses the pointwise path's split: one COLAMD analysis
-        of a single block per *sweep* (cached under the same
-        ``SolverCache`` keys the pointwise backend uses, so the two paths
-        share it), then every batch assembles all blocks pre-permuted by
-        one fancy-indexed gather and factors with ``ColPerm=NATURAL`` —
-        numeric work only, block-local fill.
-        """
-        n = tpl.n_states
-        cache = self._factor_cache
-        if "perm_c" not in cache:
-            # one representative block pays the symbolic analysis
-            A0 = sparse.csc_matrix(
-                (data_stack[0], tpl.A_indices, tpl.A_indptr), shape=(n, n)
-            )
-            _, perm_c = lu_analyse_solve(A0, b_stack[0])
-            counts = np.diff(tpl.A_indptr)
-            data_map = np.concatenate(
-                [
-                    np.arange(tpl.A_indptr[p], tpl.A_indptr[p + 1])
-                    for p in perm_c
-                ]
-            )
-            perm_indptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(counts[perm_c], out=perm_indptr[1:])
-            cache.update(
-                perm_c=perm_c,
-                data_map=data_map,
-                perm_indptr=perm_indptr,
-                perm_indices=tpl.A_indices[data_map],
-            )
-        A_bd = self._assemble_stack(
-            cache["perm_indptr"],
-            cache["perm_indices"],
-            data_stack[:, cache["data_map"]],
-            permuted=True,
-        )
-        y_stack = batched_lu_solve(A_bd, b_stack, permc_spec="NATURAL")
-        x_stack = np.empty_like(y_stack)
-        x_stack[:, cache["perm_c"]] = y_stack
-        return x_stack
-
-    def _gmres_stack(
-        self,
-        tpl: PhaseTypeTemplate,
-        data_stack: np.ndarray,
-        A_bd: sparse.spmatrix,
-        b_stack: np.ndarray,
-    ) -> np.ndarray:
-        """Batched GMRES with the batch's middle block as shared ILU seed."""
-        n = tpl.n_states
-        n_blocks = len(b_stack)
-        mid = n_blocks // 2
-        A_mid = sparse.csc_matrix(
-            (data_stack[mid], tpl.A_indices, tpl.A_indptr), shape=(n, n)
-        )
-        x0_stack = None
-        pi0 = self._factor_cache.get("pi0")
-        if pi0 is not None and len(pi0) == n:
-            # the previous batch's far edge, tiled: on an axis-ordered
-            # grid every block of this batch is its near neighbour
-            x0_stack = np.tile(pi0, (n_blocks, 1))
-        x_stack, _ = batched_gmres_solve(
-            A_bd,
-            b_stack,
-            A_block=A_mid,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            x0_stack=x0_stack,
-            cache=self._factor_cache,
-            drop_tol=_ILU_DROP_TOL,
-            fill_factor=_ILU_FILL_FACTOR,
-        )
-        return x_stack
+        obs.incr("solver.batch.points", len(rate_vecs))
+        return _finalize_pi_stack(raw)
 
     def _solve_pointwise(
-        self, tpl: PhaseTypeTemplate, rate_vecs: List[np.ndarray]
+        self, tpl: PhaseTypeTemplate, rate_vecs: Sequence[np.ndarray]
     ) -> List[Union[np.ndarray, Exception]]:
-        """Per-block fallback: same systems, one at a time.
+        """Same points, one at a time, exactly as the pointwise backend.
 
-        Used to isolate failures after a stacked solve dies, and as the
-        honest path for ``method="power"``.  Each block either solves —
-        identically to the pointwise backend — or records its exception.
+        The path for the explicit methods, and for isolating a failed
+        kernel call.  Each point either solves or records its exception.
         """
         out: List[Union[np.ndarray, Exception]] = []
         for rate_vec in rate_vecs:
@@ -444,13 +241,12 @@ class BatchedPhaseTypeBackend(PhaseTypeBackend):
         return out
 
     # ------------------------------------------------------------------ #
-    def reset_solver_state(self) -> None:
-        super().reset_solver_state()
-        self._bd_patterns.clear()
-        self._dense_scatter = None
-
     def describe(self) -> str:
-        solver = resolve_steady_state_method(self.n_states, self.method)
+        solver = (
+            f"{self.steady_method} steady state in one call per batch"
+            if self.method == "auto"
+            else f"per-point {self.steady_method} steady state"
+        )
         sizing = (
             "auto-sized batches"
             if self.batch_size == "auto"
@@ -459,5 +255,5 @@ class BatchedPhaseTypeBackend(PhaseTypeBackend):
         return (
             f"{self.n_states} phase-type states "
             f"(k_d={self.k_d}, k_t={self.k_t}, n_max={self.n_max}), "
-            f"stacked block-diagonal {solver} solves, {sizing}"
+            f"{solver}, {sizing}"
         )

@@ -121,11 +121,15 @@ class GSPNBackend(SweepBackend):
     def n_states(self) -> int:
         return self.solver.n
 
+    @property
+    def steady_method(self) -> str:
+        """The steady-state solver a point solve runs."""
+        return resolve_steady_state_method(self.solver.n, self.method)
+
     def describe(self) -> str:
-        solver = resolve_steady_state_method(self.solver.n, self.method)
         return (
             f"{self.solver.n} tangible markings, graph explored once, "
-            f"{solver} steady state"
+            f"{self.steady_method} steady state"
         )
 
     # ------------------------------------------------------------------ #

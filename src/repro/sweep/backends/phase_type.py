@@ -10,14 +10,17 @@ sweeping λ, μ, ``T`` or ``D`` only rescales the four symbolic rate slots of
 are non-zero.  This backend exploits that the same way ``GSPNSolver``
 exploits rate rebinding:
 
-- **prepare** (once): build the stage structure, sort the COO triplets into
-  a fixed CSR pattern, and precompute the per-state collapse vectors
-  (state-kind masks, job counts, power draws);
-- **solve** (per point): fill the CSR data slot — ``rate_vec[rate_ids]``,
-  a vectorised gather — assemble the generator in ``O(nnz)``, and solve
-  steady state through the shared symbolic LU
-  (:func:`repro.markov.ctmc.sparse_steady_state`), so the fill-reducing
-  analysis is paid once per sweep.
+- **prepare** (once): build the stage structure and the level
+  recursion's log-binomial lattice
+  (:func:`repro.core.phase_type.build_stage_lattice`), sort the COO
+  triplets into a fixed CSR pattern, and precompute the per-state
+  collapse vectors (state-kind masks, job counts, power draws);
+- **solve** (per point): under ``method="auto"``, the exact ``O(states)``
+  level recursion (:func:`repro.core.phase_type.stage_chain_stationary`)
+  — no matrix is assembled.  The explicit methods stay as cross-checks:
+  ``"lu"`` fills the augmented system's data slot by an affine map and
+  solves through a symbolic LU shared across the sweep; ``"gmres"`` and
+  ``"power"`` iterate with warm starts.
 
 Steady metrics: ``fraction:<state>`` (idle/standby/powerup/active),
 ``power`` (mW), ``mean_jobs``, ``truncation_mass``.  Transient metrics
@@ -45,7 +48,10 @@ from repro.core.exact_renewal import ExactRenewalModel
 from repro.core.params import CPUModelParams, STATE_NAMES, StateFractions
 from repro.core.phase_type import (
     PhaseTypeModel,
+    StageLattice,
+    build_stage_lattice,
     build_stage_structure,
+    stage_chain_stationary,
     stage_rate_vector,
     state_power_vector,
 )
@@ -86,6 +92,7 @@ class PhaseTypeTemplate:
 
     states: List[Tuple]
     n_states: int
+    lattice: StageLattice  # tables of the exact level recursion
     # fixed CSR pattern of the off-diagonal generator
     indptr: np.ndarray
     indices: np.ndarray
@@ -180,15 +187,17 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         for the base parameters.  When sweeping toward heavier load, pass
         an ``n_max`` sized for the heaviest point and check the
         ``truncation_mass`` metric stays negligible.  State count grows
-        as ``1 + stages * n_max + n_max + stages`` — deep buffers are
-        exactly where the iterative solvers earn their keep.
+        as ``1 + stages * n_max + n_max + stages`` — the
+        level recursion's cost is linear in it.
     method : {"auto", "lu", "gmres", "power"}
-        Steady-state solver (see
-        :meth:`repro.markov.ctmc.CTMC.steady_state`).  ``"lu"`` runs the
+        Steady-state solver.  ``"auto"`` runs the exact level recursion
+        at every size (see
+        :func:`repro.core.phase_type.stage_chain_stationary`).  The
+        explicit methods are cross-checks (see
+        :meth:`repro.markov.ctmc.CTMC.steady_state`): ``"lu"`` runs the
         affine-map symbolic-LU path; the iterative methods warm-start
         each grid point from the previous point's solution and share one
-        ILU preconditioner across the grid.  ``"auto"`` picks by state
-        count (LU up to 20 000 states, then GMRES).
+        ILU preconditioner across the grid.
     tol : float, optional
         Convergence tolerance of the iterative methods (default
         ``1e-10``); ignored by ``"lu"``.
@@ -250,6 +259,7 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
             states, _, rows, cols, rate_ids = build_stage_structure(
                 self.k_d, self.k_t, self.n_max, True, True
             )
+            lattice = build_stage_lattice(self.k_d, self.k_t, self.n_max)
             sp.set("states", len(states))
         n = len(states)
         order = np.lexsort((cols, rows))
@@ -281,6 +291,7 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         return PhaseTypeTemplate(
             states=states,
             n_states=n,
+            lattice=lattice,
             indptr=indptr,
             indices=cols,
             rate_pick=rate_ids,
@@ -371,17 +382,21 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
     def _steady_state(
         self, tpl: PhaseTypeTemplate, rate_vec: np.ndarray
     ) -> np.ndarray:
-        """Solve ``pi Q = 0`` through the template's fixed CSC system.
+        """Solve ``pi Q = 0`` for one point.
 
-        Dispatches on the backend's ``method``: the LU path below, or the
-        iterative solvers (GMRES on the same augmented CSC system, power
-        iteration on the generator), which warm-start from the previous
-        grid point's solution held in the shared cache.
+        Dispatches on the backend's ``method``: the exact level recursion
+        (``"auto"``), the LU path below, or the iterative solvers (GMRES
+        on the same augmented CSC system, power iteration on the
+        generator), which warm-start from the previous grid point's
+        solution held in the shared cache.
         """
-        method = resolve_steady_state_method(tpl.n_states, self.method)
-        if method == "gmres":
+        if self.method == "auto":
+            return _finalize_pi(
+                stage_chain_stationary(tpl.lattice, rate_vec[None, :])[0]
+            )
+        if self.method == "gmres":
             return self._gmres_steady_state(tpl, rate_vec)
-        if method == "power":
+        if self.method == "power":
             return self._power_steady_state(tpl, rate_vec)
         return self._lu_steady_state(tpl, rate_vec)
 
@@ -505,12 +520,16 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
     def n_states(self) -> int:
         return self.prepare().n_states
 
+    @property
+    def steady_method(self) -> str:
+        """The steady-state solver a point solve runs."""
+        return "exact level-recursion" if self.method == "auto" else self.method
+
     def describe(self) -> str:
-        solver = resolve_steady_state_method(self.n_states, self.method)
         return (
             f"{self.n_states} phase-type states "
             f"(k_d={self.k_d}, k_t={self.k_t}, n_max={self.n_max}), "
-            f"structure built once, {solver} steady state"
+            f"structure built once, {self.steady_method} steady state"
         )
 
     # ------------------------------------------------------------------ #

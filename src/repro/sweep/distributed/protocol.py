@@ -90,7 +90,7 @@ support, rows stream back *per point*: when a worker dies mid-chunk the
 coordinator knows exactly which points of that chunk finished and
 requeues only the unfinished suffix, blaming the in-flight point alone.
 On a batch-capable backend (protocol v2), a worker solves each stacked
-batch as one block-diagonal system and ships one ``rows`` frame per
+batch in one ``solve_batch`` call and ships one ``rows`` frame per
 batch — sub-millisecond points stop paying two protocol messages each.
 Worker death then loses at most one batch: the coordinator requeues the
 whole unfinished remainder *without blaming anyone* and downgrades the

@@ -211,8 +211,8 @@ def iter_partition_rows(
     (through :mod:`~repro.sweep.engine.wire`) the distributed and
     service workers.  A batch-capable backend (``batch_capable`` — see
     :meth:`~repro.sweep.backends.base.SweepBackend.solve_batch`) gets the
-    points in stacked batches of its preferred size, solved as one
-    block-diagonal system each under a ``sweep.batch`` span; everything
+    points in stacked batches of its preferred size, each solved by one
+    ``solve_batch`` call under a ``sweep.batch`` span; everything
     downstream is unchanged — one ``sweep.point`` span, one row, and
     per-point failure isolation per grid point, exactly as on the
     pointwise path.  Indices are offset by *start* (a partition's base)

@@ -8,8 +8,8 @@ window**: the first request for a fingerprint opens a flight, waits
 ``window_s`` for same-fingerprint company, then all pending requests are
 solved together.  On a batch-capable backend the flight concatenates
 every request's points into one point list and runs the engine's stacked
-``solve_batch`` chunks over it — one block-diagonal factorisation
-amortised across all coalesced requests — before slicing per-request
+``solve_batch`` chunks over it — one kernel call amortised across all
+coalesced requests — before slicing per-request
 rows back out.  A window of zero still coalesces: whatever queued while
 the previous flight was solving departs together on the next one.
 

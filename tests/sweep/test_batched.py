@@ -1,31 +1,21 @@
-"""Batched phase-type sweeps: stacked assembly, parity, isolation.
+"""Batched phase-type sweeps: parity, chunking, isolation.
 
-The batched backend must be *invisible* in the results: every regime
-(dense LAPACK, pre-permuted block-diagonal LU, batched GMRES) agrees
-with the pointwise backend to 1e-9 or better, chunk boundaries never
-change which systems are solved, and a bad point fails alone — whether
-it dies at parameter binding, inside the stacked factorisation, or at
-normalisation time.
+The batched backend must be *invisible* in the results: its one
+level-recursion call per batch agrees with the pointwise backend's LU,
+GMRES and power solves to 1e-9 or better and with its own pointwise
+recursion bit for bit, chunk boundaries never change a point's result,
+and a bad point fails alone — whether it dies at parameter binding, in
+the kernel, or at normalisation time.
 """
 
 import pickle
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from repro import obs
 from repro.core.params import CPUModelParams
-from repro.core.phase_type import stacked_rate_data
-from repro.markov.ctmc import (
-    NumericalSolveError,
-    SolverCache,
-    batched_dense_solve,
-    batched_gmres_solve,
-    batched_lu_solve,
-    block_diag_pattern,
-    stacked_block_diag,
-)
+from repro.markov.ctmc import NumericalSolveError
 from repro.sweep import (
     BatchedPhaseTypeBackend,
     PhaseTypeBackend,
@@ -33,10 +23,10 @@ from repro.sweep import (
     SweepRunner,
     make_backend,
 )
+from repro.sweep.backends import batched as batched_module
 from repro.sweep.backends.batched import (
     BATCH_MEMORY_BUDGET,
-    DENSE_BLOCK_LIMIT,
-    LU_FILL_FUDGE,
+    WORKING_SET_COPIES,
     _finalize_pi_stack,
 )
 
@@ -50,153 +40,38 @@ def metric_matrix(result, metrics=METRICS):
     return np.array([[row[m] for m in metrics] for row in result.rows()])
 
 
-def random_block_stack(rng, n=6, n_blocks=5, density=0.6):
-    """A random well-conditioned CSC pattern + per-block data stack."""
-    mask = rng.random((n, n)) < density
-    np.fill_diagonal(mask, True)  # keep blocks comfortably non-singular
-    base = sparse.csc_matrix(mask.astype(float))
-    data_stack = rng.standard_normal((n_blocks, base.nnz))
-    data_stack[:, np.asarray(base.indices) == np.arange(n).repeat(
-        np.diff(base.indptr)
-    )] += 4.0 * n  # diagonal dominance
-    return base, data_stack
-
-
-class TestStackedKernels:
-    """The ctmc-level batched primitives against scipy references."""
-
-    def test_block_diag_pattern_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        base, data_stack = random_block_stack(rng)
-        bd = stacked_block_diag(base.indptr, base.indices, data_stack)
-        blocks = [
-            sparse.csc_matrix(
-                (data_stack[k], base.indices, base.indptr),
-                shape=base.shape,
-            )
-            for k in range(len(data_stack))
-        ]
-        ref = sparse.block_diag(blocks, format="csc")
-        assert (bd != ref).nnz == 0
-
-    def test_precomputed_pattern_round_trips(self):
-        rng = np.random.default_rng(8)
-        base, data_stack = random_block_stack(rng, n_blocks=3)
-        pattern = block_diag_pattern(base.indptr, base.indices, 3)
-        bd = stacked_block_diag(
-            base.indptr, base.indices, data_stack, pattern=pattern
-        )
-        assert bd.shape == (3 * base.shape[0], 3 * base.shape[0])
-        assert bd.nnz == 3 * base.nnz
-
-    def test_stacked_block_diag_rejects_bad_stack(self):
-        rng = np.random.default_rng(9)
-        base, data_stack = random_block_stack(rng)
-        with pytest.raises(ValueError, match="2-D"):
-            stacked_block_diag(base.indptr, base.indices, data_stack[0])
-        with pytest.raises(ValueError, match="entries per block"):
-            stacked_block_diag(
-                base.indptr, base.indices, data_stack[:, :-1]
-            )
-
-    def test_batched_lu_matches_per_block_solves(self):
-        rng = np.random.default_rng(10)
-        base, data_stack = random_block_stack(rng, n=8, n_blocks=6)
-        n = base.shape[0]
-        b_stack = rng.standard_normal((6, n))
-        bd = stacked_block_diag(base.indptr, base.indices, data_stack)
-        x_stack = batched_lu_solve(bd, b_stack)
-        for k in range(6):
-            A_k = sparse.csc_matrix(
-                (data_stack[k], base.indices, base.indptr), shape=(n, n)
-            )
-            np.testing.assert_allclose(
-                A_k @ x_stack[k], b_stack[k], atol=1e-10
-            )
-
-    def test_batched_dense_matches_per_block_solves(self):
-        rng = np.random.default_rng(11)
-        A_stack = rng.standard_normal((5, 7, 7))
-        A_stack += 7.0 * np.eye(7)
-        b_stack = rng.standard_normal((5, 7))
-        x_stack = batched_dense_solve(A_stack, b_stack)
-        for k in range(5):
-            np.testing.assert_allclose(
-                np.linalg.solve(A_stack[k], b_stack[k]), x_stack[k]
-            )
-
-    def test_batched_dense_singular_raises_solve_error(self):
-        A_stack = np.zeros((2, 3, 3))
-        A_stack[0] = np.eye(3)  # block 1 stays all-zero: singular
-        with pytest.raises(NumericalSolveError):
-            batched_dense_solve(A_stack, np.ones((2, 3)))
-
-    def test_batched_gmres_matches_direct(self):
-        rng = np.random.default_rng(12)
-        base, data_stack = random_block_stack(rng, n=10, n_blocks=4)
-        n = base.shape[0]
-        b_stack = rng.standard_normal((4, n))
-        bd = stacked_block_diag(base.indptr, base.indices, data_stack)
-        A_mid = sparse.csc_matrix(
-            (data_stack[2], base.indices, base.indptr), shape=(n, n)
-        )
-        x_stack, iterations = batched_gmres_solve(
-            bd, b_stack, A_block=A_mid, tol=1e-12, cache=SolverCache()
-        )
-        assert iterations >= 1
-        direct = sparse.linalg.spsolve(bd.tocsc(), b_stack.ravel())
-        np.testing.assert_allclose(
-            x_stack.ravel(), direct, atol=1e-8
-        )
-
-    def test_stacked_rate_data_is_rowwise_affine_template(self):
-        backend = PhaseTypeBackend(PARAMS, stages=2, n_max=6)
-        tpl = backend.prepare()
-        rate_stack = np.vstack(
-            [
-                backend._rate_vector(backend._point_params({"T": t}))
-                for t in (0.1, 0.5, 1.3)
-            ]
-        )
-        stack = stacked_rate_data(tpl.A_G, tpl.A_c0, rate_stack)
-        for k in range(3):
-            np.testing.assert_array_equal(
-                stack[k], tpl.A_G @ rate_stack[k] + tpl.A_c0
-            )
-
-    def test_stacked_rate_data_rejects_bad_shapes(self):
-        backend = PhaseTypeBackend(PARAMS, stages=2, n_max=6)
-        tpl = backend.prepare()
-        with pytest.raises(ValueError, match="rate_stack"):
-            stacked_rate_data(tpl.A_G, tpl.A_c0, np.ones(4))
-        with pytest.raises(ValueError, match="rate_stack"):
-            stacked_rate_data(tpl.A_G, tpl.A_c0, np.ones((3, 5)))
-
-
 class TestBatchedParity:
-    """Acceptance: batched rows == pointwise rows, every solve regime."""
+    """Acceptance: batched rows == pointwise rows, under every method."""
 
     @pytest.mark.parametrize("grid", [GRID_24, GRID_200], ids=["24pt", "200pt"])
     def test_dense_regime_parity(self, grid):
-        """stages=2/n_max=10 -> n=33: the batched-LAPACK small-block path."""
+        """stages=2/n_max=10 -> n=33, a size small enough for dense LAPACK:
+        the batched recursion equals the pointwise one bit for bit and the
+        pointwise LU to 1e-9."""
         kwargs = dict(stages=2, n_max=10)
         pointwise = SweepRunner(
             PhaseTypeBackend(PARAMS, **kwargs), METRICS
         ).run(grid)
+        lu = SweepRunner(
+            PhaseTypeBackend(PARAMS, method="lu", **kwargs), METRICS
+        ).run(grid)
         batched = SweepRunner(
             BatchedPhaseTypeBackend(PARAMS, **kwargs), METRICS
         ).run(grid)
-        assert batched.n_failed == pointwise.n_failed == 0
+        assert batched.n_failed == pointwise.n_failed == lu.n_failed == 0
+        np.testing.assert_array_equal(
+            metric_matrix(batched), metric_matrix(pointwise)
+        )
         np.testing.assert_allclose(
-            metric_matrix(batched), metric_matrix(pointwise), atol=1e-9
+            metric_matrix(batched), metric_matrix(lu), atol=1e-9
         )
 
     def test_sparse_lu_regime_parity(self):
-        """stages=8/n_max=30 -> n=279: the block-diagonal splu path."""
+        """stages=8/n_max=30 -> n=279: the recursion against the sparse
+        LU of the same chain."""
         kwargs = dict(stages=8, n_max=30)
-        assert PhaseTypeBackend(PARAMS, **kwargs).n_states > DENSE_BLOCK_LIMIT
         pointwise = SweepRunner(
-            PhaseTypeBackend(PARAMS, **kwargs), METRICS
+            PhaseTypeBackend(PARAMS, method="lu", **kwargs), METRICS
         ).run(GRID_24)
         batched = SweepRunner(
             BatchedPhaseTypeBackend(PARAMS, **kwargs), METRICS
@@ -206,7 +81,7 @@ class TestBatchedParity:
         )
 
     def test_gmres_regime_parity(self):
-        """Forced iterative method: batched GMRES with shared ILU."""
+        """Forced iterative method: the batch solves point by point."""
         kwargs = dict(stages=8, n_max=30, method="gmres")
         pointwise = SweepRunner(
             PhaseTypeBackend(PARAMS, **kwargs), METRICS
@@ -292,24 +167,34 @@ class TestBatchSizing:
     def test_auto_policy_is_memory_budgeted(self):
         backend = BatchedPhaseTypeBackend(PARAMS, stages=8, n_max=30)
         tpl = backend.prepare()
-        assert tpl.n_states > DENSE_BLOCK_LIMIT
-        per_point = len(tpl.A_c0) * 8 * LU_FILL_FUDGE
+        per_point = 8 * WORKING_SET_COPIES * (tpl.n_states + 8 * 30)
         expected = BATCH_MEMORY_BUDGET // per_point
         assert backend.resolve_batch_size(10**9) == expected
         # a small grid is never padded, a huge template never starves
         assert backend.resolve_batch_size(24) == 24
+        deep = BatchedPhaseTypeBackend(PARAMS, stages=64, n_max=4000)
+        assert 1 <= deep.resolve_batch_size(10**9) < expected
 
     def test_auto_policy_accounts_for_dense_cube(self):
-        """Small blocks budget the (B, n, n) dense stack, not just nnz."""
-        backend = BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10)
-        tpl = backend.prepare()
-        assert tpl.n_states <= DENSE_BLOCK_LIMIT
-        per_point = max(
-            len(tpl.A_c0) * 8 * LU_FILL_FUDGE,
-            tpl.n_states**2 * 8 * 3,
+        """The budget counts the dense (B, k_d, n_max) power-up cube the
+        kernel fills, not just its (B, n_states) output."""
+        narrow = BatchedPhaseTypeBackend(
+            PARAMS, stages_powerup=2, stages_idle=40, n_max=30
         )
-        assert backend.resolve_batch_size(10**9) == (
-            BATCH_MEMORY_BUDGET // per_point
+        wide = BatchedPhaseTypeBackend(
+            PARAMS, stages_powerup=40, stages_idle=2, n_max=30
+        )
+        for backend in (narrow, wide):
+            per_point = (
+                8
+                * WORKING_SET_COPIES
+                * (backend.n_states + backend.k_d * backend.n_max)
+            )
+            assert backend.resolve_batch_size(10**9) == (
+                BATCH_MEMORY_BUDGET // per_point
+            )
+        assert wide.resolve_batch_size(10**9) < narrow.resolve_batch_size(
+            10**9
         )
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "huge"])
@@ -326,8 +211,8 @@ class TestBatchSizing:
 
 
 class _NaNRateBackend(BatchedPhaseTypeBackend):
-    """Poisons the rate vector of chosen thresholds: the block assembles,
-    enters the stack, and must fail *alone* at normalisation time."""
+    """Poisons the rate vector of chosen thresholds: the row enters the
+    stack, and must fail *alone* at normalisation time."""
 
     def __init__(self, *args, poison=(), **kwargs):
         super().__init__(*args, **kwargs)
@@ -368,8 +253,8 @@ class TestFailureIsolation:
         assert "power_up_delay" in by_index[3].message
 
     def test_nan_block_fails_alone_in_the_stack(self):
-        """A non-finite block inside the stacked solve poisons only its
-        own row; ``_finalize_pi_stack`` isolates it block-by-block."""
+        """A non-finite rate row inside the kernel call poisons only its
+        own row; ``_finalize_pi_stack`` isolates it row by row."""
         grid = SweepGrid({"T": [0.2, 0.5, 0.8, 1.1]})
         backend = _NaNRateBackend(
             PARAMS, stages=2, n_max=10, poison=(0.5,)
@@ -386,18 +271,19 @@ class TestFailureIsolation:
             assert rows[i]["power"] == clean.rows()[i]["power"]
 
     def test_stack_solver_crash_falls_back_to_pointwise(self, monkeypatch):
-        """If the stacked factorisation itself raises, every point is
+        """If the stacked kernel call itself raises, every point is
         retried pointwise and the sweep still completes clean."""
         backend = BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10)
 
         def boom(*args, **kwargs):
-            raise NumericalSolveError("stacked factorisation exploded")
+            raise NumericalSolveError("stacked kernel call exploded")
 
-        monkeypatch.setattr(backend, "_dense_stack", boom)
+        monkeypatch.setattr(batched_module, "stage_chain_stationary", boom)
         with obs.tracing() as trace:
             result = SweepRunner(backend, ["power"]).run(GRID_24)
         assert result.n_failed == 0
         assert trace.counters["solver.batch.isolation_fallbacks"] >= 1
+        assert "solver.batch.points" not in trace.counters
         clean = SweepRunner(
             PhaseTypeBackend(PARAMS, stages=2, n_max=10), ["power"]
         ).run(GRID_24)
@@ -433,19 +319,24 @@ class TestRunnerIntegration:
         names = [s.name for s in trace.spans]
         assert names.count("sweep.point") == 24
         assert names.count("sweep.batch") == 4  # ceil(24 / 7)
-        assert names.count("sweep.assemble") == 4
-        assert names.count("solve.batch_dense") == 4
+        kernel = [s for s in trace.spans if s.name == "solve.stage_recursion"]
+        assert [s.attrs["points"] for s in kernel] == [7, 7, 7, 3]
+        assert {s.attrs["n"] for s in kernel} == {33}
         assert trace.counters["solver.batch.points"] == 24
-        assert trace.counters["solver.batch.dense_solves"] == 4
 
     def test_lu_regime_counters(self):
+        """An explicit ``method="lu"`` solves point by point through the
+        sparse LU: no kernel call, no batch points, the LU cache warm."""
+        backend = BatchedPhaseTypeBackend(
+            PARAMS, stages=8, n_max=30, method="lu"
+        )
         with obs.tracing() as trace:
-            SweepRunner(
-                BatchedPhaseTypeBackend(PARAMS, stages=8, n_max=30),
-                ["power"],
-            ).run(SweepGrid({"T": [0.2, 0.6]}))
-        assert trace.counters["solver.batch.lu_solves"] == 1
-        assert trace.counters["solver.batch.points"] == 2
+            SweepRunner(backend, ["power"]).run(SweepGrid({"T": [0.2, 0.6]}))
+        names = [s.name for s in trace.spans]
+        assert "solve.stage_recursion" not in names
+        assert "solver.batch.points" not in trace.counters
+        assert "perm_c" in backend._factor_cache
+        assert "per-point lu" in backend.describe()
 
     def test_registry_and_describe(self):
         backend = make_backend(
@@ -467,12 +358,21 @@ class TestRunnerIntegration:
         assert result.n_failed == 0
 
     def test_reset_solver_state_clears_batch_caches(self):
+        """The recursion keeps no per-sweep solver state: a reset between
+        two runs changes no bit, and an LU cache it did build is gone."""
         backend = BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10)
-        SweepRunner(backend, ["power"]).run(GRID_24)
-        assert backend._dense_scatter is not None
+        first = SweepRunner(backend, METRICS).run(GRID_24)
+        assert len(backend._factor_cache) == 0
+        backend.method = "lu"
+        SweepRunner(backend, ["power"]).run(SweepGrid({"T": [0.2]}))
+        assert "perm_c" in backend._factor_cache
         backend.reset_solver_state()
-        assert backend._dense_scatter is None
-        assert backend._bd_patterns == {}
+        assert len(backend._factor_cache) == 0
+        backend.method = "auto"
+        again = SweepRunner(backend, METRICS).run(GRID_24)
+        np.testing.assert_array_equal(
+            metric_matrix(again), metric_matrix(first)
+        )
 
 
 class TestBatchedCLI:
@@ -485,7 +385,7 @@ class TestBatchedCLI:
             "--metric", "power",
         ]) == 0
         out = capsys.readouterr().out
-        assert "stacked block-diagonal" in out
+        assert "exact level-recursion steady state" in out
 
     def test_explicit_batch_size_flag(self, capsys):
         from repro.experiments.cli import main

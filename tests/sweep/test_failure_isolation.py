@@ -216,7 +216,8 @@ class TestWarmStartReset:
         assert "pi0" not in runner.model.solver._factor_cache
 
     def test_phase_type_backend_reset(self):
-        backend = PhaseTypeBackend(stages=4)
+        # the default recursion keeps no factors; the LU path does
+        backend = PhaseTypeBackend(stages=4, method="lu")
         backend.solve({"T": 0.4})
         backend._factor_cache["pi0"] = np.ones(3)
         backend.reset_point_state()
