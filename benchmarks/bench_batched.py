@@ -1,14 +1,17 @@
 """Batched phase-type benchmarks: one level-recursion call vs. the point loop.
 
-Both backends solve each grid point by the same exact ``O(states)``
-level recursion (:func:`repro.core.phase_type.stage_chain_stationary`);
-the batched backend runs it once per batch over the stacked rate rows
-instead of once per point.  Two claims are measured and *asserted*, not
-just timed (the acceptance criteria of the batched sweep path, see
-``docs/batched.md``):
+The phase-type backend solves each grid point by the exact ``O(states)``
+level recursion (:func:`repro.core.phase_type.stage_chain_stationary`),
+run once per batch over the stacked rate rows.  The pointwise side is a
+real per-point loop over the same backend: the engine's shared row loop
+(:func:`repro.sweep.engine.iter_partition_rows`) with ``pointwise=True``,
+one ``solve`` per point — the path a distributed retry downgrade takes.
+The batched side is the same loop with batching on.  Two claims are
+measured and *asserted*, not just timed (the acceptance criteria of the
+batched sweep path, see ``docs/batched.md``):
 
 1. On a 200-point Figure 4/5-style threshold grid at the paper's model
-   size (33 states), the batched backend beats the pointwise backend by
+   size (33 states), the batched loop beats the per-point loop by
    >= 3x, and its rows match the pointwise rows to 1e-9 (they are in
    fact bit-identical: row ``k`` of a stacked call does not depend on
    the rest of the stack).
@@ -29,12 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.params import CPUModelParams
-from repro.sweep import (
-    BatchedPhaseTypeBackend,
-    PhaseTypeBackend,
-    SweepGrid,
-    SweepRunner,
-)
+from repro.sweep import PhaseTypeBackend, SweepGrid
+from repro.sweep.engine import iter_partition_rows
 
 PARAMS = CPUModelParams.paper_defaults(T=0.3, D=0.05)
 STAGES = 2
@@ -69,8 +68,17 @@ def best_of_interleaved(fn_a, fn_b, rounds=7):
     return best_a, value_a, best_b, value_b
 
 
-def _metric_matrix(result):
-    return np.column_stack([result.column(m) for m in METRICS])
+def _sweep(backend, pointwise):
+    """One cold pass over ``GRID`` through the engine's row loop."""
+    # reset per round: measure a cold sweep, not a warmed re-run
+    backend.reset_solver_state()
+    rows, failed = [], 0
+    for _, row, failure in iter_partition_rows(
+        backend, METRICS, GRID.points(), pointwise=pointwise
+    ):
+        rows.append(row)
+        failed += failure is not None
+    return np.array(rows), failed
 
 
 #: everything this run measured, rewritten to ``JSON_OUT`` by each test
@@ -85,32 +93,20 @@ def _record(**entries):
 def _race(stages, n_max=None):
     """Cold pointwise vs batched sweeps of ``GRID``, interleaved."""
     pointwise_backend = PhaseTypeBackend(PARAMS, stages=stages, n_max=n_max)
-    batched_backend = BatchedPhaseTypeBackend(
-        PARAMS, stages=stages, n_max=n_max
-    )
+    batched_backend = PhaseTypeBackend(PARAMS, stages=stages, n_max=n_max)
 
     def pointwise():
-        # reset per round: measure a cold sweep, not a warmed re-run
-        pointwise_backend.reset_solver_state()
-        return SweepRunner(pointwise_backend, list(METRICS)).run(GRID)
+        return _sweep(pointwise_backend, pointwise=True)
 
     def batched():
-        batched_backend.reset_solver_state()
-        return SweepRunner(batched_backend, list(METRICS)).run(GRID)
+        return _sweep(batched_backend, pointwise=False)
 
-    t_pointwise, result_pointwise, t_batched, result_batched = (
-        best_of_interleaved(pointwise, batched)
-    )
-    assert result_pointwise.n_failed == 0
-    assert result_batched.n_failed == 0
-    parity_err = float(
-        np.max(
-            np.abs(
-                _metric_matrix(result_batched)
-                - _metric_matrix(result_pointwise)
-            )
-        )
-    )
+    t_pointwise, (rows_pointwise, failed_pointwise), t_batched, (
+        rows_batched,
+        failed_batched,
+    ) = best_of_interleaved(pointwise, batched)
+    assert failed_pointwise == failed_batched == 0
+    parity_err = float(np.max(np.abs(rows_batched - rows_pointwise)))
     return {
         "stages": stages,
         "n_max": batched_backend.n_max,

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro import obs
 from repro.core.params import CPUModelParams
-from repro.sweep import BatchedPhaseTypeBackend, SweepGrid, SweepRunner
+from repro.sweep import PhaseTypeBackend, SweepGrid, SweepRunner
 from repro.sweep.distributed import DistributedSweepRunner
 from repro.sweep.service import SweepService, request_over_socket
 
@@ -56,7 +56,7 @@ MIN_WIRE_SPEEDUP = 3.0
 N_CLIENTS = 8
 SERVICE_PAYLOAD = {
     "op": "sweep",
-    "model": {"kind": "phase-type-batched", "stages": 2, "n_max": 20},
+    "model": {"kind": "phase-type", "stages": 2, "n_max": 20},
     "axes": ["T=0.1:1.0:2"],
     "metrics": ["power"],
 }
@@ -64,8 +64,8 @@ WINDOW_MS = 2.0
 MIN_OCCUPANCY_RATIO = 1.5
 
 
-def _wire_backend() -> BatchedPhaseTypeBackend:
-    return BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=6)
+def _wire_backend() -> PhaseTypeBackend:
+    return PhaseTypeBackend(PARAMS, stages=2, n_max=6)
 
 
 def best_of_interleaved(fn_a, fn_b, rounds=4):

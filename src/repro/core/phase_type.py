@@ -254,7 +254,7 @@ def stage_chain_stationary(
     row ``k`` of the result is bitwise independent of the stack's size
     and order.  A row whose rates overflow or are invalid comes back
     non-finite rather than raising: callers validate with
-    :func:`repro.markov.ctmc._finalize_pi` (or the batched backend's
+    :func:`repro.markov.ctmc._finalize_pi` (or the phase-type backend's
     stacked form), which fails only the offending point.
     """
     rates = np.asarray(rate_stack, dtype=np.float64)

@@ -32,7 +32,6 @@ from repro.markov.ctmc import (
 from repro.petri.analysis import ReachabilityOptions
 from repro.sweep import (
     BACKEND_NAMES,
-    BatchedPhaseTypeBackend,
     DEMO_NETS,
     GSPNBackend,
     PhaseTypeBackend,
@@ -101,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="gspn",
         help=(
             "model backend: 'gspn' re-binds exponential rates of --net; "
-            "'phase-type' stage-expands the deterministic-delay CPU model; "
-            "'phase-type-batched' is shorthand for phase-type with "
-            "--batched; 'renewal' is the exact closed form (default: gspn)"
+            "'phase-type' stage-expands the deterministic-delay CPU model "
+            "('phase-type-batched' is an old spelling of it); "
+            "'renewal' is the exact closed form (default: gspn)"
         ),
     )
     sweep_p.add_argument(
@@ -165,25 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
             "default: sized from the base parameters)"
         ),
     )
-    sweep_p.add_argument(
-        "--batched",
-        action="store_true",
-        help=(
-            "solve the grid in stacked batches — one vectorised "
-            "level-recursion call per batch instead of one per point "
-            "(--model phase-type; see docs/batched.md)"
-        ),
-    )
-    sweep_p.add_argument(
-        "--batch-size",
-        default=None,
-        metavar="N|auto",
-        help=(
-            "grid points per stacked solve under --batched: an int >= 1, "
-            "or 'auto' to budget batch memory from the template's "
-            "size (default auto)"
-        ),
-    )
+    # phase-type sweeps always batch; --batched is an accepted no-op
+    sweep_p.add_argument("--batched", action="store_true", help=argparse.SUPPRESS)
     sweep_p.add_argument(
         "--jobs",
         type=int,
@@ -733,25 +715,6 @@ def _check_sweep_flags(args: argparse.Namespace) -> None:
                 f"{flag} does not apply to --model {args.model} "
                 f"(it is for --model {'/'.join(models)})"
             )
-    if args.batch_size is not None and not args.batched:
-        raise ValueError(
-            "--batch-size requires --batched (or --model phase-type-batched)"
-        )
-
-
-def _parse_batch_size(value: Optional[str]):
-    """``--batch-size`` argument: ``'auto'`` or an int >= 1."""
-    if value is None or value == "auto":
-        return "auto"
-    try:
-        size = int(value)
-    except ValueError:
-        raise ValueError(
-            f"--batch-size must be an int >= 1 or 'auto', got {value!r}"
-        ) from None
-    if size < 1:
-        raise ValueError(f"--batch-size must be >= 1, got {size}")
-    return size
 
 
 def _check_distributed_flags(args: argparse.Namespace) -> None:
@@ -797,10 +760,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     progress: Optional[obs.ProgressLine] = None
     try:
         if args.model == "phase-type-batched":
-            # the service's query channel spells the batched backend as
-            # its own model family; accept the same spelling here
-            args.model = "phase-type"
-            args.batched = True
+            args.model = "phase-type"  # deprecated spelling
         _check_sweep_flags(args)
         _check_distributed_flags(args)
         runner_solver_kwargs = {}
@@ -814,17 +774,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         else:
             params = _base_cpu_params(args.param)
-            if args.model == "phase-type" and args.batched:
-                model = BatchedPhaseTypeBackend(
-                    params,
-                    stages=args.stages if args.stages is not None else 32,
-                    n_max=args.n_max,
-                    method=solver,
-                    tol=args.tol,
-                    max_iter=args.max_iter,
-                    batch_size=_parse_batch_size(args.batch_size),
-                )
-            elif args.model == "phase-type":
+            if args.model == "phase-type":
                 model = PhaseTypeBackend(
                     params,
                     stages=args.stages if args.stages is not None else 32,

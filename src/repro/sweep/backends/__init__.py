@@ -12,11 +12,9 @@ ship:
               protocol)
 ``phase-type``  the deterministic-delay CPU model, stage-expanded into
               a CTMC solved exactly by a level recursion (no linear
-              solve) — Figure 4/5-style threshold/delay sweeps; its
-              ``phase-type-batched`` variant
-              (:class:`BatchedPhaseTypeBackend`, CLI ``--batched``)
-              runs that recursion over whole spans of the grid in one
-              vectorised call — see ``docs/batched.md``
+              solve), run over whole spans of the grid in one
+              vectorised call — Figure 4/5-style threshold/delay
+              sweeps; see ``docs/batched.md``
 ``renewal``   the exact renewal-reward closed form, for ground-truth
               cross-checks of the other two
 ============  ========================================================
@@ -34,7 +32,6 @@ from repro.sweep.backends.base import (
     parse_metric_spec,
     resolve_cpu_axis,
 )
-from repro.sweep.backends.batched import BatchedPhaseTypeBackend
 from repro.sweep.backends.gspn import GSPNBackend, evaluate_gspn_metric
 from repro.sweep.backends.phase_type import (
     PhaseTypeBackend,
@@ -65,10 +62,11 @@ __all__ = [
 ]
 
 #: CLI-facing registry; ``gspn`` needs a net, the CPU backends take params.
-#: ``phase-type`` additionally has a batched variant
-#: (``phase-type-batched`` here, ``--batched`` on the CLI) that solves
-#: whole spans of the grid in one vectorised kernel call.
 BACKEND_NAMES = ("gspn", "phase-type", "renewal")
+
+#: Deprecated spelling: the phase-type backend always batches now.
+#: ``make_backend("phase-type-batched")`` resolves to it as well.
+BatchedPhaseTypeBackend = PhaseTypeBackend
 
 
 def make_backend(name: str, **kwargs: Any) -> SweepBackend:
@@ -76,18 +74,12 @@ def make_backend(name: str, **kwargs: Any) -> SweepBackend:
 
     ``make_backend("gspn", net=..., ...)`` /
     ``make_backend("phase-type", params=..., stages=...)`` /
-    ``make_backend("phase-type-batched", params=..., batch_size=...)`` /
     ``make_backend("renewal", params=...)``.
     """
     if name == "gspn":
         return GSPNBackend(**kwargs)
-    if name == "phase-type":
+    if name in ("phase-type", "phase-type-batched"):
         return PhaseTypeBackend(**kwargs)
-    if name == "phase-type-batched":
-        return BatchedPhaseTypeBackend(**kwargs)
     if name == "renewal":
         return RenewalBackend(**kwargs)
-    raise KeyError(
-        f"unknown backend {name!r} "
-        f"(have: {list(BACKEND_NAMES) + ['phase-type-batched']})"
-    )
+    raise KeyError(f"unknown backend {name!r} (have: {list(BACKEND_NAMES)})")

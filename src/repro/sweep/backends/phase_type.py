@@ -15,12 +15,24 @@ exploits rate rebinding:
   (:func:`repro.core.phase_type.build_stage_lattice`), sort the COO
   triplets into a fixed CSR pattern, and precompute the per-state
   collapse vectors (state-kind masks, job counts, power draws);
-- **solve** (per point): under ``method="auto"``, the exact ``O(states)``
-  level recursion (:func:`repro.core.phase_type.stage_chain_stationary`)
-  — no matrix is assembled.  The explicit methods stay as cross-checks:
-  ``"lu"`` fills the augmented system's data slot by an affine map and
-  solves through a symbolic LU shared across the sweep; ``"gmres"`` and
-  ``"power"`` iterate with warm starts.
+- **solve_batch** (per span of the grid): under ``method="auto"``, the
+  exact ``O(states)`` level recursion
+  (:func:`repro.core.phase_type.stage_chain_stationary`) run **once** over
+  the span's stacked ``(B, 4)`` rate rows — no matrix is assembled, and
+  the per-point Python overhead is paid per batch.  Row ``k`` of the
+  result is bitwise the vector a one-point :meth:`PhaseTypeBackend.solve`
+  computes, whatever the batch's size or order, so batching is invisible
+  in the rows.  The explicit methods stay as cross-checks and solve point
+  by point: ``"lu"`` fills the augmented system's data slot by an affine
+  map and solves through a symbolic LU shared across the sweep;
+  ``"gmres"`` and ``"power"`` iterate with warm starts.
+
+Per-point failure isolation survives batching: a point whose parameters
+fail to bind never enters the stack, and a row the kernel returns
+non-finite fails alone at validation.  Batch size is a memory bound, not a
+correctness knob: :meth:`PhaseTypeBackend.resolve_batch_size` budgets
+:data:`BATCH_MEMORY_BUDGET` bytes against the kernel's working set.  See
+``docs/batched.md`` for the derivation and the memory model.
 
 Steady metrics: ``fraction:<state>`` (idle/standby/powerup/active),
 ``power`` (mW), ``mean_jobs``, ``truncation_mass``.  Transient metrics
@@ -38,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -84,6 +96,45 @@ _KIND_TO_STATE = {"busy": "active", "powerup": "powerup", "standby": "standby", 
 #: to a handful of iterations.
 _ILU_DROP_TOL = 1e-5
 _ILU_FILL_FACTOR = 20
+
+#: Exception types a batched solve records *per point* instead of raising:
+#: the same numerical family the runner's pointwise isolation catches
+#: (singular chains are ``ValueError``s, ``ConvergenceError`` is a
+#: ``RuntimeError``); anything else is a configuration bug and propagates.
+_POINT_FAILURE_TYPES = (ValueError, ArithmeticError, RuntimeError)
+
+#: Batch sizing: keep one batch's kernel working set under this many bytes.
+BATCH_MEMORY_BUDGET = 256 * 2**20
+
+#: Arrays of one batch's full width alive at the kernel's peak: its
+#: output, the power-up lattice block, and validation's copies.
+WORKING_SET_COPIES = 4
+
+
+def _finalize_pi_stack(
+    x_stack: np.ndarray,
+) -> List[Union[np.ndarray, Exception]]:
+    """Vectorised :func:`repro.markov.ctmc._finalize_pi` over a block stack.
+
+    The fast path validates and normalises all blocks with whole-stack
+    array ops (bit-identical arithmetic to the pointwise helper).  If
+    *any* block trips a check, the stack drops to the per-block helper so
+    only the offending block(s) carry an exception.
+    """
+    if np.all(np.isfinite(x_stack)):
+        x = np.where(np.abs(x_stack) < 1e-13, 0.0, x_stack)
+        if not np.any(x < -1e-9):
+            x = np.clip(x, 0.0, None)
+            totals = x.sum(axis=1)
+            if np.all(np.isfinite(totals) & (totals > 0.0)):
+                return list(x / totals[:, None])
+    out: List[Union[np.ndarray, Exception]] = []
+    for block in x_stack:
+        try:
+            out.append(_finalize_pi(block))
+        except _POINT_FAILURE_TYPES as exc:
+            out.append(exc)
+    return out
 
 
 @dataclass(frozen=True)
@@ -165,6 +216,11 @@ class PhaseTypeSweepSolution:
 class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
     """Sweep the Erlang-stage expansion of the deterministic-delay model.
 
+    Batch-capable: the sweep runner hands it spans of the grid
+    (:meth:`solve_batch`) sized by :meth:`resolve_batch_size`, and gets
+    back one solved solution — or one recorded exception — per point.
+    :meth:`solve` answers a single point with the same bits.
+
     Parameters
     ----------
     params : CPUModelParams, optional
@@ -206,6 +262,7 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
     """
 
     name = "phase-type"
+    batch_capable = True
     steady_kinds = ("fraction", "power", "mean_jobs", "truncation_mass")
     transient_kinds = (
         "energy",
@@ -379,6 +436,103 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
             pi=pi,
         )
 
+    # ------------------------------------------------------------------ #
+    # batch protocol
+    # ------------------------------------------------------------------ #
+    def resolve_batch_size(self, n_points: int) -> int:
+        """Points per kernel call for an *n_points* sweep.
+
+        Divides :data:`BATCH_MEMORY_BUDGET` by the kernel's per-point
+        working set — ``n_states + k_d * n_max`` doubles (the output row
+        and the power-up lattice block) times :data:`WORKING_SET_COPIES`
+        — so deep-buffer templates batch narrower and small ones swallow
+        the whole grid.  The last batch of a grid is simply smaller:
+        batching never changes any point's result.
+        """
+        if n_points < 1:
+            return 1
+        tpl = self.prepare()
+        per_point = (
+            8 * WORKING_SET_COPIES * (tpl.n_states + self.k_d * self.n_max)
+        )
+        return max(1, min(n_points, BATCH_MEMORY_BUDGET // per_point))
+
+    def solve_batch(
+        self, points: List[Mapping[str, float]]
+    ) -> List[Union[PhaseTypeSweepSolution, Exception]]:
+        """Solve one batch of grid points in a single kernel call.
+
+        Returns a list aligned with *points*: a
+        :class:`PhaseTypeSweepSolution` per solved point, or the
+        numerical exception that felled it (zero-delay parameter points,
+        non-finite rows, convergence stalls).  Configuration errors —
+        unknown axes and the like, which would fail on every point —
+        propagate instead.  An explicit ``"lu"``, ``"gmres"`` or
+        ``"power"`` method has no stacked form and solves point by point.
+        """
+        tpl = self.prepare()
+        results: List[Union[PhaseTypeSweepSolution, Exception, None]] = [
+            None
+        ] * len(points)
+        # bind parameters first; a degenerate point (zero delay) fails
+        # alone here and never enters the stack
+        bound: List[Tuple[int, CPUModelParams, np.ndarray]] = []
+        for pos, point in enumerate(points):
+            try:
+                params = self._point_params(point)
+            except ValueError as exc:
+                results[pos] = exc
+                continue
+            bound.append((pos, params, self._rate_vector(params)))
+        if bound:
+            rate_vecs = [rv for _, _, rv in bound]
+            if self.method == "auto":
+                pis = self._solve_stack(tpl, rate_vecs)
+            else:
+                pis = self._solve_pointwise(tpl, rate_vecs)
+            for (pos, params, rate_vec), pi in zip(bound, pis):
+                if isinstance(pi, Exception):
+                    results[pos] = pi
+                else:
+                    results[pos] = PhaseTypeSweepSolution(
+                        template=tpl,
+                        params=params,
+                        rate_vec=rate_vec,
+                        pi=pi,
+                    )
+        return results  # type: ignore[return-value]
+
+    def _solve_stack(
+        self, tpl: PhaseTypeTemplate, rate_vecs: Sequence[np.ndarray]
+    ) -> Sequence[Union[np.ndarray, Exception]]:
+        """One kernel call for the batch; bad rows fail alone."""
+        try:
+            raw = stage_chain_stationary(tpl.lattice, np.vstack(rate_vecs))
+        except _POINT_FAILURE_TYPES:
+            # the call failed as a whole, naming no row: retry per point
+            # so only the offending point(s) fail
+            obs.incr("solver.batch.isolation_fallbacks")
+            return self._solve_pointwise(tpl, rate_vecs)
+        obs.incr("solver.batch.points", len(rate_vecs))
+        return _finalize_pi_stack(raw)
+
+    def _solve_pointwise(
+        self, tpl: PhaseTypeTemplate, rate_vecs: Sequence[np.ndarray]
+    ) -> List[Union[np.ndarray, Exception]]:
+        """Same points, one at a time, exactly as :meth:`solve` does.
+
+        The path for the explicit methods, and for isolating a failed
+        kernel call.  Each point either solves or records its exception.
+        """
+        out: List[Union[np.ndarray, Exception]] = []
+        for rate_vec in rate_vecs:
+            try:
+                out.append(self._steady_state(tpl, rate_vec))
+            except _POINT_FAILURE_TYPES as exc:
+                out.append(exc)
+        return out
+
+    # ------------------------------------------------------------------ #
     def _steady_state(
         self, tpl: PhaseTypeTemplate, rate_vec: np.ndarray
     ) -> np.ndarray:
@@ -526,10 +680,15 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         return "exact level-recursion" if self.method == "auto" else self.method
 
     def describe(self) -> str:
+        solver = (
+            f"{self.steady_method} steady state in one call per batch"
+            if self.method == "auto"
+            else f"per-point {self.steady_method} steady state"
+        )
         return (
             f"{self.n_states} phase-type states "
             f"(k_d={self.k_d}, k_t={self.k_t}, n_max={self.n_max}), "
-            f"structure built once, {self.steady_method} steady state"
+            f"structure built once, {solver}"
         )
 
     # ------------------------------------------------------------------ #

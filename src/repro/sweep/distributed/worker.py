@@ -52,34 +52,44 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Connection retry schedule: the coordinator may still be binding when a
-#: freshly forked worker first dials.
-CONNECT_RETRIES = 40
-CONNECT_RETRY_DELAY = 0.25
+#: Connection schedule: the coordinator may still be binding when a
+#: freshly forked worker first dials, so failed dials are retried with
+#: capped exponential backoff until this many seconds have passed.
+CONNECT_DEADLINE_S = 10.0
+CONNECT_BACKOFF_S = (0.05, 1.0)  # first delay, cap
 
 
 async def _connect(
-    host: str, port: int, retries: int, delay: float
+    host: str, port: int
 ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    last_error: Optional[Exception] = None
-    for attempt in range(retries):
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + CONNECT_DEADLINE_S
+    delay, cap = CONNECT_BACKOFF_S
+    attempts = 0
+    while True:
+        attempts += 1
         try:
-            return await asyncio.open_connection(host, port)
-        except OSError as exc:
-            last_error = exc
-            await asyncio.sleep(delay)
-    raise ConnectionError(
-        f"could not reach coordinator at {host}:{port} after "
-        f"{retries} attempts: {last_error}"
-    )
+            # one dial never outlives the deadline (a black-holed SYN
+            # would otherwise wait out the OS connect timeout)
+            return await asyncio.wait_for(
+                asyncio.open_connection(host, port),
+                max(deadline - loop.time(), delay),
+            )
+        except (OSError, asyncio.TimeoutError) as exc:
+            remaining = deadline - loop.time()
+            if remaining <= 0.0:
+                raise ConnectionError(
+                    f"could not reach coordinator at {host}:{port} within "
+                    f"{CONNECT_DEADLINE_S:g} s ({attempts} attempts): {exc}"
+                ) from exc
+            await asyncio.sleep(min(delay, remaining))
+            delay = min(2.0 * delay, cap)
 
 
 async def run_worker(
     host: str,
     port: int,
     *,
-    connect_retries: int = CONNECT_RETRIES,
-    connect_retry_delay: float = CONNECT_RETRY_DELAY,
     die_after_rows: Optional[int] = None,
     die_at_index: Optional[int] = None,
     trace: Optional[obs.Trace] = None,
@@ -100,9 +110,7 @@ async def run_worker(
     coordinator's event loop, which would double-record segments that are
     also shipped over the wire.
     """
-    reader, writer = await _connect(
-        host, port, connect_retries, connect_retry_delay
-    )
+    reader, writer = await _connect(host, port)
     label = f"{socket_module.gethostname()}:{os.getpid()}"
     rows_sent = 0
     obs_token = None
@@ -205,8 +213,6 @@ async def run_service_worker(
     host: str,
     port: int,
     *,
-    connect_retries: int = CONNECT_RETRIES,
-    connect_retry_delay: float = CONNECT_RETRY_DELAY,
     die_after_rows: Optional[int] = None,
     trace: Optional[obs.Trace] = None,
 ) -> int:
@@ -228,9 +234,7 @@ async def run_service_worker(
     """
     from repro.sweep.service.template_cache import LRUTemplates
 
-    reader, writer = await _connect(
-        host, port, connect_retries, connect_retry_delay
-    )
+    reader, writer = await _connect(host, port)
     label = f"{socket_module.gethostname()}:{os.getpid()}"
     rows_sent = 0
     obs_token = None

@@ -98,12 +98,9 @@ async def stream_partition(
         else 1
     )
     if pointwise or batch <= 1:
-        # the pointwise-framing downgrade keeps the stacked solve kernel
-        # (one-point batches) when the backend would have batched: the
-        # downgrade changes the wire granularity for blame isolation,
-        # never the numerics — a requeued point stays bit-identical to
-        # the batched frame it replaces
-        batch_kernel = batch > 1
+        # the pointwise-framing downgrade changes the wire granularity for
+        # blame isolation, never the numerics: a batch-capable backend's
+        # one-point solve is bit-identical to its row of a stacked batch
         for index, point in zip(indices, points):
             if should_die is not None and should_die(index, rows_sent):
                 logger.warning(
@@ -112,20 +109,7 @@ async def stream_partition(
                 writer.transport.abort()
                 return rows_sent, cursor, True
             try:
-                if batch_kernel:
-                    ((_, row, failure),) = list(
-                        rows_from_solutions(
-                            model,
-                            metrics,
-                            [point],
-                            model.solve_batch([point]),
-                            indices=[index],
-                        )
-                    )
-                else:
-                    row, failure = solve_point_row(
-                        model, metrics, point, index
-                    )
+                row, failure = solve_point_row(model, metrics, point, index)
             except CONFIG_ERROR_TYPES as exc:
                 raise WorkerConfigError(index, exc) from exc
             if ship_telemetry and trace is not None:

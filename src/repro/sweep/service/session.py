@@ -141,6 +141,8 @@ def canonical_model_spec(spec: Any) -> Dict[str, Any]:
         raise RequestError(
             f"unknown model kind {kind!r} (have: {list(MODEL_KINDS)})"
         )
+    if kind == "phase-type-batched":
+        kind = "phase-type"  # deprecated spelling of the same template
     solver = spec.get("solver", "auto")
     if solver not in ("auto", "lu", "gmres", "power"):
         raise RequestError(
@@ -185,10 +187,8 @@ def canonical_model_spec(spec: Any) -> Dict[str, Any]:
         return canonical
     # CPU-parameter families
     allowed = ["kind", "params", "solver", "tol", "max_iter"]
-    if kind in ("phase-type", "phase-type-batched"):
+    if kind == "phase-type":
         allowed += ["stages", "n_max"]
-    if kind == "phase-type-batched":
-        allowed += ["batch_size"]
     _check_keys(spec, allowed)
     params_in = spec.get("params") or {}
     if not isinstance(params_in, Mapping):
@@ -207,22 +207,9 @@ def canonical_model_spec(spec: Any) -> Dict[str, Any]:
             )
         params[field] = float(value)
     canonical["params"] = dict(sorted(params.items()))
-    if kind in ("phase-type", "phase-type-batched"):
+    if kind == "phase-type":
         canonical["stages"] = _opt_int(spec, "stages") or 32
         canonical["n_max"] = _opt_int(spec, "n_max")
-    if kind == "phase-type-batched":
-        batch_size = spec.get("batch_size", "auto")
-        if batch_size != "auto":
-            if isinstance(batch_size, bool) or not isinstance(batch_size, int):
-                raise RequestError(
-                    f"model.batch_size must be 'auto' or an int >= 1, "
-                    f"got {batch_size!r}"
-                )
-            if batch_size < 1:
-                raise RequestError(
-                    f"model.batch_size must be >= 1, got {batch_size}"
-                )
-        canonical["batch_size"] = batch_size
     return canonical
 
 
@@ -248,7 +235,8 @@ def build_backend(canonical: Mapping[str, Any]) -> SweepBackend:
     params = replace(CPUModelParams.paper_defaults(), **canonical["params"])
     if kind == "renewal":
         return make_backend("renewal", params=params)
-    kwargs: Dict[str, Any] = dict(
+    return make_backend(
+        kind,
         params=params,
         stages=canonical["stages"],
         n_max=canonical["n_max"],
@@ -256,9 +244,6 @@ def build_backend(canonical: Mapping[str, Any]) -> SweepBackend:
         tol=canonical["tol"],
         max_iter=canonical["max_iter"],
     )
-    if kind == "phase-type-batched":
-        kwargs["batch_size"] = canonical["batch_size"]
-    return make_backend(kind, **kwargs)
 
 
 def default_metrics(canonical: Mapping[str, Any]) -> List[str]:

@@ -31,7 +31,7 @@ from repro.markov.ctmc import (
     sparse_steady_state,
 )
 from repro.sweep import PhaseTypeBackend
-from repro.sweep.backends.batched import _finalize_pi_stack
+from repro.sweep.backends.phase_type import _finalize_pi_stack
 
 
 def generator(k_d, k_t, n_max, rate_row, has_powerup=True, has_idle=True):

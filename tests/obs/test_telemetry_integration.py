@@ -314,9 +314,12 @@ class TestCLITelemetry:
             "cli.steady", "steady.prepare", "steady.solve", "steady.metrics",
         }
 
-    def test_worker_accepts_trace_flag(self, tmp_path, capsys):
+    def test_worker_accepts_trace_flag(self, tmp_path, capsys, monkeypatch):
         # no coordinator: the worker fails to connect, but the flag parses
         # and the (empty) trace file is still written
+        from repro.sweep.distributed import worker
+
+        monkeypatch.setattr(worker, "CONNECT_DEADLINE_S", 0.2)
         path = tmp_path / "worker.trace.jsonl"
         args = [
             "worker", "--connect", "127.0.0.1:1", "--trace", str(path),

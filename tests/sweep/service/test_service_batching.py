@@ -11,7 +11,7 @@ many requests shared a flight.
 import numpy as np
 
 from repro.core.params import CPUModelParams
-from repro.sweep import BatchedPhaseTypeBackend, SweepGrid, SweepRunner
+from repro.sweep import PhaseTypeBackend, SweepGrid, SweepRunner
 from tests.sweep.service.fixture import (
     ServiceFixture,
     mm1k_sweep_payload,
@@ -28,7 +28,7 @@ WINDOW_MS = 100.0
 def batched_payload(metrics=("power", "fraction:standby"), axes=None):
     return {
         "op": "sweep",
-        "model": {"kind": "phase-type-batched", "stages": 2, "n_max": 10},
+        "model": {"kind": "phase-type", "stages": 2, "n_max": 10},
         "axes": list(axes or ["T=0.1:1.0:4"]),
         "metrics": list(metrics),
     }
@@ -85,7 +85,7 @@ class TestCoalescing:
         metrics = ["power", "fraction:standby"]
         grid = SweepGrid.from_specs(["T=0.1:1.0:4"])
         reference = SweepRunner(
-            BatchedPhaseTypeBackend(
+            PhaseTypeBackend(
                 CPUModelParams.paper_defaults(), stages=2, n_max=10
             ),
             metrics,

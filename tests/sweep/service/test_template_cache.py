@@ -198,10 +198,6 @@ class TestFingerprintContract:
         assert base != fingerprint_of(
             {"kind": "phase-type", "params": {"lambda": 90.0}}
         )
-        # a different kind is a different template even with equal knobs
-        assert base != fingerprint_of(
-            {"kind": "phase-type-batched", "stages": 32}
-        )
 
     def test_cosmetic_respellings_collapse(self):
         # omitted defaults == spelled-out defaults
@@ -226,6 +222,10 @@ class TestFingerprintContract:
         assert fingerprint_of({"kind": "phase-type"}) == fingerprint_of(
             {"kind": "phase-type", "stages": 32}
         )
+        # the deprecated batched kind is the same template
+        assert fingerprint_of(
+            {"kind": "phase-type-batched", "stages": 32}
+        ) == fingerprint_of({"kind": "phase-type", "stages": 32})
 
     @given(
         buffer_a=st.integers(2, 40),

@@ -1,9 +1,9 @@
 """Batched phase-type sweeps: parity, chunking, isolation.
 
-The batched backend must be *invisible* in the results: its one
-level-recursion call per batch agrees with the pointwise backend's LU,
-GMRES and power solves to 1e-9 or better and with its own pointwise
-recursion bit for bit, chunk boundaries never change a point's result,
+The phase-type backend always batches, and batching must be *invisible*
+in the results: its one level-recursion call per batch agrees with the
+LU, GMRES and power solves to 1e-9 or better and with a one-point-at-a-
+time loop bit for bit, chunk boundaries never change a point's result,
 and a bad point fails alone — whether it dies at parameter binding, in
 the kernel, or at normalisation time.
 """
@@ -19,12 +19,13 @@ from repro.markov.ctmc import NumericalSolveError
 from repro.sweep import (
     BatchedPhaseTypeBackend,
     PhaseTypeBackend,
+    RenewalBackend,
     SweepGrid,
     SweepRunner,
     make_backend,
 )
-from repro.sweep.backends import batched as batched_module
-from repro.sweep.backends.batched import (
+from repro.sweep.backends import phase_type as phase_type_module
+from repro.sweep.backends.phase_type import (
     BATCH_MEMORY_BUDGET,
     WORKING_SET_COPIES,
     _finalize_pi_stack,
@@ -40,6 +41,21 @@ def metric_matrix(result, metrics=METRICS):
     return np.array([[row[m] for m in metrics] for row in result.rows()])
 
 
+class PinnedBatchBackend(PhaseTypeBackend):
+    """A phase-type backend whose batch size is pinned instead of budgeted.
+
+    ``batch=1`` drives the runner's one-point-at-a-time path (a real
+    per-point ``solve`` loop); larger values move the batch boundaries.
+    """
+
+    def __init__(self, *args, batch=1, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.batch = batch
+
+    def resolve_batch_size(self, n_points):
+        return max(1, min(self.batch, n_points))
+
+
 class TestBatchedParity:
     """Acceptance: batched rows == pointwise rows, under every method."""
 
@@ -50,13 +66,13 @@ class TestBatchedParity:
         pointwise LU to 1e-9."""
         kwargs = dict(stages=2, n_max=10)
         pointwise = SweepRunner(
-            PhaseTypeBackend(PARAMS, **kwargs), METRICS
+            PinnedBatchBackend(PARAMS, batch=1, **kwargs), METRICS
         ).run(grid)
         lu = SweepRunner(
             PhaseTypeBackend(PARAMS, method="lu", **kwargs), METRICS
         ).run(grid)
         batched = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, **kwargs), METRICS
+            PhaseTypeBackend(PARAMS, **kwargs), METRICS
         ).run(grid)
         assert batched.n_failed == pointwise.n_failed == lu.n_failed == 0
         np.testing.assert_array_equal(
@@ -74,7 +90,7 @@ class TestBatchedParity:
             PhaseTypeBackend(PARAMS, method="lu", **kwargs), METRICS
         ).run(GRID_24)
         batched = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, **kwargs), METRICS
+            PhaseTypeBackend(PARAMS, **kwargs), METRICS
         ).run(GRID_24)
         np.testing.assert_allclose(
             metric_matrix(batched), metric_matrix(pointwise), atol=1e-9
@@ -84,10 +100,10 @@ class TestBatchedParity:
         """Forced iterative method: the batch solves point by point."""
         kwargs = dict(stages=8, n_max=30, method="gmres")
         pointwise = SweepRunner(
-            PhaseTypeBackend(PARAMS, **kwargs), METRICS
+            PinnedBatchBackend(PARAMS, batch=1, **kwargs), METRICS
         ).run(GRID_24)
         batched = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, **kwargs), METRICS
+            PhaseTypeBackend(PARAMS, **kwargs), METRICS
         ).run(GRID_24)
         np.testing.assert_allclose(
             metric_matrix(batched), metric_matrix(pointwise), atol=1e-9
@@ -97,10 +113,10 @@ class TestBatchedParity:
         """``power`` has no stacked form; results still match exactly."""
         kwargs = dict(stages=2, n_max=8, method="power")
         pointwise = SweepRunner(
-            PhaseTypeBackend(PARAMS, **kwargs), ["power"]
+            PinnedBatchBackend(PARAMS, batch=1, **kwargs), ["power"]
         ).run(SweepGrid({"T": [0.2, 0.6, 1.0]}))
         batched = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, **kwargs), ["power"]
+            PhaseTypeBackend(PARAMS, **kwargs), ["power"]
         ).run(SweepGrid({"T": [0.2, 0.6, 1.0]}))
         np.testing.assert_array_equal(
             metric_matrix(batched, ["power"]),
@@ -109,10 +125,10 @@ class TestBatchedParity:
 
     def test_pool_path_matches_serial_bitwise(self):
         serial = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10), METRICS
+            PhaseTypeBackend(PARAMS, stages=2, n_max=10), METRICS
         ).run(GRID_24)
         pooled = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10),
+            PhaseTypeBackend(PARAMS, stages=2, n_max=10),
             METRICS,
             backend="pool",
             n_workers=2,
@@ -123,18 +139,16 @@ class TestBatchedParity:
 
 
 class TestBatchSizing:
-    """``--batch-size`` chunking: boundaries shift, results don't."""
+    """Batch chunking: boundaries shift, results don't."""
 
     @pytest.mark.parametrize("batch_size", [5, 7, 24, 1000])
     def test_chunk_boundaries_are_bit_invisible(self, batch_size):
         """24 points under uneven/oversized batches == auto, bit for bit."""
         auto = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10), METRICS
+            PhaseTypeBackend(PARAMS, stages=2, n_max=10), METRICS
         ).run(GRID_24)
         chunked = SweepRunner(
-            BatchedPhaseTypeBackend(
-                PARAMS, stages=2, n_max=10, batch_size=batch_size
-            ),
+            PinnedBatchBackend(PARAMS, stages=2, n_max=10, batch=batch_size),
             METRICS,
         ).run(GRID_24)
         np.testing.assert_array_equal(
@@ -142,46 +156,45 @@ class TestBatchSizing:
         )
 
     def test_batch_size_one_is_the_pointwise_path(self):
-        """``--batch-size 1`` degrades to per-point solves, bit-identical
-        to the plain pointwise backend."""
-        pointwise = SweepRunner(
-            PhaseTypeBackend(PARAMS, stages=2, n_max=10), METRICS
-        ).run(GRID_24)
-        single = SweepRunner(
-            BatchedPhaseTypeBackend(
-                PARAMS, stages=2, n_max=10, batch_size=1
-            ),
-            METRICS,
-        ).run(GRID_24)
+        """One-point batches take the runner's per-point ``solve`` path,
+        bit-identical to the batched sweep — and ``solve`` itself equals
+        its row of a stacked ``solve_batch``."""
+        batched_backend = PhaseTypeBackend(PARAMS, stages=2, n_max=10)
+        batched = SweepRunner(batched_backend, METRICS).run(GRID_24)
+        with obs.tracing() as trace:
+            single = SweepRunner(
+                PinnedBatchBackend(PARAMS, stages=2, n_max=10, batch=1),
+                METRICS,
+            ).run(GRID_24)
+        assert "sweep.batch" not in {s.name for s in trace.spans}
         np.testing.assert_array_equal(
-            metric_matrix(single), metric_matrix(pointwise)
+            metric_matrix(single), metric_matrix(batched)
         )
-
-    def test_explicit_batch_size_clamps_to_grid(self):
-        backend = BatchedPhaseTypeBackend(
-            PARAMS, stages=2, n_max=10, batch_size=1000
-        )
-        assert backend.resolve_batch_size(24) == 24
-        assert backend.resolve_batch_size(0) == 1
+        points = GRID_24.points()
+        stacked = batched_backend.solve_batch(points)
+        for point, solution in zip(points, stacked):
+            np.testing.assert_array_equal(
+                batched_backend.solve(point).pi, solution.pi
+            )
 
     def test_auto_policy_is_memory_budgeted(self):
-        backend = BatchedPhaseTypeBackend(PARAMS, stages=8, n_max=30)
+        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=30)
         tpl = backend.prepare()
         per_point = 8 * WORKING_SET_COPIES * (tpl.n_states + 8 * 30)
         expected = BATCH_MEMORY_BUDGET // per_point
         assert backend.resolve_batch_size(10**9) == expected
         # a small grid is never padded, a huge template never starves
         assert backend.resolve_batch_size(24) == 24
-        deep = BatchedPhaseTypeBackend(PARAMS, stages=64, n_max=4000)
+        deep = PhaseTypeBackend(PARAMS, stages=64, n_max=4000)
         assert 1 <= deep.resolve_batch_size(10**9) < expected
 
     def test_auto_policy_accounts_for_dense_cube(self):
         """The budget counts the dense (B, k_d, n_max) power-up cube the
         kernel fills, not just its (B, n_states) output."""
-        narrow = BatchedPhaseTypeBackend(
+        narrow = PhaseTypeBackend(
             PARAMS, stages_powerup=2, stages_idle=40, n_max=30
         )
-        wide = BatchedPhaseTypeBackend(
+        wide = PhaseTypeBackend(
             PARAMS, stages_powerup=40, stages_idle=2, n_max=30
         )
         for backend in (narrow, wide):
@@ -199,18 +212,23 @@ class TestBatchSizing:
 
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "huge"])
     def test_bad_batch_size_rejected_at_construction(self, bad):
-        with pytest.raises(ValueError, match="batch_size"):
-            BatchedPhaseTypeBackend(PARAMS, batch_size=bad)
+        """Batch size is no constructor knob any more: every value is
+        rejected, under both spellings of the backend."""
+        with pytest.raises(TypeError, match="batch_size"):
+            PhaseTypeBackend(PARAMS, batch_size=bad)
+        with pytest.raises(TypeError, match="batch_size"):
+            make_backend("phase-type-batched", params=PARAMS, batch_size=bad)
 
     def test_base_backend_defaults_to_pointwise(self):
-        backend = PhaseTypeBackend(PARAMS, stages=2, n_max=8)
+        backend = RenewalBackend(PARAMS)
         assert not backend.batch_capable
         assert backend.resolve_batch_size(500) == 1
         with pytest.raises(NotImplementedError):
             backend.solve_batch([{"T": 0.3}])
+        assert PhaseTypeBackend.batch_capable
 
 
-class _NaNRateBackend(BatchedPhaseTypeBackend):
+class _NaNRateBackend(PhaseTypeBackend):
     """Poisons the rate vector of chosen thresholds: the row enters the
     stack, and must fail *alone* at normalisation time."""
 
@@ -237,7 +255,7 @@ class TestFailureIsolation:
         """Zero rates / zero delays fail at parameter binding, alone."""
         points = [{"AR": 2.0}, {"AR": 0.0}, {"AR": 3.0}, {"T": 0.0}]
         result = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10),
+            PhaseTypeBackend(PARAMS, stages=2, n_max=10),
             ["power"],
             preflight=False,
         ).run(points)
@@ -265,7 +283,7 @@ class TestFailureIsolation:
         rows = result.rows()
         assert np.isnan(rows[1]["power"])
         clean = SweepRunner(
-            BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10), ["power"]
+            PhaseTypeBackend(PARAMS, stages=2, n_max=10), ["power"]
         ).run(grid)
         for i in (0, 2, 3):
             assert rows[i]["power"] == clean.rows()[i]["power"]
@@ -273,20 +291,23 @@ class TestFailureIsolation:
     def test_stack_solver_crash_falls_back_to_pointwise(self, monkeypatch):
         """If the stacked kernel call itself raises, every point is
         retried pointwise and the sweep still completes clean."""
-        backend = BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10)
+        backend = PhaseTypeBackend(PARAMS, stages=2, n_max=10)
+        clean = SweepRunner(
+            PinnedBatchBackend(PARAMS, stages=2, n_max=10, batch=1), ["power"]
+        ).run(GRID_24)
+        kernel = phase_type_module.stage_chain_stationary
 
-        def boom(*args, **kwargs):
-            raise NumericalSolveError("stacked kernel call exploded")
+        def boom(lattice, rate_stack):
+            if len(rate_stack) > 1:
+                raise NumericalSolveError("stacked kernel call exploded")
+            return kernel(lattice, rate_stack)
 
-        monkeypatch.setattr(batched_module, "stage_chain_stationary", boom)
+        monkeypatch.setattr(phase_type_module, "stage_chain_stationary", boom)
         with obs.tracing() as trace:
             result = SweepRunner(backend, ["power"]).run(GRID_24)
         assert result.n_failed == 0
         assert trace.counters["solver.batch.isolation_fallbacks"] >= 1
         assert "solver.batch.points" not in trace.counters
-        clean = SweepRunner(
-            PhaseTypeBackend(PARAMS, stages=2, n_max=10), ["power"]
-        ).run(GRID_24)
         np.testing.assert_array_equal(
             metric_matrix(result, ["power"]),
             metric_matrix(clean, ["power"]),
@@ -311,9 +332,7 @@ class TestRunnerIntegration:
     def test_trace_invariant_one_point_span_per_point(self):
         with obs.tracing() as trace:
             SweepRunner(
-                BatchedPhaseTypeBackend(
-                    PARAMS, stages=2, n_max=10, batch_size=7
-                ),
+                PinnedBatchBackend(PARAMS, stages=2, n_max=10, batch=7),
                 ["power"],
             ).run(GRID_24)
         names = [s.name for s in trace.spans]
@@ -327,9 +346,7 @@ class TestRunnerIntegration:
     def test_lu_regime_counters(self):
         """An explicit ``method="lu"`` solves point by point through the
         sparse LU: no kernel call, no batch points, the LU cache warm."""
-        backend = BatchedPhaseTypeBackend(
-            PARAMS, stages=8, n_max=30, method="lu"
-        )
+        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=30, method="lu")
         with obs.tracing() as trace:
             SweepRunner(backend, ["power"]).run(SweepGrid({"T": [0.2, 0.6]}))
         names = [s.name for s in trace.spans]
@@ -339,19 +356,20 @@ class TestRunnerIntegration:
         assert "per-point lu" in backend.describe()
 
     def test_registry_and_describe(self):
+        """The old batched spellings are aliases of the one backend."""
+        assert BatchedPhaseTypeBackend is PhaseTypeBackend
         backend = make_backend(
             "phase-type-batched", params=PARAMS, stages=2, n_max=10
         )
-        assert backend.name == "phase-type-batched"
-        assert "auto-sized batches" in backend.describe()
-        pinned = BatchedPhaseTypeBackend(PARAMS, batch_size=50)
-        assert "batches of 50" in pinned.describe()
+        assert type(backend) is PhaseTypeBackend
+        assert backend.name == "phase-type"
+        assert "in one call per batch" in backend.describe()
 
     def test_backend_survives_pickling_with_warm_cache(self):
-        backend = BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10)
+        backend = PhaseTypeBackend(PARAMS, stages=2, n_max=10)
         SweepRunner(backend, ["power"]).run(SweepGrid({"T": [0.2, 0.4]}))
         clone = pickle.loads(pickle.dumps(backend))
-        assert clone.name == "phase-type-batched"
+        assert clone.name == "phase-type"
         result = SweepRunner(clone, ["power"]).run(
             SweepGrid({"T": [0.2, 0.4]})
         )
@@ -360,7 +378,7 @@ class TestRunnerIntegration:
     def test_reset_solver_state_clears_batch_caches(self):
         """The recursion keeps no per-sweep solver state: a reset between
         two runs changes no bit, and an LU cache it did build is gone."""
-        backend = BatchedPhaseTypeBackend(PARAMS, stages=2, n_max=10)
+        backend = PhaseTypeBackend(PARAMS, stages=2, n_max=10)
         first = SweepRunner(backend, METRICS).run(GRID_24)
         assert len(backend._factor_cache) == 0
         backend.method = "lu"
@@ -387,26 +405,6 @@ class TestBatchedCLI:
         out = capsys.readouterr().out
         assert "exact level-recursion steady state" in out
 
-    def test_explicit_batch_size_flag(self, capsys):
-        from repro.experiments.cli import main
-
-        assert main([
-            "sweep", "--model", "phase-type", "--batched",
-            "--batch-size", "2",
-            "--rate", "T=0.2,0.4,0.6", "--stages", "2", "--n-max", "8",
-            "--metric", "power",
-        ]) == 0
-        assert "batches of 2" in capsys.readouterr().out
-
-    def test_batch_size_requires_batched(self, capsys):
-        from repro.experiments.cli import main
-
-        assert main([
-            "sweep", "--model", "phase-type", "--batch-size", "4",
-            "--rate", "T=0.2,0.4",
-        ]) == 2
-        assert "--batch-size requires --batched" in capsys.readouterr().err
-
     def test_batched_rejected_off_phase_type(self, capsys):
         from repro.experiments.cli import main
 
@@ -416,12 +414,3 @@ class TestBatchedCLI:
         ]) == 2
         err = capsys.readouterr().err
         assert "--batched" in err and "renewal" in err
-
-    def test_bad_batch_size_value(self, capsys):
-        from repro.experiments.cli import main
-
-        assert main([
-            "sweep", "--model", "phase-type", "--batched",
-            "--batch-size", "zero", "--rate", "T=0.2,0.4",
-        ]) == 2
-        assert "--batch-size" in capsys.readouterr().err

@@ -8,8 +8,11 @@ are warm-start independent), and to tolerance for the iterative
 phase-type path (chunk boundaries legitimately reset its warm start).
 """
 
+import asyncio
 import json
 import math
+import socket
+import time
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from repro.sweep.distributed import (
     DistributedSweepRunner,
     SweepCheckpoint,
     sweep_fingerprint,
+    worker,
 )
 from tests.sweep.test_failure_isolation import FlakyBackend
 
@@ -413,6 +417,47 @@ class TestCheckpoint:
         assert base != sweep_fingerprint(["x"], ["m2"], points)
         assert base != sweep_fingerprint(["x"], ["m"], points[:1])
         assert base != sweep_fingerprint(["x"], ["m"], [{"x": 1.0}, {"x": 2.5}])
+
+
+def _free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+class TestConnectBackoff:
+    """A worker dials with capped exponential backoff under one deadline."""
+
+    def test_listener_opening_late_is_still_reached(self):
+        port = _free_port()
+
+        async def scenario():
+            async def hang_up(reader, writer):
+                writer.close()
+
+            async def listen_late():
+                await asyncio.sleep(0.3)
+                return await asyncio.start_server(hang_up, "127.0.0.1", port)
+
+            listening = asyncio.create_task(listen_late())
+            start = time.monotonic()
+            _, writer = await worker._connect("127.0.0.1", port)
+            elapsed = time.monotonic() - start
+            writer.close()
+            server = await listening
+            server.close()
+            await server.wait_closed()
+            return elapsed
+
+        elapsed = asyncio.run(scenario())
+        assert 0.3 <= elapsed < 2.0
+
+    def test_deadline_bounds_the_retries(self, monkeypatch):
+        monkeypatch.setattr(worker, "CONNECT_DEADLINE_S", 0.3)
+        start = time.monotonic()
+        with pytest.raises(ConnectionError, match="within 0.3 s"):
+            asyncio.run(worker._connect("127.0.0.1", _free_port()))
+        assert time.monotonic() - start < 2.0
 
 
 class TestRunnerValidation:

@@ -16,11 +16,7 @@ import pytest
 
 from repro import obs
 from repro.core.params import CPUModelParams
-from repro.sweep import (
-    BatchedPhaseTypeBackend,
-    SweepGrid,
-    SweepRunner,
-)
+from repro.sweep import PhaseTypeBackend, SweepGrid, SweepRunner
 from repro.sweep.distributed import (
     DistributedSweepError,
     DistributedSweepRunner,
@@ -30,16 +26,20 @@ from repro.sweep.engine import (
     partition_indices,
     plan_fingerprint,
 )
+from tests.sweep.test_batched import PinnedBatchBackend
 
 PARAMS = CPUModelParams.paper_defaults(T=0.3, D=0.05)
 METRICS = ["power", "fraction:standby"]
 GRID_24 = SweepGrid.from_specs(["T=0.05:2.0:24"])
 
 
-def batched_backend(**kwargs):
+def batched_backend(batch_size=None, **kwargs):
+    """The phase-type backend; *batch_size* pins its batches."""
     kwargs.setdefault("stages", 2)
     kwargs.setdefault("n_max", 10)
-    return BatchedPhaseTypeBackend(PARAMS, **kwargs)
+    if batch_size is None:
+        return PhaseTypeBackend(PARAMS, **kwargs)
+    return PinnedBatchBackend(PARAMS, batch=batch_size, **kwargs)
 
 
 def metric_matrix(result, metrics=METRICS):
@@ -102,7 +102,8 @@ class TestPlan:
 
 
 class TestBatchedOverTheWire:
-    """--batched --distributed: stacked solves ship as ``rows`` frames."""
+    """Distributed phase-type sweeps: stacked solves ship as ``rows``
+    frames."""
 
     def test_bitwise_parity_with_serial_batched(self):
         result = DistributedSweepRunner(
