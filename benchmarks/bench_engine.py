@@ -17,6 +17,7 @@ from repro.core.simulation_cpu import CPUEventSimulator, simulate_job_scan
 from repro.des.engine import Simulator
 from repro.markov.ctmc import CTMC
 from repro.petri.simulator import PetriNetSimulator
+from tests.core.reference_cpu_simulator import reference_cpu_run
 from tests.petri.reference_simulator import reference_run
 
 
@@ -101,6 +102,42 @@ def test_cpu_event_simulator_throughput(benchmark):
 
     result = benchmark(run)
     assert result.jobs_served > 1_500
+
+
+def test_cpu_event_simulator_speedup_vs_reference():
+    """The flat-state event simulator must be >= 1.3x the closure-and-monitor
+    reference on the Figure 3 parameters (T = 0.3, D = 0.001, 2000 s), with
+    bitwise-identical results.  Interleaved rounds, best of 3 each."""
+    params = CPUModelParams.paper_defaults(T=0.3, D=0.001)
+
+    best = {"flat": float("inf"), "reference": float("inf")}
+    results = {}
+    for _ in range(3):
+        for name, run in (
+            ("flat", lambda sim: sim.run(horizon=2_000.0)),
+            ("reference", lambda sim: reference_cpu_run(sim, horizon=2_000.0)),
+        ):
+            sim = CPUEventSimulator(params, seed=2)
+            t0 = time.perf_counter()
+            results[name] = run(sim)
+            best[name] = min(best[name], time.perf_counter() - t0)
+
+    got, want = results["flat"], results["reference"]
+    assert got.fractions.as_dict() == want.fractions.as_dict()
+    assert (got.jobs_arrived, got.jobs_served, got.horizon) == (
+        want.jobs_arrived,
+        want.jobs_served,
+        want.horizon,
+    )
+    assert got.mean_latency.hex() == want.mean_latency.hex()
+    assert got.mean_jobs_in_system.hex() == want.mean_jobs_in_system.hex()
+    speedup = best["reference"] / best["flat"]
+    print(
+        f"\nCPU event simulator, {got.jobs_arrived} jobs: reference "
+        f"{best['reference'] * 1e3:.1f} ms, flat {best['flat'] * 1e3:.1f} ms, "
+        f"speedup {speedup:.2f}x"
+    )
+    assert speedup >= 1.3, f"flat CPU event simulator only {speedup:.2f}x faster"
 
 
 def test_job_scan_throughput(benchmark):

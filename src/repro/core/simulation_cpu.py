@@ -4,8 +4,9 @@ The paper used a Matlab event simulator as ground truth; this module is its
 reproduction, twice over:
 
 - :class:`CPUEventSimulator` — a faithful event-driven simulation on the
-  library's DES kernel: Poisson(λ) arrivals, exp(μ) FIFO service, power-down
-  after a constant idle threshold ``T``, constant power-up delay ``D``.
+  library's DES kernel (:class:`~repro.des.engine.Simulator`): Poisson(λ)
+  arrivals, exp(μ) FIFO service, power-down after a constant idle
+  threshold ``T``, constant power-up delay ``D``.
 - :func:`simulate_job_scan` — an independent, vectorised-input
   implementation that walks pre-drawn arrival/service arrays with a Lindley
   style recursion (one iteration per *job* instead of ~4 heap events), used
@@ -22,17 +23,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 import numpy as np
 
 from repro.core.params import CPUModelParams, StateFractions
 from repro.des.distributions import Distribution
 from repro.des.engine import Simulator
-from repro.des.monitors import StateOccupancyMonitor
+from repro.des.events import Event
 from repro.des.random_streams import StreamManager
 from repro.des.replication import ReplicationSummary, run_replications
-from repro.des.statistics import TallyStatistic, TimeWeightedStatistic
+from repro.des.statistics import TallyStatistic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.workload.base import ArrivalProcess
@@ -45,7 +47,10 @@ __all__ = [
     "replicate_cpu_simulation",
 ]
 
-_STATES = ("idle", "standby", "powerup", "active")
+def _draw(
+    sample: Callable[[np.random.Generator], float], rng: np.random.Generator
+) -> float:
+    return float(sample(rng))
 
 
 @dataclass(frozen=True)
@@ -100,13 +105,22 @@ class CPUEventSimulator:
         self.service_distribution = service_distribution
 
     def run(self, horizon: float, warmup: float = 0.0) -> CPUSimulationResult:
-        """Simulate ``[0, horizon]`` and report statistics from *warmup* on."""
+        """Simulate ``[0, horizon]`` and report statistics from *warmup* on.
+
+        The model state is flat: run-local ints and floats that the event
+        actions update in place.  Each power state keeps one occupancy
+        area, grown by ``now - entered`` when the state is left; the
+        queue-length integral grows by ``n * dt`` at every change of ``n``.
+        That is the arithmetic, in the same order, of a
+        :class:`~repro.des.monitors.StateOccupancyMonitor` of 0/1 indicators
+        and a :class:`~repro.des.statistics.TimeWeightedStatistic`, so the
+        results equal theirs bit for bit.
+        """
         if horizon <= 0.0:
             raise ValueError("horizon must be > 0")
         if not (0.0 <= warmup < horizon):
             raise ValueError("need 0 <= warmup < horizon")
         p = self.params
-        lam, mu = p.arrival_rate, p.service_rate
         T, D = p.power_down_threshold, p.power_up_delay
         arr_rng = self.streams.get("cpu/arrivals")
         svc_rng = self.streams.get("cpu/service")
@@ -115,116 +129,134 @@ class CPUEventSimulator:
             process.reset()
         svc_dist = self.service_distribution
 
-        def next_gap() -> float:
-            if process is None:
-                return float(arr_rng.exponential(1.0 / lam))
-            return float(process.next_interarrival(arr_rng))
-
-        def next_service() -> float:
-            if svc_dist is None:
-                return float(svc_rng.exponential(1.0 / mu))
-            return float(svc_dist.sample(svc_rng))
+        # the draws, resolved once; the default exponentials are C-level
+        # partials (Generator.exponential already returns a Python float)
+        next_gap: Callable[[], float]
+        next_service: Callable[[], float]
+        if process is None:
+            next_gap = partial(arr_rng.exponential, 1.0 / p.arrival_rate)
+        else:
+            next_gap = partial(_draw, process.next_interarrival, arr_rng)
+        if svc_dist is None:
+            next_service = partial(svc_rng.exponential, 1.0 / p.service_rate)
+        else:
+            next_service = partial(_draw, svc_dist.sample, svc_rng)
 
         sim = Simulator()
-        monitor = StateOccupancyMonitor(_STATES, "standby")
-        queue_stat = TimeWeightedStatistic(0.0)
-        latency = TallyStatistic()
+        schedule = sim.schedule
         arrival_times: deque[float] = deque()
-        state = {"n": 0, "mode": "standby"}
-        power_down_event = [None]
-        served = [0]
-        arrived = [0]
-        stats_from = [warmup]
-
-        def in_window() -> bool:
-            return sim.now >= stats_from[0]
-
-        def set_mode(mode: str) -> None:
-            state["mode"] = mode
-            monitor.transition(sim.now, mode)
-
-        def start_service() -> None:
-            set_mode("active")
-            sim.schedule(next_service(), service_done)
+        latency = TallyStatistic()
+        n = 0  # jobs in system
+        mode = "standby"
+        power_down_event: Optional[Event] = None
+        served = arrived = 0
+        # statistics since `start`: one occupancy area per power state
+        # (the current state's open segment began at `entered`) and the
+        # integral of n (last closed at `q_last`)
+        start = entered = q_last = 0.0
+        idle_area = standby_area = powerup_area = active_area = 0.0
+        q_area = 0.0
 
         def service_done() -> None:
-            state["n"] -= 1
-            queue_stat.update(sim.now, state["n"])
-            served[0] += 1
+            nonlocal n, served, mode, entered, active_area, q_area, q_last
+            nonlocal power_down_event
+            now = sim.now
+            q_area += n * (now - q_last)
+            q_last = now
+            n -= 1
+            served += 1
             t_arr = arrival_times.popleft()
-            if t_arr >= stats_from[0]:
-                latency.record(sim.now - t_arr)
-            if state["n"] > 0:
-                start_service()
+            if t_arr >= warmup:
+                latency.record(now - t_arr)
+            if n > 0:
+                schedule(next_service(), service_done)
             else:
-                set_mode("idle")
-                power_down_event[0] = sim.schedule(T, power_down)
+                active_area += now - entered
+                entered = now
+                mode = "idle"
+                power_down_event = schedule(T, power_down)
 
         def power_down() -> None:
-            power_down_event[0] = None
-            set_mode("standby")
+            nonlocal power_down_event, mode, entered, idle_area
+            power_down_event = None
+            now = sim.now
+            idle_area += now - entered
+            entered = now
+            mode = "standby"
 
         def power_up_done() -> None:
+            nonlocal mode, entered, powerup_area
             # power-up is always triggered by an arrival, so the queue
             # cannot be empty here
-            assert state["n"] > 0
-            start_service()
+            assert n > 0
+            now = sim.now
+            powerup_area += now - entered
+            entered = now
+            mode = "active"
+            schedule(next_service(), service_done)
 
         def arrival() -> None:
-            arrived[0] += 1
-            state["n"] += 1
-            queue_stat.update(sim.now, state["n"])
-            arrival_times.append(sim.now)
-            mode = state["mode"]
+            nonlocal n, arrived, mode, entered, q_area, q_last
+            nonlocal power_down_event, standby_area, idle_area
+            now = sim.now
+            arrived += 1
+            q_area += n * (now - q_last)
+            q_last = now
+            n += 1
+            arrival_times.append(now)
             if mode == "standby":
-                set_mode("powerup")
-                sim.schedule(D, power_up_done)
+                standby_area += now - entered
+                entered = now
+                mode = "powerup"
+                schedule(D, power_up_done)
             elif mode == "idle":
-                if power_down_event[0] is not None:
-                    sim.cancel(power_down_event[0])
-                    power_down_event[0] = None
-                start_service()
+                if power_down_event is not None:
+                    sim.cancel(power_down_event)
+                    power_down_event = None
+                idle_area += now - entered
+                entered = now
+                mode = "active"
+                schedule(next_service(), service_done)
             # active / powerup: the job just queues
             gap = next_gap()
             if math.isfinite(gap):
-                sim.schedule(gap, arrival)
+                schedule(gap, arrival)
 
         first_gap = next_gap()
         if math.isfinite(first_gap):
-            sim.schedule(first_gap, arrival)
+            schedule(first_gap, arrival)
         if warmup > 0.0:
             sim.run_until(warmup)
             # restart the statistics at the warm-up point
-            occupancy_reset = StateOccupancyMonitor(
-                _STATES, state["mode"], start_time=warmup
-            )
-            monitor = occupancy_reset
-
-            # rebind set_mode's monitor: simplest is to re-register closures
-            def set_mode(mode: str, _monitor=monitor) -> None:  # noqa: F811
-                state["mode"] = mode
-                _monitor.transition(sim.now, mode)
-
-            queue_reset = TimeWeightedStatistic(state["n"], start_time=warmup)
-            queue_stat = queue_reset
+            start = entered = q_last = float(warmup)
+            idle_area = standby_area = powerup_area = active_area = 0.0
+            q_area = 0.0
             latency = TallyStatistic()
-            served[0] = 0
-            arrived[0] = 0
+            served = arrived = 0
         sim.run_until(horizon)
 
-        occupancy = monitor.occupancy(horizon)
-        fractions = StateFractions(
-            idle=occupancy["idle"],
-            standby=occupancy["standby"],
-            powerup=occupancy["powerup"],
-            active=occupancy["active"],
-        )
+        # close the current state's open segment and the queue integral
+        tail = horizon - entered
+        if mode == "idle":
+            idle_area += tail
+        elif mode == "standby":
+            standby_area += tail
+        elif mode == "powerup":
+            powerup_area += tail
+        else:
+            active_area += tail
+        span = horizon - start
         return CPUSimulationResult(
-            fractions=fractions,
-            jobs_arrived=arrived[0],
-            jobs_served=served[0],
+            fractions=StateFractions(
+                idle=idle_area / span,
+                standby=standby_area / span,
+                powerup=powerup_area / span,
+                active=active_area / span,
+            ),
+            jobs_arrived=arrived,
+            jobs_served=served,
             mean_latency=latency.mean if latency.count else float("nan"),
-            mean_jobs_in_system=queue_stat.time_average(horizon),
+            mean_jobs_in_system=(q_area + n * (horizon - q_last)) / span,
             horizon=horizon - warmup,
         )
 

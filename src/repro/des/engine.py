@@ -20,6 +20,7 @@ Typical usage::
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
 from repro.des.events import Event, EventQueue
@@ -44,8 +45,10 @@ class Simulator:
         Initial clock value (default ``0.0``).
     max_events:
         Hard cap on the number of events executed in one :meth:`run_until` /
-        :meth:`run` call; protects against accidental infinite immediate
-        loops in user models.  ``None`` disables the cap.
+        :meth:`run` call (counted from that call's start, so a warm-up
+        ``run_until`` does not eat the next call's budget); protects against
+        accidental infinite immediate loops in user models.  ``None``
+        disables the cap.
     trace_hook:
         Optional callable ``(time, event) -> None`` invoked just before each
         event action runs.
@@ -92,7 +95,13 @@ class Simulator:
         """
         if delay < 0.0 or delay != delay:
             raise SimulationError(f"invalid delay {delay!r} at t={self.now}")
-        return self.queue.push(Event(self.now + delay, action, priority, tag))
+        event = Event(self.now + delay, action, priority, tag)
+        # EventQueue.push inlined (its NaN guard is the check above)
+        queue = self.queue
+        seq = event.sequence = next(queue._counter)
+        heappush(queue._heap, (event.time, event.priority, seq, event))
+        queue._live += 1
+        return event
 
     def schedule_at(
         self,
@@ -145,15 +154,7 @@ class Simulator:
 
         Returns the final clock value.
         """
-        self._stopped = False
-        budget = self.max_events
-        while not self._stopped:
-            if budget is not None and self.events_executed >= budget:
-                raise SimulationError(
-                    f"event budget of {budget} exhausted at t={self.now}"
-                )
-            if not self.step():
-                break
+        self._drain(float("inf"))
         return self.now
 
     def run_until(self, end_time: float) -> float:
@@ -167,20 +168,49 @@ class Simulator:
             raise SimulationError(
                 f"run_until({end_time}) but clock already at {self.now}"
             )
-        self._stopped = False
-        budget = self.max_events
-        while not self._stopped:
-            if budget is not None and self.events_executed >= budget:
-                raise SimulationError(
-                    f"event budget of {budget} exhausted at t={self.now}"
-                )
-            t_next = self.queue.peek_time()
-            if t_next is None or t_next > end_time:
-                break
-            self.step()
+        self._drain(end_time)
         if self.now < end_time:
             self.now = end_time
         return self.now
+
+    def _drain(self, end_time: float) -> None:
+        """The one event loop behind :meth:`run` and :meth:`run_until`.
+
+        :meth:`step` inlined: the heap and ``heappop`` are locals and
+        cancelled heads are dropped in place.  Executes every live event with
+        time ``<= end_time`` (``inf`` runs the queue dry) unless :meth:`stop`
+        is called or the per-call event budget runs out.
+        """
+        self._stopped = False
+        queue = self.queue
+        heap = queue._heap
+        trace = self.trace_hook
+        interval = self._compact_interval
+        budget = self.max_events
+        limit = None if budget is None else self.events_executed + budget
+        while not self._stopped:
+            while heap and heap[0][3].cancelled:
+                heappop(heap)
+            if not heap or heap[0][0] > end_time:
+                return
+            if limit is not None and self.events_executed >= limit:
+                raise SimulationError(
+                    f"event budget of {budget} exhausted at t={self.now}"
+                )
+            time, _, _, event = heappop(heap)
+            queue._live -= 1
+            if time < self.now:
+                raise SimulationError(
+                    f"event at t={time} popped while clock at {self.now}"
+                )
+            self.now = time
+            if trace is not None:
+                trace(time, event)
+            event.action()
+            self.events_executed += 1
+            if self.events_executed % interval == 0:
+                queue.compact()
+                heap = queue._heap  # compaction rebinds the heap
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+from itertools import repeat
+from operator import add, mul
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +50,69 @@ __all__ = ["PetriNetSimulator", "SimulationResult"]
 
 # receives an integer-indexable token vector (indexed by place index)
 Watcher = Callable[[Sequence[int]], float]
+TokenTest = Callable[[List[int]], bool]
+TokenFire = Callable[[List[int], List[bool]], None]
+
+
+def transition_kernels(
+    c: CompiledNet, refresh: Sequence[Sequence[int]]
+) -> Tuple[List[TokenTest], List[TokenFire]]:
+    """Straight-line enabling tests and firing functions, one per transition.
+
+    Generated from the integer arc tuples, so the token game walks no arc
+    lists.  ``tests[t](m)`` is ``m[p] >= k and m[q] < j and m[r] <= c …``:
+    inputs, inhibitors, capacity checks, then the guard, the order of
+    :meth:`CompiledNet.enabled`.  ``fires[t](m, flags)`` adds *t*'s net
+    token deltas to *m*, then sets ``flags[j]`` to transition *j*'s enabling
+    for every *j* in ``refresh[t]``.  A firing that would push a
+    capacity-bounded output place past its bound is handed to
+    :meth:`CompiledNet.fire`, which raises its
+    :class:`~repro.petri.net.NetStructureError` at the same arc.  On the
+    simulator's plain-list markings the kernels agree with
+    :meth:`CompiledNet.enabled` and :meth:`CompiledNet.fire` exactly.
+
+    Build them per simulator: stored on the cached :class:`CompiledNet`,
+    these functions would stop a compiled :class:`PetriNet` from pickling.
+    """
+    transitions = c.transitions
+    # guard j is the global g<j> of every kernel
+    guards = {
+        f"g{j}": t.guard for j, t in enumerate(transitions) if t.guard is not None
+    }
+    conditions = []
+    for j, t in enumerate(transitions):
+        terms = [f"m[{p}] >= {k}" for p, k in c.inputs[j]]
+        terms += [f"m[{p}] < {k}" for p, k in c.inhibitors[j]]
+        terms += [f"m[{p}] <= {c.capacities[p] - d}" for p, d in c.capacity_checks[j]]
+        if t.guard is not None:
+            terms.append(f"bool(g{j}(m))")
+        conditions.append(" and ".join(terms) or "True")
+
+    tests: List[TokenTest] = [
+        eval(_compile(f"lambda m: {cond}", "eval"), guards) for cond in conditions
+    ]
+    fires: List[TokenFire] = []
+    for t in range(len(transitions)):
+        delta = dict(c.deltas[t])
+        overflow = " or ".join(
+            f"m[{p}] > {c.capacities[p] - delta.get(p, 0)}"
+            for p in dict.fromkeys(p for p, _ in c.outputs[t])
+            if c.capacities[p] >= 0
+        )
+        lines = [f"if {overflow}: return fire(m)"] if overflow else []
+        lines += [f"m[{p}] += {d}" for p, d in c.deltas[t]]
+        lines += [f"f[{j}] = {conditions[j]}" for j in refresh[t]]
+        namespace = dict(guards, fire=partial(c.fire, t))
+        body = "".join(f"\n    {line}" for line in lines or ["pass"])
+        exec(_compile(f"def kernel(m, f):{body}", "exec"), namespace)
+        fires.append(namespace["kernel"])
+    return tests, fires
+
+
+@lru_cache(maxsize=1024)
+def _compile(source: str, mode: str) -> CodeType:
+    """Kernel source, compiled once: nets of one shape share the texts."""
+    return compile(source, "<token-game kernel>", mode)
 
 
 @dataclass
@@ -152,7 +218,7 @@ class PetriNetSimulator:
         # transition also depends on itself: it draws a fresh timer after
         # firing.  Timed dependents are a bitmask over transition indices,
         # so a cascade's sets union cheaply and expand in index order.
-        self._immediate_deps: List[Tuple[int, ...]] = []
+        immediate_deps: List[Tuple[int, ...]] = []
         self._timed_deps: List[int] = []
         for ti, t in enumerate(c.transitions):
             deps = set(c.guarded_indices)
@@ -160,12 +226,15 @@ class PetriNetSimulator:
                 deps.update(c.affected_by_place[p])
             if not t.is_immediate:
                 deps.add(ti)
-            self._immediate_deps.append(
+            immediate_deps.append(
                 tuple(d for d in sorted(deps) if c.transitions[d].is_immediate)
             )
             self._timed_deps.append(
                 sum(1 << d for d in deps if not c.transitions[d].is_immediate)
             )
+        # generated per-transition enabling tests, and firing functions that
+        # also refresh the fired transition's immediate dependents' flags
+        self._tests, self._fires = transition_kernels(c, immediate_deps)
 
     # ------------------------------------------------------------------ #
     # configuration
@@ -202,14 +271,14 @@ class PetriNetSimulator:
             raise ValueError(f"need 0 <= warmup < horizon, got warmup={warmup}")
 
         c = self.compiled
-        enabled = c.enabled
-        fire = c.fire
+        tests = self._tests
+        fires = self._fires
         transitions = c.transitions
         n_trans = len(transitions)
 
         engine = Simulator()
         marking: List[int] = c.initial_marking.tolist()
-        pending: Dict[int, Event] = {}
+        pending: List[Optional[Event]] = [None] * n_trans  # live timers
         age_remaining: Dict[int, float] = {}
         identical_sample: Dict[int, float] = {}
         firing_counts = [0] * n_trans
@@ -224,32 +293,63 @@ class PetriNetSimulator:
         watcher_values = [0.0] * len(watcher_fns)
         last_time = 0.0
 
-        def recompute_watchers() -> None:
-            watcher_values[:] = [float(fn(marking)) for fn in watcher_fns]
-
         def accumulate(now: float) -> None:
+            # area[i] + marking[i] * dt, elementwise, without a Python loop
             nonlocal last_time
             dt = now - last_time
             if dt > 0.0:
-                area[:] = [a + m * dt for a, m in zip(area, marking)]
+                area[:] = map(add, area, map(mul, marking, repeat(dt)))
                 if watcher_fns:
-                    watcher_area[:] = [
-                        a + v * dt for a, v in zip(watcher_area, watcher_values)
-                    ]
+                    watcher_area[:] = map(
+                        add, watcher_area, map(mul, watcher_values, repeat(dt))
+                    )
             last_time = now
 
-        # --- vanishing-marking cascade ---------------------------------- #
+        # --- timer sources ----------------------------------------------- #
+        def sample_delay(ti: int) -> float:
+            """A timer under the AGE/IDENTICAL bookkeeping."""
+            t = transitions[ti]
+            assert isinstance(t, TimedTransition)
+            if t.memory_policy is MemoryPolicy.AGE:
+                if ti in age_remaining:
+                    return age_remaining.pop(ti)
+                return float(t.distribution.sample(self._t_rng[ti]))
+            if ti in identical_sample:
+                return identical_sample[ti]
+            delay = float(t.distribution.sample(self._t_rng[ti]))
+            identical_sample[ti] = delay
+            return delay
+
+        # each timed transition's timer source, resolved once: RESAMPLE
+        # draws straight from its stream
+        draw: Dict[int, Callable[[], float]] = {}
+        for ti in c.timed_indices:
+            t = transitions[ti]
+            assert isinstance(t, TimedTransition)
+            if t.memory_policy is MemoryPolicy.RESAMPLE:
+                draw[ti] = partial(t.distribution.sample, self._t_rng[ti])
+            else:
+                draw[ti] = partial(sample_delay, ti)
+        names = [t.name for t in transitions]
+        schedule = engine.schedule
+
+        # --- settling after a firing --------------------------------------- #
         imm_order = self._immediate_order
         rivals = self._rivals
-        imm_deps = self._immediate_deps
         timed_deps = self._timed_deps
         imm_enabled = [False] * n_trans
         for ti in imm_order:
-            imm_enabled[ti] = enabled(ti, marking)
+            imm_enabled[ti] = tests[ti](marking)
+        max_chain = self.max_immediate_chain
+        # mask -> its timed transitions in index order, the order the full
+        # rescan visited them in: timers are scheduled (event sequence
+        # numbers assigned) exactly as before
+        expanded: Dict[int, Tuple[int, ...]] = {}
 
-        def stabilize(retest: int) -> int:
-            """Fire immediates until the marking is tangible; return the
-            *retest* mask widened by the cascade's timed dependents."""
+        def settle(retest: int) -> None:
+            """Fire immediates until the marking is tangible, re-read the
+            watchers, then bring the timers of the *retest* mask, widened
+            by the cascade's timed dependents, up to date."""
             nonlocal immediate_firings
             chain = 0
             while True:
@@ -257,7 +357,7 @@ class PetriNetSimulator:
                     if imm_enabled[chosen]:
                         break
                 else:
-                    return retest
+                    break  # tangible
                 # *chosen* is the first enabled transition of the highest
                 # enabled priority: it competes with its enabled rivals
                 group = rivals[chosen]
@@ -270,41 +370,20 @@ class PetriNetSimulator:
                         chosen = conflict[
                             self._conflict_rng.choice(len(conflict), p=weights / weights.sum())
                         ]
-                fire(chosen, marking)
+                fires[chosen](marking, imm_enabled)
                 firing_counts[chosen] += 1
                 immediate_firings += 1
-                for ti in imm_deps[chosen]:
-                    imm_enabled[ti] = enabled(ti, marking)
                 retest |= timed_deps[chosen]
                 chain += 1
-                if chain > self.max_immediate_chain:
+                if chain > max_chain:
                     raise SimulationError(
                         f"immediate-transition livelock: more than "
-                        f"{self.max_immediate_chain} zero-time firings at "
+                        f"{max_chain} zero-time firings at "
                         f"t={engine.now:.6g} in net {self.net.name!r}"
                     )
 
-        # --- timed-transition scheduling --------------------------------- #
-        def sample_delay(ti: int) -> float:
-            t = transitions[ti]
-            assert isinstance(t, TimedTransition)
-            policy = t.memory_policy
-            if policy is MemoryPolicy.AGE and ti in age_remaining:
-                return age_remaining.pop(ti)
-            if policy is MemoryPolicy.IDENTICAL:
-                if ti in identical_sample:
-                    return identical_sample[ti]
-                delay = float(t.distribution.sample(self._t_rng[ti]))
-                identical_sample[ti] = delay
-                return delay
-            return float(t.distribution.sample(self._t_rng[ti]))
+            watcher_values[:] = [float(fn(marking)) for fn in watcher_fns]
 
-        # mask -> its timed transitions in index order, the order the full
-        # rescan visited them in: timers are scheduled (event sequence
-        # numbers assigned) exactly as before
-        expanded: Dict[int, Tuple[int, ...]] = {}
-
-        def update_timed_schedule(retest: int) -> None:
             # invariant between firings: a timed transition holds a timer
             # iff it is enabled, so only the *retest* mask can need a change
             order = expanded.get(retest)
@@ -314,47 +393,40 @@ class PetriNetSimulator:
                 )
             now = engine.now
             for ti in order:
-                is_enabled = enabled(ti, marking)
-                ev = pending.get(ti)
+                is_enabled = tests[ti](marking)
+                ev = pending[ti]
                 if ev is not None:
                     if is_enabled:
                         continue  # clock keeps running
                     # disabled: withdraw the timer
                     engine.cancel(ev)
-                    del pending[ti]
+                    pending[ti] = None
                     t = transitions[ti]
                     assert isinstance(t, TimedTransition)
                     if t.memory_policy is MemoryPolicy.AGE:
                         age_remaining[ti] = max(ev.time - now, 0.0)
                     # IDENTICAL keeps identical_sample as is; RESAMPLE drops
                 elif is_enabled:
-                    pending[ti] = engine.schedule(
-                        sample_delay(ti), actions[ti], 1, transitions[ti].name
-                    )
+                    pending[ti] = schedule(float(draw[ti]()), actions[ti], 1, names[ti])
 
         # --- firing a timed transition ----------------------------------- #
         def fire_timed(ti: int) -> None:
             nonlocal timed_firings
             accumulate(engine.now)
-            del pending[ti]
-            identical_sample.pop(ti, None)  # fired: sample consumed
-            fire(ti, marking)
+            pending[ti] = None
+            if identical_sample:
+                identical_sample.pop(ti, None)  # fired: sample consumed
+            fires[ti](marking, imm_enabled)
             firing_counts[ti] += 1
             timed_firings += 1
-            for tj in imm_deps[ti]:
-                imm_enabled[tj] = enabled(tj, marking)
-            retest = stabilize(timed_deps[ti])
-            recompute_watchers()
-            update_timed_schedule(retest)
+            settle(timed_deps[ti])
             if max_firings is not None and timed_firings + immediate_firings >= max_firings:
                 engine.stop()
 
         actions = {ti: partial(fire_timed, ti) for ti in c.timed_indices}
 
         # --- run ---------------------------------------------------------- #
-        retest = stabilize(sum(1 << ti for ti in c.timed_indices))
-        recompute_watchers()
-        update_timed_schedule(retest)
+        settle(sum(1 << ti for ti in c.timed_indices))
 
         firing_offset = [0] * n_trans
         if warmup > 0.0:

@@ -132,3 +132,95 @@ class TestStopAndBudget:
             sim.schedule(float(i), lambda: None)
         sim.run()
         assert sim.events_executed == 5
+
+
+class TestPerCallBudget:
+    """``max_events`` caps the events of one ``run``/``run_until`` call."""
+
+    @staticmethod
+    def _ticker(sim: Simulator) -> None:
+        def tick() -> None:
+            sim.schedule(1.0, tick)
+
+        sim.schedule(1.0, tick)
+
+    def test_run_until_budget_counts_from_the_call(self):
+        sim = Simulator(max_events=10)
+        self._ticker(sim)
+        sim.run_until(10.0)  # a warm-up: exactly the budget
+        sim.run_until(20.0)  # ten more, not a lifetime cap of ten
+        assert sim.events_executed == 20
+        with pytest.raises(SimulationError, match="budget of 10"):
+            sim.run_until(100.0)
+        assert sim.events_executed == 30
+
+    def test_run_budget_counts_from_the_call(self):
+        sim = Simulator(max_events=5)
+        for i in range(5):
+            sim.schedule(float(i), lambda: None)
+        sim.run_until(2.0)
+        assert sim.events_executed == 3
+        sim.run()  # two left: within this call's budget
+        assert sim.events_executed == 5
+        self._ticker(sim)
+        with pytest.raises(SimulationError, match="budget of 5"):
+            sim.run()
+        assert sim.events_executed == 10
+
+
+class TestDrainLoop:
+    def test_compaction_mid_run_keeps_order_and_counts(self):
+        # three far-future timers withdrawn per firing: dead entries pile up
+        # until the compaction every 4096 events rebuilds the heap, and the
+        # loop must keep popping from the rebuilt one
+        sim = Simulator()
+        fired = []
+        peak = [0]
+
+        def fire(i: int) -> None:
+            fired.append((sim.now, i))
+            peak[0] = max(peak[0], len(sim.queue._heap))
+            if i + 1 < 10_000:
+                for k in range(3):
+                    sim.cancel(sim.schedule(1e6 + k, lambda: None))
+                sim.schedule(1.0, lambda: fire(i + 1))
+
+        sim.schedule(0.0, lambda: fire(0))
+        sim.run_until(1e9)
+        assert fired == [(float(i), i) for i in range(10_000)]
+        assert sim.events_executed == 10_000
+        assert sim.pending_count() == 0
+        assert peak[0] < 3 * 4096 + 8, "dead timers were never compacted"
+
+    def test_same_time_events_keep_scheduling_order_across_compaction(self):
+        sim = Simulator()
+        order = []
+        doomed = [sim.schedule(5.0, lambda: None) for _ in range(9000)]
+        for i in range(5000):
+            sim.schedule(1.0, lambda i=i: order.append(i))
+        for ev in doomed:
+            sim.cancel(ev)
+        sim.run()
+        assert order == list(range(5000))
+        assert sim.events_executed == 5000
+
+    def test_raising_action_is_not_counted(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: 1 / 0)
+        sim.schedule(3.0, lambda: None)
+        with pytest.raises(ZeroDivisionError):
+            sim.run()
+        assert sim.events_executed == 1
+        assert sim.now == 2.0
+        sim.run()  # the queue is intact after the failure
+        assert sim.events_executed == 2
+
+    def test_step_is_a_single_event(self):
+        sim = Simulator()
+        log = []
+        sim.schedule(2.0, lambda: log.append(2))
+        sim.cancel(sim.schedule(1.0, lambda: log.append(1)))
+        assert sim.step() is True
+        assert (log, sim.now, sim.events_executed) == ([2], 2.0, 1)
+        assert sim.step() is False
