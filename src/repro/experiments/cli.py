@@ -429,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="worker deaths tolerated per request before it fails (default 2)",
+        help="times one grid point may kill a worker and be retried "
+        "before it is recorded as a NaN row (default 2)",
     )
     serve_p.add_argument(
         "--journal",

@@ -11,9 +11,6 @@ This package supplies the analytical half of the paper's comparison:
   paper's Figure 2) with both numerical and closed-form solutions.
 - :mod:`repro.markov.queueing` — textbook queueing formulas (M/M/1, M/M/1/K,
   M/M/c, M/G/1, M/D/1, Little's law) used as ground truth in tests.
-- :mod:`repro.markov.supplementary` — Cox's method of supplementary
-  variables for a single deterministic transition grafted onto a Markov
-  chain; the generic machinery behind the paper's Section 4.1 derivation.
 """
 
 from repro.markov.birth_death import BirthDeathChain
@@ -37,7 +34,6 @@ from repro.markov.queueing import (
     little_l,
     little_w,
 )
-from repro.markov.supplementary import SupplementaryVariableStage
 
 __all__ = [
     "BirthDeathChain",
@@ -52,7 +48,6 @@ __all__ = [
     "MMcQueue",
     "NumericalSolveError",
     "SolverCache",
-    "SupplementaryVariableStage",
     "gmres_steady_state",
     "little_l",
     "little_w",

@@ -2,23 +2,25 @@
 
 The paper's experiments are dense parameter sweeps (the Figure 4/5
 threshold and delay grids); this package scales them past one machine.
-A :class:`~repro.sweep.distributed.runner.DistributedSweepRunner` shards
-a :class:`~repro.sweep.grid.SweepGrid` into contiguous, axis-ordered
-chunks (so iterative warm starts stay adjacent), a
-:class:`~repro.sweep.distributed.coordinator.SweepCoordinator` hands the
-chunks to whichever workers connect — forked local processes, in-process
-asyncio tasks, or ``repro-experiments worker --connect`` processes on
-other machines — and streams the result rows back into a
+A :class:`~repro.sweep.distributed.runner.DistributedSweepRunner` submits
+a :class:`~repro.sweep.grid.SweepGrid` as one
+:class:`~repro.sweep.distributed.coordinator.Job` — contiguous,
+axis-ordered partitions, so iterative warm starts stay adjacent — to a
+:class:`~repro.sweep.distributed.coordinator.JobQueue`, which hands the
+partitions to whichever workers connect — forked local processes,
+in-process asyncio tasks, or ``repro-experiments worker --connect``
+processes on other machines — and streams the result rows back into a
 :class:`~repro.sweep.results.SweepResult` ordered exactly like the
 serial runner's (bit-identical under the direct solvers).
 
 The layer is fault-tolerant at three granularities: a point that fails
 numerically yields a NaN row plus an error record; a worker that dies
-mid-chunk gets its unfinished points requeued to the survivors; an
+mid-partition gets its unfinished points requeued to the survivors; an
 interrupted sweep resumes from a row-level
 :class:`~repro.sweep.distributed.checkpoint.SweepCheckpoint` instead of
-restarting.  See ``docs/distributed.md`` for topology, failure
-semantics, and the checkpoint format.
+restarting.  The service's worker pool (``serve --workers``) submits one
+job per request to the same queue.  See ``docs/distributed.md`` for
+topology, failure semantics, and the checkpoint format.
 """
 
 from repro.sweep.distributed.checkpoint import (
@@ -28,16 +30,15 @@ from repro.sweep.distributed.checkpoint import (
 )
 from repro.sweep.distributed.coordinator import (
     DistributedSweepError,
+    Job,
+    JobQueue,
     SweepCoordinator,
 )
 from repro.sweep.distributed.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.sweep.distributed.runner import DistributedSweepRunner
 from repro.sweep.distributed.worker import (
     launch_local_workers,
-    launch_service_workers,
-    run_service_worker,
     run_worker,
-    service_worker_main,
     worker_main,
 )
 
@@ -46,14 +47,13 @@ __all__ = [
     "CheckpointMismatchError",
     "DistributedSweepError",
     "DistributedSweepRunner",
+    "Job",
+    "JobQueue",
     "ProtocolError",
     "SweepCheckpoint",
     "SweepCoordinator",
     "launch_local_workers",
-    "launch_service_workers",
-    "run_service_worker",
     "run_worker",
-    "service_worker_main",
     "sweep_fingerprint",
     "worker_main",
 ]

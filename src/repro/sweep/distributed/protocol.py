@@ -11,45 +11,63 @@ initializer.
 Message kinds
 -------------
 
+One worker dialect serves both kinds of daemon: a ``sweep --distributed``
+coordinator and a ``serve --workers`` pool run the same dispatch session
+(:class:`~repro.sweep.distributed.coordinator.JobQueue`), so a
+``repro-experiments worker --connect`` process can join either.
+
 ======================  =========  ==========================================
 kind                    direction  payload
 ======================  =========  ==========================================
-``hello``               w -> c     ``version``, ``worker`` (host:pid label)
-``template``            c -> w     ``model`` (backend), ``metrics``, and
-                                   ``telemetry`` (bool: the coordinator runs
-                                   with tracing on; ship trace segments back)
+``hello``               w -> c     ``version``, ``capabilities``, ``worker``
+                                   (host:pid label)
+``welcome``             c -> w     ``version``, ``capacity`` (worker-side
+                                   template-LRU size), ``telemetry`` (bool:
+                                   the coordinator traces; ship trace
+                                   segments back)
 ``reject``              c -> w     ``message`` — handshake refused (e.g.
-                                   protocol version mismatch)
-``fatal``               w -> c     ``index``, ``error_type``, ``message`` —
-                                   a configuration error; aborts the sweep
-``chunk``               c -> w     ``chunk_id``, ``indices``, ``points`` —
-                                   one *contiguous, axis-ordered* span;
-                                   ``pointwise`` (bool) forces per-point
-                                   framing on a batch-capable backend (the
-                                   coordinator's retry downgrade)
+                                   protocol version mismatch, naming both
+                                   versions and the coordinator's
+                                   capabilities)
+``task``                c -> w     ``task_id``, ``fingerprint``, ``metrics``,
+                                   ``indices``, ``points`` — one
+                                   *contiguous, axis-ordered* partition of
+                                   one job; ``pointwise`` (bool) forces
+                                   per-point framing on a batch-capable
+                                   backend (the coordinator's retry
+                                   downgrade)
+``need_template``       w -> c     ``fingerprint`` — the worker's LRU does
+                                   not hold this job's template
+``template``            c -> w     ``fingerprint``, ``model`` (the prepared
+                                   backend), ``metrics`` — the answer to
+                                   ``need_template``
 ``telemetry``           w -> c     ``index``, ``spans``, ``counters`` — the
                                    trace segment recorded while solving that
-                                   point (only when the template asked for
+                                   point (only when ``welcome`` asked for
                                    telemetry; sent *before* the point's
                                    ``row``, so a stored row always has its
                                    spans and a requeued one never
                                    double-counts them)
 ``row``                 w -> c     ``index``, ``values``, optional ``error``
                                    (a ``PointFailure``) — streamed per point
-``rows``                w -> c     *(v2)* ``rows`` (a list of per-row
+``rows``                w -> c     ``rows`` (a list of per-row
                                    ``{index, values, error}`` payloads),
                                    ``spans`` (per-point segments keyed by
                                    index), ``counters`` — one frame per
                                    stacked ``solve_batch``; the batched
                                    backend's answer to framing-bound
                                    sub-millisecond points
-``chunk_done``          w -> c     ``chunk_id``
+``task_done``           w -> c     ``task_id`` — every row of the task sent
+``fatal``               w -> c     ``index``, ``error_type``, ``message`` —
+                                   a configuration error; it ends the task
+                                   and fails its job, the worker stays up
+                                   for the next task
 ``shutdown``            c -> w     —
 ======================  =========  ==========================================
 
 The always-on service (:mod:`repro.sweep.service`) speaks the same
-framing on the same port and adds two message families on top.  Client
-side (one connection may carry many request/reply cycles)::
+framing on the same port; its clients use one more message family (one
+connection may carry many request/reply cycles)::
 
 ======================  =========  ==========================================
 kind                    direction  payload
@@ -64,42 +82,21 @@ kind                    direction  payload
                                    (``bad-request``/``worker``/``internal``)
 ======================  =========  ==========================================
 
-Service-worker side (persistent shards; ``hello`` carries
-``role: "service-worker"``)::
-
-======================  =========  ==========================================
-kind                    direction  payload
-======================  =========  ==========================================
-``welcome``             s -> w     ``version``, ``capacity`` (worker-side
-                                   template-LRU size), ``telemetry``
-``task``                s -> w     ``task_id``, ``fingerprint``, ``metrics``,
-                                   ``indices``, ``points`` — one request's
-                                   (remaining) grid points
-``need_template``       w -> s     ``fingerprint`` — the worker's LRU does
-                                   not hold this template; the service
-                                   answers with a ``template`` message
-``task_done``           w -> s     ``task_id``
-======================  =========  ==========================================
-
-``template``, ``telemetry``, ``row``, ``fatal``, and ``shutdown`` are
-reused with one-shot semantics; ``template`` gains a ``fingerprint``
-field on the service channel so a worker can key its local LRU.
-
 Row framing comes in two granularities.  On a backend without batch
-support, rows stream back *per point*: when a worker dies mid-chunk the
-coordinator knows exactly which points of that chunk finished and
+support, rows stream back *per point*: when a worker dies mid-task the
+coordinator knows exactly which points of that partition finished and
 requeues only the unfinished suffix, blaming the in-flight point alone.
-On a batch-capable backend (protocol v2), a worker solves each stacked
-batch in one ``solve_batch`` call and ships one ``rows`` frame per
-batch — sub-millisecond points stop paying two protocol messages each.
-Worker death then loses at most one batch: the coordinator requeues the
-whole unfinished remainder *without blaming anyone* and downgrades the
-retry to pointwise framing (``chunk.pointwise``), so a genuinely
-poisonous point is isolated and blamed by the per-point machinery on
-the next attempt.  Both framings carry the same exactly-once telemetry:
-span segments are keyed to their row (stashed until the row is stored),
-so the merged run-level trace covers each stored row's solve exactly
-once however many times the point was attempted.
+On a batch-capable backend a worker solves each stacked batch in one
+``solve_batch`` call and ships one ``rows`` frame per batch —
+sub-millisecond points stop paying two protocol messages each.  Worker
+death then loses at most one batch: the coordinator requeues the whole
+unfinished remainder *without blaming anyone* and downgrades the retry
+to pointwise framing (``task.pointwise``), so a genuinely poisonous
+point is isolated and blamed by the per-point machinery on the next
+attempt.  Both framings carry the same exactly-once telemetry: span
+segments are keyed to their row (stashed until the row is stored), so
+the merged run-level trace covers each stored row's solve exactly once
+however many times the point was attempted.
 
 .. warning::
    Pickle executes arbitrary code on load, so the channel is only as
@@ -126,16 +123,18 @@ __all__ = [
 
 #: Bumped on incompatible wire changes; the coordinator refuses
 #: mismatched workers (with a ``reject`` message naming the versions).
-#: v2 added the batched ``rows`` frame and the ``pointwise`` chunk flag.
-PROTOCOL_VERSION = 2
+#: v2 added the batched ``rows`` frame and the ``pointwise`` flag; v3
+#: is the one worker dialect (``welcome``/``task``/``need_template``)
+#: shared by the distributed coordinator and the service pool.
+PROTOCOL_VERSION = 3
 
 #: Feature names this build speaks, advertised in the ``hello`` /
 #: ``welcome`` handshake.  Capabilities travel *with* the version so a
 #: rejected peer's operator sees what the other side wanted (e.g. an old
 #: v1 ``worker --connect`` pointed at a batch-framing coordinator gets a
-#: ``reject`` naming both versions and the missing ``rows`` capability,
-#: not a mid-sweep frame error).
-CAPABILITIES = ("rows",)
+#: ``reject`` naming both versions and this side's capabilities, not a
+#: mid-sweep frame error).
+CAPABILITIES = ("rows", "need_template")
 
 #: Upper bound on one frame (a template for a very large state space is
 #: tens of MB; a corrupted length prefix would otherwise ask for petabytes).

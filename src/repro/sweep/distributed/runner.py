@@ -2,8 +2,8 @@
 
 A drop-in sibling of :class:`~repro.sweep.runner.SweepRunner` (same
 constructor contract, same :meth:`run` signature and result table) that
-shards the grid into contiguous, axis-ordered chunks and fans them out
-over an asyncio TCP job queue instead of a process pool:
+submits the grid as one job of contiguous, axis-ordered partitions to
+an asyncio TCP job queue instead of a process pool:
 
 >>> from repro.sweep import SweepGrid, build_mm1k_net
 >>> from repro.sweep.distributed import DistributedSweepRunner
@@ -24,11 +24,11 @@ Worker modes:
 - external — set ``n_shards=0`` and point
   ``repro-experiments worker --connect HOST:PORT`` processes (any
   machine that can reach the bind address) at :attr:`address`; the
-  coordinator hands chunks to whoever connects.
+  coordinator hands partitions to whoever connects.
 
 The merged table is ordered exactly like the serial runner's, and for
 the direct (LU) solver paths it is bit-identical to it; iterative
-methods agree to solver tolerance because chunk boundaries reset the
+methods agree to solver tolerance because partition boundaries reset the
 warm start.  A checkpoint file makes interrupted sweeps resumable — see
 :mod:`repro.sweep.distributed.checkpoint`.
 """
@@ -52,7 +52,7 @@ from repro.sweep.distributed.coordinator import (
     DistributedSweepError,
     SweepCoordinator,
 )
-from repro.sweep.distributed.worker import launch_local_workers, run_worker
+from repro.sweep.distributed.worker import launch_local_workers
 from repro.sweep.results import PointFailure, SweepResult
 from repro.sweep.runner import (
     CHUNKS_PER_WORKER,
@@ -90,7 +90,7 @@ class DistributedSweepRunner(SweepRunner):
         Path to a row-level journal; when it exists and matches this
         sweep, completed rows are skipped and the file is appended to.
     n_chunks:
-        Total chunk target (default ``4 * n_shards``, or 16 with
+        Total partition target (default ``4 * n_shards``, or 16 with
         external workers).
     max_requeues:
         Times one point may kill a worker and be retried before it is
@@ -351,11 +351,7 @@ class DistributedSweepRunner(SweepRunner):
         if self.n_shards > 0 and self.worker_mode == "process":
             # fork before any event loop exists in this process
             processes = launch_local_workers(
-                self.n_shards,
-                host,
-                port,
-                die_after_rows=self._fault_injection.get("die_after_rows"),
-                die_worker=self._fault_injection.get("die_worker"),
+                self.n_shards, host, port, fault=self._fault_injection
             )
         try:
             asyncio.run(self._serve(coordinator, processes))
@@ -373,16 +369,10 @@ class DistributedSweepRunner(SweepRunner):
         host, port = self.address
         worker_tasks: List[asyncio.Task] = []
         if self.n_shards > 0 and self.worker_mode == "inline":
-            die_worker = self._fault_injection.get("die_worker", 0)
-            for i in range(self.n_shards):
-                hooks = {}
-                if die_worker in (i, -1):  # -1 arms every worker
-                    for key in ("die_after_rows", "die_at_index"):
-                        if key in self._fault_injection:
-                            hooks[key] = self._fault_injection[key]
-                worker_tasks.append(
-                    asyncio.create_task(run_worker(host, port, **hooks))
-                )
+            worker_tasks = launch_local_workers(
+                self.n_shards, host, port, mode="inline",
+                fault=self._fault_injection,
+            )
         supervisor = asyncio.create_task(
             self._supervise(coordinator, processes, worker_tasks)
         )

@@ -21,17 +21,17 @@ The pieces
   retry/poison budgets, consumed by every executor.
 - :mod:`~repro.sweep.engine.executor` — the :class:`Executor` protocol
   with the in-process adapters (:class:`SerialExecutor`,
-  :class:`PoolExecutor`); the distributed coordinator and the service
-  pool are the out-of-process adapters built from the same parts.
+  :class:`PoolExecutor`); the distributed job queue, which also backs
+  the service's worker pool, is the out-of-process adapter built from
+  the same parts.
 - :mod:`~repro.sweep.engine.collector` — :class:`RowCollector`:
   first-write-wins row merging, exactly-once telemetry (counters merge
   unconditionally as drained deltas; spans merge only with their stored
   row), and checkpoint journaling.
 - :mod:`~repro.sweep.engine.wire` — the worker-side streaming loop
   (:func:`stream_partition`): solves one partition and ships results as
-  per-point ``row`` messages or batched ``rows`` frames (protocol v2),
-  shared by the one-shot distributed worker and the persistent service
-  worker.
+  per-point ``row`` messages or batched ``rows`` frames, run by the one
+  worker loop of every wire path.
 """
 
 from repro.sweep.engine.collector import RowCollector

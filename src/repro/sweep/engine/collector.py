@@ -1,8 +1,8 @@
 """Exactly-once row + telemetry collection.
 
 :class:`RowCollector` is the receiving half of every remote execution
-path: the distributed coordinator and the service worker pool both feed
-it the messages a worker streams back, and it enforces the merge
+path: the distributed job queue (sweeps and service requests alike)
+feeds it the messages a worker streams back, and it enforces the merge
 discipline the telemetry layer depends on:
 
 - **rows are first-write-wins** — a requeue race can deliver one index

@@ -5,10 +5,10 @@ plan plus the live template and returns the full ``(rows, errors)``
 table.  Two adapters live here — :class:`SerialExecutor` (the plain
 loop) and :class:`PoolExecutor` (contiguous partitions over a process
 pool, with the broken-pool serial fallback).  The out-of-process
-adapters — the distributed coordinator and the service worker pool —
-are built from the same engine parts (:mod:`~repro.sweep.engine.points`,
+adapter — the distributed job queue, which also serves the service's
+worker pool — is built from the same engine parts (:mod:`~repro.sweep.engine.points`,
 :mod:`~repro.sweep.engine.collector`, :mod:`~repro.sweep.engine.wire`)
-but own their transports.
+but owns its transport.
 """
 
 from __future__ import annotations

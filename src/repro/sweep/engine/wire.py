@@ -1,9 +1,10 @@
-"""The worker-side streaming loop shared by every wire-connected worker.
+"""The worker-side streaming loop of the wire-connected worker.
 
-:func:`stream_partition` is what both the one-shot distributed worker
-and the persistent service worker run per chunk/task: reset the warm
-start at the partition boundary, solve the points, and stream results
-back with exactly-once telemetry framing.  Two framings exist:
+:func:`stream_partition` is what
+:func:`~repro.sweep.distributed.worker.run_worker` runs per task (one
+partition of one job): reset the warm start at the partition boundary,
+solve the points, and stream results back with exactly-once telemetry
+framing.  Two framings exist:
 
 - **pointwise** (``pointwise=True``, or a backend that is not
   batch-capable): the historical loop — per point one ``telemetry``
@@ -20,8 +21,8 @@ back with exactly-once telemetry framing.  Two framings exist:
 
 Configuration errors (:data:`~repro.sweep.engine.points.CONFIG_ERROR_TYPES`)
 raise :class:`WorkerConfigError` carrying the offending index; the
-one-shot worker turns it into a ``fatal`` message and exits, the service
-worker reports it and stays alive for the next task.
+worker reports it as a ``fatal`` message and stays up for the next
+task.
 """
 
 from __future__ import annotations

@@ -1,16 +1,24 @@
 """Elastic pool of persistent service workers.
 
 With ``--workers N`` the service forks N
-:func:`~repro.sweep.distributed.worker.run_service_worker` processes
-that dial back into the service's own pickle port and stay connected
-across requests.  The pool hands one ``task`` (a request's remaining
-grid points) to one worker at a time, streams rows back with the same
-telemetry-before-row / first-write-wins discipline as the one-shot
-coordinator, and is **elastic**: a worker that dies — mid-request or
-idle — is pruned, a replacement is forked (budget-capped), and the
-request's unfinished points are retried on a survivor.  Only when one
-request has burned through ``max_retries + 1`` workers does it fail with
-:class:`ServiceWorkerError`; the daemon itself keeps serving.
+:func:`~repro.sweep.distributed.worker.run_worker` processes that dial
+back into the service's own pickle port and stay connected across
+requests.  Dispatch is not this module's business: every adopted
+connection is a session of one
+:class:`~repro.sweep.distributed.coordinator.JobQueue`, and each request
+is one :class:`~repro.sweep.distributed.coordinator.Job` on it,
+partitioned ``PARTITIONS_PER_WORKER x N`` ways so a request spans the
+pool.  Requests therefore get exactly the distributed sweep's failure
+semantics: a worker death requeues the unfinished points with per-point
+blame, and a point that kills ``max_retries + 1`` workers is poisoned
+(NaN row, ``stage="worker"`` error record) while the request still
+succeeds.
+
+What the pool does own is process supervision: it forks the workers,
+adopts their connections, prunes a worker that dies while idle (its
+socket closes), forks a replacement for every death (budget-capped),
+reaps the processes on shutdown, and reports stats.  Only when no live
+worker remains does a request fail, with :class:`ServiceWorkerError`.
 
 Workers cache prepared templates in their own bounded LRU and ask for a
 missing one with ``need_template`` — so a freshly respawned (empty)
@@ -21,18 +29,12 @@ template ship entirely.
 from __future__ import annotations
 
 import asyncio
-import itertools
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.sweep.distributed.protocol import (
-    PROTOCOL_VERSION,
-    ProtocolError,
-    recv_message,
-    send_message,
-)
-from repro.sweep.distributed.worker import launch_service_workers
-from repro.sweep.engine.collector import RowCollector
+from repro.sweep.distributed.coordinator import Job, JobQueue
+from repro.sweep.distributed.worker import launch_local_workers
+from repro.sweep.engine.plan import PARTITIONS_PER_WORKER
 from repro.sweep.results import PointFailure
 from repro.sweep.service.session import RequestError, ServiceRequest
 from repro.sweep.service.template_cache import TemplateEntry
@@ -44,37 +46,23 @@ _MONITOR_INTERVAL = 0.2
 
 
 class ServiceWorkerError(RuntimeError):
-    """One request exhausted its worker-retry budget (HTTP 500)."""
+    """No live workers remain to solve a request (HTTP 500)."""
 
 
-class _WorkerDied(Exception):
-    """The worker's connection failed mid-task (requeue + respawn)."""
+class _RequestJob(Job):
+    """One service request on the pool's job queue."""
 
-
-class _WorkerFatal(Exception):
-    """The worker reported a configuration error (the request's fault)."""
-
-
-class _Worker:
-    __slots__ = ("reader", "writer", "label", "affinity", "tasks")
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        label: str,
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.label = label
-        #: fingerprints this worker has been shipped (scheduling hint —
-        #: its LRU may have evicted them; ``need_template`` self-corrects)
-        self.affinity: Set[str] = set()
-        self.tasks = 0
+    # failures stay the request layer's concern: completions count under
+    # the service's own name and the failed counter is skipped (numeric
+    # failures are per-request result data here, not sweep progress)
+    counter_completed = "service.rows.completed"
+    counter_failed = None
+    counter_templates = "service.templates.shipped"
+    fatal_error = RequestError
 
 
 class WorkerPool:
-    """Fork, adopt, schedule, and replace persistent service workers."""
+    """Fork, adopt, supervise, and replace persistent service workers."""
 
     def __init__(
         self,
@@ -93,12 +81,10 @@ class WorkerPool:
         self.max_retries = int(max_retries)
         self.fault = dict(fault or {})
         self._procs: List[Any] = []
-        self._workers: List[_Worker] = []
-        self._idle: List[_Worker] = []
-        self._cond = asyncio.Condition()
-        self._task_ids = itertools.count(1)
+        self._queue = JobQueue(capacity=self.capacity, on_lost=self._note_death)
         self._monitor: Optional[asyncio.Task] = None
         self._closed = False
+        self._exhausted: Optional[ServiceWorkerError] = None
         self.respawns = 0
         self.deaths = 0
         # enough to survive max_retries on every original worker, plus
@@ -109,20 +95,15 @@ class WorkerPool:
         """Fork the workers and wait until every one has been adopted."""
         if self.n_workers <= 0:
             return
-        self._procs = launch_service_workers(
-            self.n_workers,
-            self.host,
-            self.port,
-            die_after_rows=self.fault.get("die_after_rows"),
-            die_worker=self.fault.get("die_worker"),
+        # the service's trace is active on its event loop, not where the
+        # pool was constructed
+        self._queue.trace = obs.current_trace()
+        self._procs = launch_local_workers(
+            self.n_workers, self.host, self.port, fault=self.fault
         )
-        async with self._cond:
-            await asyncio.wait_for(
-                self._cond.wait_for(
-                    lambda: len(self._workers) >= self.n_workers
-                ),
-                timeout=_ADOPTION_TIMEOUT,
-            )
+        await asyncio.wait_for(
+            self._queue.wait_connected(self.n_workers), _ADOPTION_TIMEOUT
+        )
         self._monitor = asyncio.create_task(self._monitor_loop())
 
     async def adopt(
@@ -131,208 +112,85 @@ class WorkerPool:
         writer: asyncio.StreamWriter,
         hello: Dict[str, Any],
     ) -> None:
-        """Welcome a worker that dialled in; the pool owns its socket now."""
-        await send_message(
-            writer,
-            {
-                "kind": "welcome",
-                "version": PROTOCOL_VERSION,
-                "capacity": self.capacity,
-                "telemetry": obs.enabled(),
-            },
+        """Serve a worker that dialled in until it leaves or is shut down."""
+        if self._queue.handshake_error(hello) is None:
+            obs.incr("service.workers.adopted")
+        await self._queue.handle_worker(reader, writer, hello)
+
+    async def solve(
+        self, request: ServiceRequest, entry: TemplateEntry
+    ) -> Tuple[Dict[int, List[float]], Dict[int, PointFailure]]:
+        """Solve every point of *request* on the pool.
+
+        Returns ``(rows, errors)`` keyed by point index.  Numeric
+        failures and poisoned points become error records; a
+        configuration error raises
+        :class:`~repro.sweep.service.session.RequestError`; with no live
+        worker left, :class:`ServiceWorkerError`.
+        """
+        if self._exhausted is not None:
+            raise self._exhausted
+        job = _RequestJob(
+            entry.backend,
+            request.metrics,
+            request.points,
+            n_partitions=PARTITIONS_PER_WORKER * self.n_workers,
+            fingerprint=request.fingerprint,
+            max_requeues=self.max_retries,
+            trace=obs.current_trace(),
         )
-        worker = _Worker(reader, writer, str(hello.get("worker", "?")))
-        async with self._cond:
-            self._workers.append(worker)
-            self._idle.append(worker)
-            self._cond.notify_all()
-        obs.incr("service.workers.adopted")
+        await self._queue.submit(job)
+        await self._queue.wait_job(job)
+        return job.rows, job.errors
 
-    # -- scheduling --------------------------------------------------------
+    # -- supervision -------------------------------------------------------
 
-    async def _acquire(self, fingerprint: Optional[str]) -> _Worker:
-        async with self._cond:
-            await self._cond.wait_for(
-                lambda: self._idle or self._closed or not self._alive_procs()
-            )
-            if not self._idle:
-                raise ServiceWorkerError(
-                    "no live workers remain (respawn budget exhausted)"
-                )
-            worker = next(
-                (w for w in self._idle if fingerprint in w.affinity), None
-            )
-            if worker is None:
-                worker = self._idle[0]
-            self._idle.remove(worker)
-            return worker
-
-    async def _release(self, worker: _Worker) -> None:
-        async with self._cond:
-            if worker in self._workers:
-                self._idle.append(worker)
-                self._cond.notify_all()
-
-    def _alive_procs(self) -> int:
-        return sum(1 for p in self._procs if p.is_alive())
-
-    async def _note_death(self, worker: _Worker) -> None:
-        """Prune a dead worker and fork a replacement (budget-capped)."""
+    def _note_death(self, session) -> None:
+        """A worker's connection was lost: count it, fork a replacement."""
         self.deaths += 1
         obs.incr("service.workers.died")
-        async with self._cond:
-            if worker in self._workers:
-                self._workers.remove(worker)
-            if worker in self._idle:
-                self._idle.remove(worker)
-            self._cond.notify_all()
-        worker.writer.close()
-        self._maybe_respawn()
-
-    def _maybe_respawn(self) -> None:
         if self._closed or self.respawns >= self.max_respawns:
             return
         # elasticity is about *connected* workers: the dead shard's
         # process may linger as a zombie for a moment after its socket
         # died, and waiting for the OS to agree would miss the respawn
-        if len(self._workers) >= self.n_workers:
+        if self._queue.n_connected >= self.n_workers:
             return
-        # replacements are never armed with the fault hook — the injected
-        # crash is a one-shot test stimulus, not a heritable trait
+        # die_after_rows is a one-shot crash, so replacements are unarmed;
+        # die_at_index models a poisonous point, which kills whichever
+        # worker meets it — replacements inherit it
+        fault = (
+            {"die_at_index": self.fault["die_at_index"], "die_worker": -1}
+            if "die_at_index" in self.fault
+            else None
+        )
         self._procs.extend(
-            launch_service_workers(1, self.host, self.port)
+            launch_local_workers(1, self.host, self.port, fault=fault)
         )
         self.respawns += 1
         obs.incr("service.workers.respawned")
 
     async def _monitor_loop(self) -> None:
-        """Prune workers that die while idle (their socket hits EOF)."""
+        """Prune workers that die while idle (their socket closes), and
+        fail the live requests once no worker can ever come back."""
+        queue = self._queue
         while not self._closed:
             await asyncio.sleep(_MONITOR_INTERVAL)
-            async with self._cond:
-                dead = [w for w in self._idle if w.reader.at_eof()]
-            for worker in dead:
-                await self._note_death(worker)
-
-    # -- execution ---------------------------------------------------------
-
-    async def run_points(
-        self, request: ServiceRequest, entry: TemplateEntry
-    ) -> Tuple[Dict[int, List[float]], Dict[int, PointFailure]]:
-        """Solve every point of *request* on the pool, surviving deaths.
-
-        Returns ``(rows, errors)`` keyed by point index.  Numeric
-        failures become error records; a worker death requeues the
-        unfinished points (``max_retries + 1`` attempts per request);
-        a configuration error raises
-        :class:`~repro.sweep.service.session.RequestError`.
-        """
-        # failures stay the request layer's concern: the collector counts
-        # completions under the service's own name and skips the failed
-        # counter (numeric failures are per-request result data here, not
-        # sweep-level progress)
-        collector = RowCollector(
-            len(request.metrics),
-            trace=obs.current_trace(),
-            counter_completed="service.rows.completed",
-            counter_failed=None,
-        )
-        deaths = 0
-        total = len(request.points)
-        while collector.n_completed < total:
-            worker = await self._acquire(request.fingerprint)
-            try:
-                await self._execute(worker, request, entry, collector)
-            except _WorkerDied as exc:
-                deaths += 1
-                await self._note_death(worker)
-                if deaths > self.max_retries:
-                    raise ServiceWorkerError(
-                        f"request killed {deaths} worker(s): {exc}"
-                    ) from exc
-                continue
-            except _WorkerFatal as exc:
-                await self._release(worker)
-                raise RequestError(str(exc)) from exc
-            await self._release(worker)
-        return collector.rows, collector.errors
-
-    async def _execute(
-        self,
-        worker: _Worker,
-        request: ServiceRequest,
-        entry: TemplateEntry,
-        collector: RowCollector,
-    ) -> None:
-        pending = [
-            i for i in range(len(request.points)) if i not in collector.rows
-        ]
-        task_id = next(self._task_ids)
-        try:
-            await send_message(
-                worker.writer,
-                {
-                    "kind": "task",
-                    "task_id": task_id,
-                    "fingerprint": request.fingerprint,
-                    "metrics": list(request.metrics),
-                    "indices": pending,
-                    "points": [request.points[i] for i in pending],
-                },
-            )
-            worker.tasks += 1
-            while True:
-                message = await recv_message(worker.reader)
-                kind = message["kind"]
-                if kind == "need_template":
-                    await send_message(
-                        worker.writer,
-                        {
-                            "kind": "template",
-                            "fingerprint": request.fingerprint,
-                            "model": entry.backend,
-                            "metrics": list(request.metrics),
-                            "telemetry": obs.enabled(),
-                        },
-                    )
-                    worker.affinity.add(request.fingerprint or "")
-                    obs.incr("service.templates.shipped")
-                elif kind == "telemetry":
-                    collector.apply_telemetry(message)
-                elif kind in ("row", "rows"):
-                    payloads = (
-                        collector.apply_rows_frame(message)
-                        if kind == "rows"
-                        else [message]
-                    )
-                    for payload in payloads:
-                        collector.store(
-                            payload["index"],
-                            payload["values"],
-                            payload.get("error"),
-                        )
-                elif kind == "fatal":
-                    raise _WorkerFatal(
-                        f"{message.get('error_type')}: {message.get('message')}"
-                    )
-                elif kind == "task_done":
-                    return
-                else:
-                    raise ProtocolError(
-                        f"unexpected {kind!r} from worker {worker.label}"
-                    )
-        except (
-            asyncio.IncompleteReadError,
-            ProtocolError,
-            ConnectionError,
-            OSError,
-        ) as exc:
-            raise _WorkerDied(f"{worker.label}: {exc}") from exc
+            for session in list(queue.sessions):
+                if not session.busy and session.peer_gone:
+                    await queue.evict(session)
+            if queue.sessions or any(p.is_alive() for p in self._procs):
+                self._exhausted = None
+            else:
+                self._exhausted = ServiceWorkerError(
+                    "no live workers remain (respawn budget exhausted)"
+                )
+                await queue.fail(self._exhausted)
 
     # -- lifecycle ---------------------------------------------------------
 
     async def shutdown(self) -> None:
-        """Stop monitors, tell workers to exit, reap the processes."""
+        """Stop the monitor, tell workers to exit, reap the processes."""
         self._closed = True
         if self._monitor is not None:
             self._monitor.cancel()
@@ -340,17 +198,8 @@ class WorkerPool:
                 await self._monitor
             except asyncio.CancelledError:
                 pass
-        async with self._cond:
-            workers = list(self._workers)
-            self._workers.clear()
-            self._idle.clear()
-            self._cond.notify_all()
-        for worker in workers:
-            try:
-                await send_message(worker.writer, {"kind": "shutdown"})
-            except (ConnectionError, OSError):
-                pass
-            worker.writer.close()
+        await self._queue.close()
+        await self._queue.drain()
         await asyncio.to_thread(self._reap)
 
     def _reap(self) -> None:
@@ -362,10 +211,11 @@ class WorkerPool:
                 proc.join(timeout=5.0)
 
     def stats(self) -> Dict[str, Any]:
+        sessions = self._queue.sessions
         return {
             "configured": self.n_workers,
-            "connected": len(self._workers),
-            "idle": len(self._idle),
+            "connected": len(sessions),
+            "idle": sum(1 for s in sessions if not s.busy),
             "deaths": self.deaths,
             "respawns": self.respawns,
             "pids": [p.pid for p in self._procs if p.is_alive()],

@@ -6,10 +6,10 @@ formats concurrently:
 
 - the **pickle channel** — the distributed layer's length-prefixed
   framing (:mod:`repro.sweep.distributed.protocol`), one connection
-  carrying many ``request``/``result`` cycles, exact floats; persistent
-  service workers dial into the *same* port with a
-  ``hello {role: "service-worker"}`` and are handed to the
-  :class:`~repro.sweep.service.pool.WorkerPool`;
+  carrying many ``request``/``result`` cycles, exact floats; with
+  ``--workers`` the pool's workers (and any ``worker --connect``
+  process) dial into the *same* port with a ``hello`` and are handed to
+  the :class:`~repro.sweep.service.pool.WorkerPool`;
 - the **HTTP/JSON front end** — ``GET /healthz``, ``GET /stats``,
   ``POST /v1/{sweep,steady,lint}`` with the same request payloads as
   JSON bodies, one request per connection.
@@ -291,7 +291,7 @@ class SweepService:
         except (KeyError, TypeError, ValueError) as exc:
             raise RequestError(f"model rejected: {exc}") from exc
         if self.n_workers > 0:
-            rows, errors = await self.pool.run_points(request, entry)
+            rows, errors = await self.pool.solve(request, entry)
         else:
             # the batcher owns the template lock discipline: concurrent
             # same-fingerprint requests coalesce into one stacked solve
@@ -371,9 +371,19 @@ class SweepService:
         try:
             message = await recv_message(reader)
             if message.get("kind") == "hello":
-                adopted = await self._maybe_adopt(reader, writer, message)
-                if adopted:
-                    self._connections.discard(task)
+                if self.n_workers <= 0:
+                    await send_message(writer, {
+                        "kind": "reject",
+                        "message": "this sweep service solves inline; "
+                                   "start it with --workers N to accept "
+                                   "workers",
+                    })
+                    return
+                # a worker connection lives until the pool shuts it down:
+                # the pool owns its socket, and drain must not cancel it
+                self._connections.discard(task)
+                adopted = True
+                await self.pool.adopt(reader, writer, message)
                 return
             while True:
                 if message.get("kind") != "request":
@@ -415,31 +425,6 @@ class SweepService:
                     await writer.wait_closed()
                 except (ConnectionError, OSError):
                     pass
-
-    async def _maybe_adopt(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        hello: Dict[str, Any],
-    ) -> bool:
-        """Handle a ``hello``: adopt a service worker or reject."""
-        if hello.get("version") != PROTOCOL_VERSION:
-            await send_message(writer, {
-                "kind": "reject",
-                "message": f"protocol version {hello.get('version')!r} != "
-                           f"{PROTOCOL_VERSION}",
-            })
-            return False
-        if hello.get("role") != "service-worker":
-            await send_message(writer, {
-                "kind": "reject",
-                "message": "this port is a sweep service; one-shot workers "
-                           "connect to a coordinator (repro-experiments "
-                           "sweep --distributed)",
-            })
-            return False
-        await self.pool.adopt(reader, writer, hello)
-        return True
 
     # -- HTTP channel ------------------------------------------------------
 

@@ -16,6 +16,7 @@ The three failure classes the daemon must absorb without dying:
 import json
 import os
 import signal
+import socket
 import struct
 import time
 
@@ -37,9 +38,11 @@ class TestWorkerDeath:
         reference = SweepRunner(build_mm1k_net(K=10), MM1K_METRICS).run(
             SweepGrid.from_specs(payload["axes"])
         )
+        # both workers armed: 8 one-point partitions over 2 workers, so
+        # one of them must reach its 4th row and die
         svc = ServiceFixture(
             n_workers=2,
-            worker_fault={"die_after_rows": 3, "die_worker": 0},
+            worker_fault={"die_after_rows": 3, "die_worker": -1},
         )
         with svc:
             reply = svc.request(payload)
@@ -72,6 +75,43 @@ class TestWorkerDeath:
                 pytest.fail(f"no respawn after SIGKILL: {workers}")
             assert victim not in workers["pids"]
             # and the pool still solves correctly on the survivors
+            reply = svc.request(mm1k_sweep_payload(4))
+        assert reply["kind"] == "result"
+        assert reply["errors"] == []
+
+    def test_idle_worker_reset_before_reading_welcome_is_pruned(self):
+        """A worker that dies before reading its ``welcome`` resets the
+        connection (unread data) instead of closing it: the idle monitor
+        must prune it all the same.  The worker here is an external one
+        joining the pool, which a ``--workers`` daemon accepts."""
+        from repro.sweep.distributed.protocol import (
+            CAPABILITIES,
+            PROTOCOL_VERSION,
+        )
+        from tests.sweep.service.fixture import send_frame
+
+        svc = ServiceFixture(telemetry=False, n_workers=1)
+        with svc:
+            sock = svc.open_socket()
+            send_frame(sock, {
+                "kind": "hello", "version": PROTOCOL_VERSION,
+                "capabilities": list(CAPABILITIES), "worker": "external:1",
+            })
+            deadline = time.monotonic() + 20
+            while svc.stats()["workers"]["connected"] < 2:
+                assert time.monotonic() < deadline, "worker never joined"
+                time.sleep(0.02)
+            # close with the welcome unread and linger 0: an RST, no FIN
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            sock.close()
+            while True:
+                workers = svc.stats()["workers"]
+                if workers["deaths"] == 1 and workers["connected"] == 1:
+                    break
+                assert time.monotonic() < deadline, f"not pruned: {workers}"
+                time.sleep(0.05)
             reply = svc.request(mm1k_sweep_payload(4))
         assert reply["kind"] == "result"
         assert reply["errors"] == []

@@ -99,6 +99,8 @@ class TestPickleChannelFuzz:
         assert_still_serving(svc)
 
     def test_one_shot_worker_hello_rejected(self, svc):
+        """A worker dialling a daemon that solves inline (no --workers)
+        is refused with the flag that would have accepted it."""
         from repro.sweep.distributed.protocol import PROTOCOL_VERSION
 
         with svc.open_socket() as sock:
@@ -108,7 +110,7 @@ class TestPickleChannelFuzz:
             })
             reply = recv_frame(sock)
             assert reply["kind"] == "reject"
-            assert "coordinator" in reply["message"]
+            assert "--workers" in reply["message"]
         assert_still_serving(svc)
 
     @settings(

@@ -388,27 +388,18 @@ class TestCheckpoint:
         assert_bitwise_equal(result, serial_mm1k())
 
     def test_dispatch_failure_blames_nobody(self):
-        """A chunk that never reached its worker (send to a dead socket)
-        must be requeued without incrementing any blame count."""
-        import asyncio
-
-        from repro.sweep.distributed.coordinator import SweepCoordinator
+        """A partition that never reached its worker (send to a dead
+        socket) must be requeued without incrementing any blame count."""
+        from repro.sweep.distributed.coordinator import Job
 
         points = [{"x": 1.0}, {"x": 2.0}]
-        coordinator = SweepCoordinator(
-            None, ["m"], points, n_chunks=1
+        job = Job(None, ["m"], points, n_partitions=1)
+        partition = job.pop_live()
+        job.requeue(
+            partition, set(), ConnectionError("dead socket"), blame=False
         )
-
-        async def scenario():
-            chunk = coordinator._pop_live_chunk()
-            await coordinator._requeue(
-                chunk, set(), ConnectionError("dead socket"), blame=False
-            )
-            return chunk
-
-        asyncio.run(scenario())
-        assert coordinator._requeues == {}
-        assert len(coordinator._pending) == 1
+        assert job.requeues == {}
+        assert len(job.pending) == 1
 
     def test_fingerprint_sensitive_to_grid_and_metrics(self):
         points = [{"x": 1.0}, {"x": 2.0}]
@@ -417,6 +408,58 @@ class TestCheckpoint:
         assert base != sweep_fingerprint(["x"], ["m2"], points)
         assert base != sweep_fingerprint(["x"], ["m"], points[:1])
         assert base != sweep_fingerprint(["x"], ["m"], [{"x": 1.0}, {"x": 2.5}])
+
+
+class TestJobQueue:
+    def test_concurrent_jobs_share_workers_exactly_once(self):
+        """Jobs of two model families on one queue, pulled by more inline
+        workers than cores: each job gets exactly its own rows,
+        bit-identical to serial, and every template ships on demand."""
+        from repro.sweep.backends import GSPNBackend
+        from repro.sweep.distributed import Job, JobQueue, launch_local_workers
+
+        cpu_grid = SweepGrid({"T": [0.1 * i for i in range(1, 13)]})
+        cpu_metrics = ["power", "fraction:standby"]
+        shifted = SweepGrid({"arrive": [0.05 + 0.1 * i for i in range(16)]})
+        cases = [
+            (lambda: GSPNBackend(build_mm1k_net()), MM1K_METRICS, MM1K_GRID),
+            (lambda: PhaseTypeBackend(stages=2), cpu_metrics, cpu_grid),
+            (lambda: GSPNBackend(build_mm1k_net()), MM1K_METRICS, shifted),
+        ]
+
+        async def scenario():
+            queue = JobQueue()
+            server = await asyncio.start_server(
+                queue.handle_worker, "127.0.0.1", 0
+            )
+            host, port = server.sockets[0].getsockname()[:2]
+            workers = launch_local_workers(4, host, port, mode="inline")
+            jobs = [
+                Job(make(), metrics, grid.points(), n_partitions=8)
+                for make, metrics, grid in cases
+            ]
+            try:
+                for job in jobs:
+                    await queue.submit(job)
+                await asyncio.wait_for(
+                    asyncio.gather(*(queue.wait_job(job) for job in jobs)),
+                    60,
+                )
+                await queue.close()
+                await queue.drain()
+                return jobs, await asyncio.gather(*workers)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        jobs, rows_solved = asyncio.run(scenario())
+        assert sum(rows_solved) == sum(len(g.points()) for _, _, g in cases)
+        for job, (make, metrics, grid) in zip(jobs, cases):
+            want = SweepRunner(make(), metrics).run(grid)
+            assert job.errors == {}
+            for column, name in enumerate(metrics):
+                got = [job.rows[i][column] for i in range(len(grid.points()))]
+                assert np.array_equal(got, want.column(name)), name
 
 
 def _free_port() -> int:

@@ -5,10 +5,13 @@ A ``T`` x ``D`` grid whose ``D = 1e-310`` column overflows the stage rate
 call) plus one zero-delay point (which fails at parameter binding, before
 the stack) must come back bit-identical — rows *and* ``PointFailure``
 records — from the serial runner, a one-point-at-a-time loop, the
-process pool, the distributed runner and the inline service.  The deprecated batched spellings (the
-``BatchedPhaseTypeBackend`` name, the ``phase-type-batched`` registry
-and service kind, ``--model phase-type-batched`` and ``--batched``) are
-aliases and must give the same rows as ``phase-type``.
+process pool, the distributed runner, the inline service and the service
+with workers.  A point that kills every worker touching it is poisoned
+identically by the distributed runner and the service worker pool.  The
+deprecated batched spellings (the ``BatchedPhaseTypeBackend`` name, the
+``phase-type-batched`` registry and service kind, ``--model
+phase-type-batched`` and ``--batched``) are aliases and must give the
+same rows as ``phase-type``.
 """
 
 import csv
@@ -71,8 +74,24 @@ def test_reference_fails_in_the_kernel_and_at_binding(serial):
     assert np.all(np.isfinite(table(serial)[healthy]))
 
 
-@pytest.mark.parametrize("path", ["pointwise", "pool", "distributed"])
+@pytest.mark.parametrize(
+    "path", ["pointwise", "pool", "distributed", "service-workers"]
+)
 def test_execution_paths_match_serial_bitwise(serial, path):
+    if path == "service-workers":
+        # the service takes grids only (a zero axis value is a request
+        # error), so it answers the grid part of the reference
+        n_grid = len(GRID.points())
+        with ServiceFixture(telemetry=False, n_workers=2) as svc:
+            reply = service_sweep(svc, "phase-type")
+        assert reply["kind"] == "result", reply
+        np.testing.assert_array_equal(
+            np.array(reply["rows"]), table(serial)[:n_grid]
+        )
+        assert reply["errors"] == [
+            e for e in failures(serial) if e["index"] < n_grid
+        ]
+        return
     if path == "pointwise":
         runner = SweepRunner(
             backend(PinnedBatchBackend), METRICS, preflight=False
@@ -116,6 +135,48 @@ def test_inline_service_and_its_alias_kind_match_serial(serial):
         np.testing.assert_array_equal(np.array(reply["rows"]), want_rows)
         assert reply["errors"] == want_errors
     assert replies[0]["fingerprint"] == replies[1]["fingerprint"]
+
+
+#: a healthy grid point (T=0.4, D=0.05) that kills every worker touching it
+KILLER = 4
+
+
+def test_worker_killing_point_poisons_identically_on_every_wire_path(serial):
+    """A point that kills whichever worker solves it, with a zero retry
+    budget: the distributed runner and the service worker pool must both
+    poison it alone — NaN row, identical ``stage="worker"`` record — and
+    return every other row bit-identical to serial.
+
+    The grid is one stacked batch, so the first death is batch-framed
+    (unblamed; the retry is downgraded to pointwise) and the second is
+    the blamed pointwise one: the distributed run needs three shards for
+    one to survive both, the service respawns its two workers (the
+    replacements meet the poisonous point too).
+    """
+    n_grid = len(GRID.points())
+    fault = {"die_worker": -1, "die_at_index": KILLER}
+    distributed = DistributedSweepRunner(
+        backend(), METRICS, n_shards=3, worker_mode="inline",
+        max_requeues=0, preflight=False, _fault_injection=fault,
+    ).run(GRID)
+    with ServiceFixture(
+        telemetry=False, n_workers=2, max_retries=0, worker_fault=fault
+    ) as svc:
+        reply = service_sweep(svc, "phase-type")
+        deaths = svc.stats()["workers"]["deaths"]
+    assert reply["kind"] == "result", reply
+    assert deaths == 2  # the batch-framed death, then the blamed one
+    want = table(serial)[:n_grid].copy()
+    want[KILLER] = np.nan
+    np.testing.assert_array_equal(table(distributed), want)
+    np.testing.assert_array_equal(np.array(reply["rows"]), want)
+    poisoned = [e for e in failures(distributed) if e["stage"] == "worker"]
+    assert [e["index"] for e in poisoned] == [KILLER]
+    assert "died on this point" in poisoned[0]["message"]
+    assert [e for e in failures(distributed) if e["index"] != KILLER] == [
+        e for e in failures(serial) if e["index"] < n_grid
+    ]
+    assert reply["errors"] == failures(distributed)
 
 
 @pytest.mark.parametrize(

@@ -254,5 +254,5 @@ class TestHandshake:
         reply = asyncio.run(scenario())
         assert reply["kind"] == "reject"
         assert "capabilities: rows" in reply["message"]
-        assert "coordinator 2" in reply["message"]
+        assert "coordinator 3" in reply["message"]
         assert "worker 1" in reply["message"]
