@@ -11,6 +11,12 @@ Three claims are measured and *asserted*, not just timed:
 3. The exact-renewal backend agrees with the phase-type backend across the
    same grid to the Erlang approximation error (a free cross-check that
    both new backends solve the same model).
+4. A cold :class:`~repro.petri.ctmc_export.GSPNSolver` on the CPU GSPN at
+   buffer 40 — tuple-marking exploration on the generated token-game
+   kernels, sparse-LU vanishing elimination — is >= 3x the array-walking
+   explorer, dense elimination and template of
+   ``tests/petri/reference_reachability.py``, on an equal graph (run from
+   the repo root: it imports ``tests.petri``).
 """
 
 import time
@@ -19,7 +25,15 @@ import numpy as np
 
 from repro.core.params import CPUModelParams
 from repro.core.phase_type import PhaseTypeModel
-from repro.sweep import PhaseTypeBackend, RenewalBackend, SweepGrid, SweepRunner
+from repro.petri.ctmc_export import GSPNSolver
+from repro.sweep import (
+    PhaseTypeBackend,
+    RenewalBackend,
+    SweepGrid,
+    SweepRunner,
+    build_cpu_gspn_net,
+)
+from tests.petri.reference_reachability import reference_template
 
 PARAMS = CPUModelParams.paper_defaults(T=0.3, D=0.05)
 THRESHOLDS = tuple(0.08 + 0.08 * i for i in range(24))  # 24-point grid
@@ -117,3 +131,32 @@ def test_renewal_cross_checks_phase_type(benchmark):
     )
     print(f"\nmax |phase-type(k=64) - renewal| over the grid: {gap:.2e}")
     assert gap < 5e-3, f"cross-check gap {gap:.2e}"
+
+
+def test_cold_gspn_build_speedup_vs_reference():
+    """Cold template of the CPU GSPN at buffer 40 (1068 markings, 92%
+    vanishing): GSPNSolver must be >= 3x the reference explore + dense
+    elimination + template, on an equal graph.  Interleaved rounds, best
+    of 3 each; every round builds a fresh net, so nothing is cached."""
+    best = {"solver": float("inf"), "reference": float("inf")}
+    built = {}
+    for _ in range(3):
+        for name, build in (("solver", GSPNSolver), ("reference", reference_template)):
+            net = build_cpu_gspn_net(buffer_capacity=40)
+            t0 = time.perf_counter()
+            built[name] = build(net)
+            best[name] = min(best[name], time.perf_counter() - t0)
+
+    got, want = built["solver"], built["reference"]
+    assert got.graph.markings == want.graph.markings
+    assert got.graph.tangible == want.graph.tangible
+    assert got.graph.edges_out == want.graph.edges_out
+    np.testing.assert_array_equal(got._rows, want.rows)
+    np.testing.assert_allclose(got._coeff, want.coeff, rtol=0, atol=1e-12)
+    speedup = best["reference"] / best["solver"]
+    print(
+        f"\ncold CPU GSPN template, buffer 40 ({got.graph.n_markings} markings, "
+        f"{got.n} tangible): reference {best['reference'] * 1e3:.1f} ms, "
+        f"solver {best['solver'] * 1e3:.1f} ms, speedup {speedup:.1f}x"
+    )
+    assert speedup >= 3.0, f"cold GSPN build only {speedup:.1f}x faster"

@@ -10,8 +10,9 @@ must beat a **cold one-shot sweep** (fresh backend construction + explore
 >= 5x, at bit-identical rows.
 
 The model is sized so preparation honestly dominates: the CPU GSPN at
-``buffer 60`` spends ~0.5 s exploring/eliminating for a 125-state chain
-whose four-point sweep then solves in single-digit milliseconds.
+``buffer 60`` spends ~20 ms exploring its 2198 markings and eliminating
+the vanishing ones for a 125-state chain whose four-point sweep then
+solves in a few milliseconds.
 
 The measured numbers are additionally written to ``BENCH_service.json``
 (times, speedup, configuration) so CI can upload them next to the

@@ -69,7 +69,6 @@ from repro.petri.invariants import (
     t_invariants_detailed,
     verify_p_invariant,
 )
-from repro.petri.pnml import from_pnml, load_pnml, save_pnml, to_pnml
 from repro.petri.structural import (
     CommonerResult,
     ConflictSet,
@@ -107,22 +106,18 @@ __all__ = [
     "commoner_check",
     "ctmc_from_net",
     "explore_reachability",
-    "from_pnml",
     "immediate_conflicts",
     "incidence_matrix",
     "invariant_report",
-    "load_pnml",
     "maximal_trap_within",
     "minimal_siphons",
     "minimal_traps",
     "p_invariants",
     "p_invariants_detailed",
-    "save_pnml",
     "structural_bounds",
     "structurally_dead_transitions",
     "t_invariants",
     "t_invariants_detailed",
     "to_dot",
-    "to_pnml",
     "verify_p_invariant",
 ]

@@ -18,17 +18,20 @@ by construction).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from repro.petri.marking import Marking
-from repro.petri.net import NetStructureError, PetriNet
-from repro.petri.transitions import ImmediateTransition
+from repro.petri.net import NetStructureError, PetriNet, TokenFire, transition_kernels
 
 __all__ = ["ReachabilityOptions", "Edge", "ReachabilityGraph", "explore_reachability"]
+
+# right-hand-side columns per SuperLU solve in the vanishing elimination
+_SOLVE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,8 @@ class ReachabilityGraph:
     edges_out: List[List[Edge]]
     initial_index: int
     complete: bool
+    # token counts, one row per marking (the rows back ``markings``)
+    counts: np.ndarray
     transition_names: List[str] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
@@ -83,9 +88,7 @@ class ReachabilityGraph:
     def is_k_bounded(self, k: int) -> bool:
         """True when every place holds <= k tokens in every explored marking
         (meaningful only when ``complete``)."""
-        return all(
-            int(m.counts.max(initial=0)) <= k for m in self.markings
-        )
+        return int(self.counts.max(initial=0)) <= k
 
     def dead_markings(self) -> List[int]:
         """Indices of markings with no enabled transitions (deadlocks)."""
@@ -112,147 +115,179 @@ class ReachabilityGraph:
         """For every vanishing marking, its distribution over the tangible
         markings ultimately reached through zero-time firings.
 
-        Solves ``B = (I - V)^{-1} R`` over the vanishing block.  Raises
-        :class:`NetStructureError` when vanishing markings form a zero-time
-        trap (livelock) — the system would then be singular.
+        Solves ``B = (I - V)^{-1} R`` over the vanishing block with one
+        sparse LU of ``I - V``, against only the tangible columns that an
+        immediate firing reaches.  Raises :class:`NetStructureError` when
+        vanishing markings form a zero-time trap (livelock) — the system
+        would then be singular.
         """
-        vanishing = self.vanishing_indices()
-        if not vanishing:
+        flags = np.asarray(self.tangible, dtype=bool)
+        vanishing = np.flatnonzero(~flags)
+        if not vanishing.size:
             return {}
-        v_pos = {m: i for i, m in enumerate(vanishing)}
-        tangible = self.tangible_indices()
-        t_pos = {m: i for i, m in enumerate(tangible)}
-        nv, nt = len(vanishing), len(tangible)
-        V = np.zeros((nv, nv))
-        R = np.zeros((nv, nt))
-        for vi, m in enumerate(vanishing):
+        tangible = np.flatnonzero(flags)
+        nv, nt = vanishing.size, tangible.size
+        # each marking's position within its own class
+        pos = np.empty(flags.size, dtype=np.intp)
+        pos[vanishing] = np.arange(nv)
+        pos[tangible] = np.arange(nt)
+        src: List[int] = []
+        dst: List[int] = []
+        prob: List[float] = []
+        for vi, m in enumerate(vanishing.tolist()):
             for e in self.edges_out[m]:
-                p = e.probability if e.probability is not None else 0.0
-                if self.tangible[e.target]:
-                    R[vi, t_pos[e.target]] += p
-                else:
-                    V[vi, v_pos[e.target]] += p
+                src.append(vi)
+                dst.append(e.target)
+                prob.append(e.probability if e.probability is not None else 0.0)
+        rows, targets = np.asarray(src, dtype=np.intp), np.asarray(dst, dtype=np.intp)
+        p = np.asarray(prob, dtype=np.float64)
+        exits = flags[targets]
+        stays = ~exits
+        V = sparse.csc_matrix(
+            (p[stays], (rows[stays], pos[targets[stays]])), shape=(nv, nv)
+        )
+        R = sparse.csc_matrix(
+            (p[exits], (rows[exits], pos[targets[exits]])), shape=(nv, nt)
+        )
+        reached = np.flatnonzero(np.diff(R.indptr))  # tangible columns hit
         try:
-            B = np.linalg.solve(np.eye(nv) - V, R)
-        except np.linalg.LinAlgError as exc:
+            lu = splu(sparse.identity(nv, format="csc") - V)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NetStructureError(
                 f"vanishing markings form a zero-time livelock: {exc}"
             ) from exc
+        # solve against R in blocks of columns: one wide solve runs its
+        # BLAS calls multi-threaded, which is no faster at these sizes and
+        # leaves the BLAS threads spinning for ~0.1 s, stalling the dense
+        # steady-state solves that follow a cold template build
+        rhs = R[:, reached].toarray(order="F")
+        B = np.empty_like(rhs)
+        for lo in range(0, rhs.shape[1], _SOLVE_BLOCK):
+            B[:, lo : lo + _SOLVE_BLOCK] = lu.solve(rhs[:, lo : lo + _SOLVE_BLOCK])
         if np.any(B < -1e-9):
             raise NetStructureError("negative absorption probability")
-        result: Dict[int, Dict[int, float]] = {}
-        for vi, m in enumerate(vanishing):
-            row = B[vi]
-            total = row.sum()
-            if not np.isclose(total, 1.0, atol=1e-8):
-                raise NetStructureError(
-                    f"vanishing marking {self.markings[m]!r} leaks probability "
-                    f"(sum={total:.6g}); likely a zero-time trap"
-                )
-            result[m] = {
-                tangible[tj]: float(row[tj]) for tj in range(nt) if row[tj] > 0.0
-            }
-        return result
+        totals = B.sum(axis=1)
+        leaks = ~np.isclose(totals, 1.0, atol=1e-8)
+        if leaks.any():
+            first = int(np.argmax(leaks))
+            raise NetStructureError(
+                f"vanishing marking {self.markings[vanishing[first]]!r} leaks "
+                f"probability (sum={totals[first]:.6g}); likely a zero-time trap"
+            )
+        # each row's positive support, in ascending tangible order
+        r, c = np.nonzero(B > 0.0)
+        keys = tangible[reached[c]].tolist()
+        values = B[r, c].tolist()
+        bounds = np.searchsorted(r, np.arange(nv + 1)).tolist()
+        return {
+            m: dict(zip(keys[lo:hi], values[lo:hi]))
+            for m, lo, hi in zip(vanishing.tolist(), bounds, bounds[1:])
+        }
 
 
 def explore_reachability(
     net: PetriNet, options: ReachabilityOptions = ReachabilityOptions()
 ) -> ReachabilityGraph:
-    """Breadth-first reachability exploration with vanishing classification."""
+    """Breadth-first reachability exploration with vanishing classification.
+
+    Markings are explored as tuples of token counts with the generated
+    per-transition kernels of :func:`~repro.petri.net.transition_kernels`
+    (guards receive a plain ``list``); the :class:`Marking` objects are
+    built once, at the end, from the stacked ``counts`` array.
+    """
     compiled = net.compile()
-    place_names = compiled.place_names
     transitions = compiled.transitions
+    tests, fires = transition_kernels(compiled, [()] * len(transitions))
 
-    # immediates grouped by descending priority, mirroring the simulator
-    imm_sorted = sorted(
-        compiled.immediate_indices,
-        key=lambda i: -transitions[i].priority,  # type: ignore[attr-defined]
-    )
+    # immediates by priority class, highest first, index order within a
+    # class (mirroring the simulator): the first class with an enabled
+    # member is the marking's conflict set
+    priority = {
+        ti: transitions[ti].priority  # type: ignore[attr-defined]
+        for ti in compiled.immediate_indices
+    }
+    priority_classes = [
+        [ti for ti in compiled.immediate_indices if priority[ti] == level]
+        for level in sorted(set(priority.values()), reverse=True)
+    ]
+    timed = compiled.timed_indices
+    # normalised weights, once per distinct conflict set
+    conflict_probs: Dict[Tuple[int, ...], List[float]] = {}
 
-    initial = compiled.initial_marking.copy()
-    init_marking = Marking(initial, place_names)
-    index: Dict[Marking, int] = {init_marking: 0}
-    markings: List[Marking] = [init_marking]
+    initial = tuple(compiled.initial_marking.tolist())
+    index: Dict[Tuple[int, ...], int] = {initial: 0}
+    keys: List[Tuple[int, ...]] = [initial]
     tangible: List[bool] = []
     edges_out: List[List[Edge]] = []
-    queue: deque[int] = deque([0])
     complete = True
 
-    while queue:
-        mi = queue.popleft()
-        m_vec = markings[mi].counts.copy()
-
-        # --- vanishing? find the maximal-priority enabled immediate set --- #
-        conflict: List[int] = []
-        best_priority: Optional[int] = None
-        for ti in imm_sorted:
-            prio = transitions[ti].priority  # type: ignore[attr-defined]
-            if best_priority is not None and prio < best_priority:
+    # BFS: markings are expanded in discovery (= index) order
+    for mi, key in enumerate(keys):
+        m = list(key)
+        conflict: Tuple[int, ...] = ()
+        for members in priority_classes:
+            conflict = tuple(ti for ti in members if tests[ti](m))
+            if conflict:
                 break
-            if compiled.enabled(ti, m_vec):
-                best_priority = prio
-                conflict.append(ti)
 
         edges: List[Edge] = []
         if conflict:
             tangible.append(False)
-            weights = np.array(
-                [transitions[i].weight for i in conflict]  # type: ignore[attr-defined]
-            )
-            probs = weights / weights.sum()
+            probs = conflict_probs.get(conflict)
+            if probs is None:
+                weights = np.array(
+                    [transitions[i].weight for i in conflict]  # type: ignore[attr-defined]
+                )
+                probs = conflict_probs[conflict] = [
+                    float(p) for p in weights / weights.sum()
+                ]
             for ti, p in zip(conflict, probs):
-                succ = compiled.successor(ti, m_vec)
-                target = _intern(succ, place_names, index, markings, queue)
-                edges.append(Edge(mi, target, ti, probability=float(p)))
+                target = _intern(fires[ti], m, index, keys)
+                edges.append(Edge(mi, target, ti, probability=p))
         else:
             tangible.append(True)
-            for ti in compiled.timed_indices:
-                if compiled.enabled(ti, m_vec):
-                    succ = compiled.successor(ti, m_vec)
-                    target = _intern(succ, place_names, index, markings, queue)
+            for ti in timed:
+                if tests[ti](m):
+                    target = _intern(fires[ti], m, index, keys)
                     edges.append(Edge(mi, target, ti))
         edges_out.append(edges)
 
-        if len(markings) > options.max_markings:
+        if len(keys) > options.max_markings:
+            # stop expanding; the queued markings stay unclassified
             complete = False
-            # stop expanding; classify remaining queued markings lazily
-            while queue:
-                qi = queue.popleft()
-                while len(tangible) <= qi:
-                    tangible.append(True)
-                    edges_out.append([])
             break
 
     # pad classification arrays if exploration stopped early
-    while len(tangible) < len(markings):
-        tangible.append(True)
-        edges_out.append([])
+    n_pad = len(keys) - len(tangible)
+    tangible.extend([True] * n_pad)
+    edges_out.extend([] for _ in range(n_pad))
 
+    counts = np.array(keys, dtype=np.int64).reshape(len(keys), -1)
     return ReachabilityGraph(
         net=net,
-        markings=markings,
+        markings=Marking.from_rows(counts, compiled.place_names),
         tangible=tangible,
         edges_out=edges_out,
         initial_index=0,
         complete=complete,
+        counts=counts,
         transition_names=[t.name for t in transitions],
     )
 
 
 def _intern(
-    vec: np.ndarray,
-    place_names: Sequence[str],
-    index: Dict[Marking, int],
-    markings: List[Marking],
-    queue: deque,
+    fire: TokenFire,
+    marking: List[int],
+    index: Dict[Tuple[int, ...], int],
+    keys: List[Tuple[int, ...]],
 ) -> int:
-    """Intern a marking vector, enqueueing it if new."""
-    m = Marking(vec, place_names)
-    found = index.get(m)
+    """Intern the successor of *marking* under *fire*, queueing it if new."""
+    succ = marking.copy()
+    fire(succ, [])
+    key = tuple(succ)
+    found = index.get(key)
     if found is not None:
         return found
-    new_index = len(markings)
-    index[m] = new_index
-    markings.append(m)
-    queue.append(new_index)
+    index[key] = new_index = len(keys)
+    keys.append(key)
     return new_index

@@ -51,7 +51,49 @@ from repro.petri.marking import Marking
 from repro.petri.net import NetStructureError, PetriNet
 from repro.petri.transitions import TimedTransition
 
-__all__ = ["GSPNSolution", "GSPNSolver", "ctmc_from_net"]
+__all__ = ["GSPNSolution", "GSPNSolver", "MetricColumns", "ctmc_from_net"]
+
+
+@dataclass(frozen=True)
+class MetricColumns:
+    """A template's metric vectors over its tangible markings.
+
+    Rate-independent, so :class:`GSPNSolver` builds them once and every
+    :class:`GSPNSolution` it returns shares them: a steady-state metric is
+    then one dot product with the stationary vector.  Every row is a
+    contiguous ``float64`` vector in tangible-marking order.
+    """
+
+    place_index: Dict[str, int]
+    #: token count of each place (one row per place index)
+    tokens: np.ndarray
+    #: 1.0 where a transition is enabled (one row per transition index)
+    enabled: np.ndarray
+
+    @classmethod
+    def from_graph(
+        cls, graph: ReachabilityGraph, tangible: List[int]
+    ) -> "MetricColumns":
+        """Token counts from ``graph.counts``; the enabling of each timed
+        transition from the tangible markings' out-edges (the explorer
+        gives a tangible marking one edge per enabled timed transition)."""
+        enabled = np.zeros((len(graph.transition_names), len(tangible)))
+        for row, mi in enumerate(tangible):
+            for e in graph.edges_out[mi]:
+                enabled[e.transition_index, row] = 1.0
+        tokens = np.ascontiguousarray(graph.counts[tangible].T, dtype=np.float64)
+        tokens.setflags(write=False)
+        enabled.setflags(write=False)
+        place_names = graph.net.compile().place_names
+        return cls(
+            place_index={name: i for i, name in enumerate(place_names)},
+            tokens=tokens,
+            enabled=enabled,
+        )
+
+    def token_row(self, place: str) -> np.ndarray:
+        """Token count of *place* per tangible marking."""
+        return self.tokens[self.place_index[place]]
 
 
 @dataclass
@@ -70,14 +112,12 @@ class GSPNSolution:
     tangible_markings: List[Marking]
     initial_distribution: np.ndarray
     graph: ReachabilityGraph
+    columns: MetricColumns
     rates: Dict[str, float] = field(default_factory=dict)
     solver_method: str = "auto"
     solver_tol: Optional[float] = None
     solver_max_iter: Optional[int] = None
     _pi: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _enabled_rows: Dict[str, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self) -> None:
         if not self.rates:
@@ -109,17 +149,12 @@ class GSPNSolution:
         This is the analytical counterpart of the simulator's time-averaged
         token statistic.
         """
-        pi = self._pi_vector()
-        counts = np.array([m[place] for m in self.tangible_markings], dtype=float)
-        return float(pi @ counts)
+        return float(self._pi_vector() @ self.columns.token_row(place))
 
     def probability_positive(self, place: str) -> float:
         """Steady-state probability that *place* is non-empty."""
-        pi = self._pi_vector()
-        indicator = np.array(
-            [1.0 if m[place] >= 1 else 0.0 for m in self.tangible_markings]
-        )
-        return float(pi @ indicator)
+        indicator = (self.columns.token_row(place) >= 1.0).astype(np.float64)
+        return float(self._pi_vector() @ indicator)
 
     def throughput(self, transition: str) -> float:
         """Steady-state firing rate of an exponential transition."""
@@ -128,22 +163,11 @@ class GSPNSolution:
             ti = graph.transition_names.index(transition)
         except ValueError:
             raise KeyError(f"unknown transition {transition!r}") from None
-        compiled = graph.net.compile()
-        trans = compiled.transitions[ti]
+        trans = graph.net.compile().transitions[ti]
         if not isinstance(trans, TimedTransition) or not trans.is_exponential:
             raise ValueError(f"{transition!r} is not an exponential transition")
         rate = self.rates[transition]
-        pi = self._pi_vector()
-        enabled = self._enabled_rows.get(transition)
-        if enabled is None:
-            enabled = np.array(
-                [
-                    1.0 if compiled.enabled(ti, m.counts) else 0.0
-                    for m in self.tangible_markings
-                ]
-            )
-            self._enabled_rows[transition] = enabled
-        return float(pi @ enabled) * rate
+        return float(self._pi_vector() @ self.columns.enabled[ti]) * rate
 
     def accumulated_reward(
         self, rewards: Mapping[Marking, float] | np.ndarray, t: float, **kwargs
@@ -239,6 +263,27 @@ class GSPNSolver:
         self._t_idx = np.asarray(t_idx, dtype=np.intp)
         self._coeff = np.asarray(coeff, dtype=np.float64)
 
+        # the generator's CSR layout is fixed by the template: each entry's
+        # deduplicated off-diagonal slot (row-major), the first slot of
+        # every row with an exit, and where the off-diagonal and diagonal
+        # values land among the row-sorted stored entries
+        n = self.n
+        slots, self._slot = np.unique(
+            self._rows * n + self._cols, return_inverse=True
+        )
+        slot_rows = slots // n
+        self._row_starts = np.flatnonzero(np.diff(slot_rows, prepend=-1))
+        entries = np.concatenate([slots, slot_rows[self._row_starts] * (n + 1)])
+        order = np.argsort(entries, kind="stable")
+        at = np.empty_like(order)
+        at[order] = np.arange(order.size)
+        self._off_at, self._diag_at = at[: slots.size], at[slots.size :]
+        entries = entries[order]
+        self._indices = (entries % n).astype(np.int32)
+        self._indptr = np.searchsorted(entries // n, np.arange(n + 1)).astype(
+            np.int32
+        )
+
         # rate-independent initial distribution (absorption uses immediate
         # weights only)
         init = np.zeros(self.n)
@@ -248,6 +293,7 @@ class GSPNSolver:
             for tm, p in absorption[graph.initial_index].items():
                 init[t_pos[tm]] += p
         self._init = init
+        self.columns = MetricColumns.from_graph(graph, tangible)
 
         self._exp_names: Dict[str, int] = {
             t.name: i
@@ -312,12 +358,23 @@ class GSPNSolver:
         return self._assemble(self._rate_vector(rates))
 
     def _assemble(self, rate_vec: np.ndarray) -> sparse.csr_matrix:
-        data = self._coeff * rate_vec[self._t_idx]
-        off = sparse.coo_matrix(
-            (data, (self._rows, self._cols)), shape=(self.n, self.n)
-        ).tocsr()
-        exit_rates = np.asarray(off.sum(axis=1)).ravel()
-        return (off - sparse.diags(exit_rates)).tocsr()
+        """``Q`` on the template's fixed CSR layout.  Duplicate entries sum
+        in template order and each diagonal is ``-np.add.reduceat`` of its
+        row, the arithmetic of scipy's COO -> CSR conversion and row sum,
+        so ``Q`` is bit-identical to ``coo.tocsr() - diags(row sums)``."""
+        off = np.bincount(
+            self._slot,
+            weights=self._coeff * rate_vec[self._t_idx],
+            minlength=self._off_at.size,
+        )
+        values = np.empty(self._indices.size)
+        values[self._off_at] = off
+        if self._row_starts.size:
+            values[self._diag_at] = -np.add.reduceat(off, self._row_starts)
+        return sparse.csr_matrix(
+            (values, self._indices.copy(), self._indptr.copy()),
+            shape=(self.n, self.n),
+        )
 
     def solve(
         self,
@@ -369,6 +426,7 @@ class GSPNSolver:
             tangible_markings=self.markings,
             initial_distribution=self._init.copy(),
             graph=self.graph,
+            columns=self.columns,
             rates=effective,
             solver_method=method,
             solver_tol=tol,

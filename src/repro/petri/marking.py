@@ -3,13 +3,14 @@
 A marking is stored as a NumPy ``int64`` vector indexed by place index.
 :class:`Marking` is a thin wrapper adding name-based access, hashability
 (for reachability-set membership) and the arithmetic the token game needs.
-The simulator works on a plain list of ints for speed and only
-materialises :class:`Marking` objects at API boundaries.
+The simulator and the reachability explorer work on plain lists of ints
+for speed and only materialise :class:`Marking` objects at API boundaries
+(the explorer all at once, with :meth:`Marking.from_rows`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -108,6 +109,37 @@ class Marking:
         return f"Marking({inner or 'empty'})"
 
     # ------------------------------------------------------------------ #
+    @classmethod
+    def from_rows(
+        cls, counts: np.ndarray, place_names: Sequence[str]
+    ) -> List["Marking"]:
+        """One marking per row of a 2-D ``int64`` count array.
+
+        The array is validated once and made read-only; each marking is a
+        view of its row, and all of them share one name index.  Each
+        marking equals, and hashes like, ``Marking(row, place_names)``.
+        """
+        if counts.ndim != 2 or counts.dtype != np.int64:
+            raise ValueError("counts must be a 2-D int64 array")
+        if counts.shape[1] != len(place_names):
+            raise ValueError(
+                f"{len(place_names)} names for {counts.shape[1]} counts"
+            )
+        if np.any(counts < 0):
+            raise ValueError("token counts must be >= 0")
+        counts.setflags(write=False)
+        names = tuple(place_names)
+        index = {name: i for i, name in enumerate(names)}
+        markings: List[Marking] = []
+        for row in counts:
+            m = cls.__new__(cls)
+            m._counts = row
+            m._names = names
+            m._index = index
+            m._hash = hash((names, row.tobytes()))
+            markings.append(m)
+        return markings
+
     @classmethod
     def from_dict(
         cls, tokens: Mapping[str, int], place_names: Sequence[str]

@@ -9,6 +9,8 @@ cached and invalidated on any structural mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
+from types import CodeType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -23,11 +25,25 @@ from repro.petri.transitions import (
     Transition,
 )
 
-__all__ = ["Place", "PetriNet", "NetStructureError", "CompiledNet", "TokenVector"]
+__all__ = [
+    "Place",
+    "PetriNet",
+    "NetStructureError",
+    "CompiledNet",
+    "TokenVector",
+    "transition_kernels",
+]
 
-# an integer-indexable token vector: the simulator's plain list or the
-# ``int64`` arrays of the reachability analysis
 TokenVector = Union[np.ndarray, List[int]]
+"""An integer-indexable token vector, indexed by place index.
+
+The simulator and the reachability explorer both hold markings as plain
+``list``s of ints, so a transition guard always receives a ``list``: index
+it, do not rely on array methods.  :meth:`CompiledNet.enabled` and
+:meth:`CompiledNet.fire` also accept ``int64`` arrays.
+"""
+TokenTest = Callable[[List[int]], bool]
+TokenFire = Callable[[List[int], List[bool]], None]
 
 
 class NetStructureError(ValueError):
@@ -126,11 +142,69 @@ class CompiledNet:
                     f"after firing {self.transitions[t_index].name!r}"
                 )
 
-    def successor(self, t_index: int, marking: np.ndarray) -> np.ndarray:
-        """Marking after firing *t_index* (copy; for reachability search)."""
-        out = marking.copy()
-        self.fire(t_index, out)
-        return out
+
+def transition_kernels(
+    c: CompiledNet, refresh: Sequence[Sequence[int]]
+) -> Tuple[List[TokenTest], List[TokenFire]]:
+    """Straight-line enabling tests and firing functions, one per transition.
+
+    Generated from the integer arc tuples, so the token game walks no arc
+    lists.  ``tests[t](m)`` is ``m[p] >= k and m[q] < j and m[r] <= c …``:
+    inputs, inhibitors, capacity checks, then the guard, the order of
+    :meth:`CompiledNet.enabled`.  ``fires[t](m, flags)`` adds *t*'s net
+    token deltas to *m*, then sets ``flags[j]`` to transition *j*'s enabling
+    for every *j* in ``refresh[t]``.  A firing that would push a
+    capacity-bounded output place past its bound is handed to
+    :meth:`CompiledNet.fire`, which raises its
+    :class:`NetStructureError` at the same arc.  On plain-list markings
+    the kernels agree with :meth:`CompiledNet.enabled` and
+    :meth:`CompiledNet.fire` exactly.  The token game
+    (:mod:`repro.petri.simulator`) and the reachability explorer
+    (:mod:`repro.petri.analysis`) both run on them.
+
+    Build them per simulator or exploration: stored on the cached
+    :class:`CompiledNet`, these functions would stop a compiled
+    :class:`PetriNet` from pickling.
+    """
+    transitions = c.transitions
+    # guard j is the global g<j> of every kernel
+    guards = {
+        f"g{j}": t.guard for j, t in enumerate(transitions) if t.guard is not None
+    }
+    conditions = []
+    for j, t in enumerate(transitions):
+        terms = [f"m[{p}] >= {k}" for p, k in c.inputs[j]]
+        terms += [f"m[{p}] < {k}" for p, k in c.inhibitors[j]]
+        terms += [f"m[{p}] <= {c.capacities[p] - d}" for p, d in c.capacity_checks[j]]
+        if t.guard is not None:
+            terms.append(f"bool(g{j}(m))")
+        conditions.append(" and ".join(terms) or "True")
+
+    tests: List[TokenTest] = [
+        eval(_compile(f"lambda m: {cond}", "eval"), guards) for cond in conditions
+    ]
+    fires: List[TokenFire] = []
+    for t in range(len(transitions)):
+        delta = dict(c.deltas[t])
+        overflow = " or ".join(
+            f"m[{p}] > {c.capacities[p] - delta.get(p, 0)}"
+            for p in dict.fromkeys(p for p, _ in c.outputs[t])
+            if c.capacities[p] >= 0
+        )
+        lines = [f"if {overflow}: return fire(m)"] if overflow else []
+        lines += [f"m[{p}] += {d}" for p, d in c.deltas[t]]
+        lines += [f"f[{j}] = {conditions[j]}" for j in refresh[t]]
+        namespace = dict(guards, fire=partial(c.fire, t))
+        body = "".join(f"\n    {line}" for line in lines or ["pass"])
+        exec(_compile(f"def kernel(m, f):{body}", "exec"), namespace)
+        fires.append(namespace["kernel"])
+    return tests, fires
+
+
+@lru_cache(maxsize=1024)
+def _compile(source: str, mode: str) -> CodeType:
+    """Kernel source, compiled once: nets of one shape share the texts."""
+    return compile(source, "<token-game kernel>", mode)
 
 
 class PetriNet:

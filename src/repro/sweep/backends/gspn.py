@@ -146,9 +146,7 @@ class GSPNBackend(SweepBackend):
             raise KeyError(
                 f"unknown place {place!r} (have: {sorted(self._place_names)})"
             )
-        return np.array(
-            [float(m[place]) for m in solution.tangible_markings]
-        )
+        return solution.columns.token_row(place)
 
     def _transient_metric(self, solution: GSPNSolution, spec: MetricSpec) -> float:
         if spec.arg is None:

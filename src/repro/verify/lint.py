@@ -393,9 +393,7 @@ def _exploration_diagnostics(
         )
         return diags, facts
 
-    bound = max(
-        (int(m.counts.max(initial=0)) for m in graph.markings), default=0
-    )
+    bound = int(graph.counts.max(initial=0))
     facts.append(
         f"state space explored completely: {graph.n_markings} markings, "
         f"{bound}-bounded"
