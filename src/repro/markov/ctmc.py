@@ -56,10 +56,7 @@ __all__ = [
     "SPARSE_AUTO_THRESHOLD",
     "STEADY_STATE_METHODS",
     "SolverCache",
-    "gmres_augmented_solve",
     "gmres_steady_state",
-    "lu_analyse_solve",
-    "lu_resolve_permuted",
     "power_steady_state",
     "resolve_steady_state_method",
     "sparse_steady_state",
@@ -92,8 +89,6 @@ GMRES_RESTART = 50
 #: incomplete factorisation hits the same fill cliff as complete LU —
 #: exactly what the iterative path exists to avoid — while a weak ILU
 #: builds in ~linear time and merely costs extra (cheap) iterations.
-#: Callers whose sparsity pattern is known to be narrow-banded (e.g. the
-#: phase-type sweep backend) pass stronger settings explicitly.
 ILU_DROP_TOL = 0.1
 ILU_FILL_FACTOR = 2
 
@@ -274,48 +269,6 @@ def _finalize_pi(pi: np.ndarray) -> np.ndarray:
     return pi / total
 
 
-def lu_analyse_solve(
-    A: sparse.spmatrix, b: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``A x = b`` via SuperLU; returns ``(x, perm_c)``.
-
-    ``perm_c`` is the fill-reducing column ordering *inverted into
-    pre-permutation form*: a later system with the same sparsity pattern
-    can be solved through :func:`lu_resolve_permuted` after permuting its
-    columns as ``A[:, perm_c]``, skipping the symbolic analysis.
-    Singular systems raise ``ValueError``.
-    """
-    with obs.span("solve.lu_analyse", n=len(b)):
-        try:
-            lu = splu(A)
-            # SuperLU's perm_c maps original -> factor column positions;
-            # invert it so reuse can *pre*-permute the columns
-            return lu.solve(b), np.argsort(lu.perm_c)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise NumericalSolveError(f"singular generator: {exc}") from exc
-
-
-def lu_resolve_permuted(
-    A_permuted: sparse.spmatrix, b: np.ndarray, perm_c: np.ndarray
-) -> np.ndarray:
-    """Solve a same-pattern system whose columns are already ``A[:, perm_c]``.
-
-    SuperLU factors with ``ColPerm=NATURAL`` — numeric work only, the
-    symbolic analysis was paid by :func:`lu_analyse_solve` — and the
-    solution is scattered back to the original ordering.  Any valid
-    permutation keeps the solve exact (row pivoting still runs), so a
-    stale ``perm_c`` costs fill, never correctness.
-    """
-    with obs.span("solve.lu_factor", n=len(b)):
-        try:
-            y = splu(A_permuted, permc_spec="NATURAL").solve(b)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise NumericalSolveError(f"singular generator: {exc}") from exc
-    x = np.empty(len(b))
-    x[perm_c] = y
-    return x
-
-
 def _augmented_system(Q: sparse.spmatrix) -> Tuple[sparse.csc_matrix, np.ndarray]:
     """``(A, b)`` of the augmented steady-state system.
 
@@ -333,7 +286,7 @@ def _augmented_system(Q: sparse.spmatrix) -> Tuple[sparse.csc_matrix, np.ndarray
     return A, b
 
 
-def gmres_augmented_solve(
+def _gmres_augmented_solve(
     A: sparse.spmatrix,
     b: np.ndarray,
     tol: Optional[float] = None,
@@ -341,14 +294,11 @@ def gmres_augmented_solve(
     x0: Optional[np.ndarray] = None,
     cache: Optional[Dict] = None,
     use_ilu: bool = True,
-    drop_tol: Optional[float] = None,
-    fill_factor: Optional[float] = None,
 ) -> Tuple[np.ndarray, int]:
     """Solve a prebuilt augmented steady-state system by ILU-GMRES.
 
-    The workhorse behind :func:`gmres_steady_state`; exposed separately so
-    sweep backends that already hold the augmented system (e.g. the
-    phase-type backend's affine CSC template) can skip re-assembly.
+    The workhorse behind :func:`gmres_steady_state`, which assembles the
+    system and owns the state reordering.
 
     Parameters
     ----------
@@ -375,12 +325,8 @@ def gmres_augmented_solve(
         for the next warm start.
     use_ilu : bool
         Disable to run unpreconditioned GMRES (mainly for tests and for
-        chains whose ILU factors would not fit in memory).
-    drop_tol, fill_factor : float, optional
-        ILU strength (defaults :data:`ILU_DROP_TOL` /
-        :data:`ILU_FILL_FACTOR` — deliberately weak; see the constants).
-        Callers with narrow-banded patterns gain from much stronger
-        settings, which then amortise across a warm-started sweep.
+        chains whose ILU factors would not fit in memory).  The ILU
+        strength is :data:`ILU_DROP_TOL` / :data:`ILU_FILL_FACTOR`.
 
     Returns
     -------
@@ -425,10 +371,8 @@ def gmres_augmented_solve(
             try:
                 ilu = spilu(
                     sparse.csc_matrix(A),
-                    drop_tol=ILU_DROP_TOL if drop_tol is None else drop_tol,
-                    fill_factor=(
-                        ILU_FILL_FACTOR if fill_factor is None else fill_factor
-                    ),
+                    drop_tol=ILU_DROP_TOL,
+                    fill_factor=ILU_FILL_FACTOR,
                 )
                 M = LinearOperator((n, n), ilu.solve)
                 fresh_ilu = True
@@ -515,7 +459,7 @@ def gmres_steady_state(
     starts and the returned distribution stay in the caller's original
     state order; the permutation is internal.
 
-    See :func:`gmres_augmented_solve` for the remaining parameter
+    See :func:`_gmres_augmented_solve` for the remaining parameter
     semantics (*cache* carries warm starts and the shared preconditioner
     across a sweep).  Assumes an irreducible chain; unlike the LU path, a
     reducible chain may surface as :class:`ConvergenceError` rather than
@@ -547,7 +491,7 @@ def gmres_steady_state(
             if pi0 is not None and np.shape(pi0) == (n,):
                 x0 = np.asarray(pi0, dtype=np.float64)[perm]
     A, b = _augmented_system(Q)
-    x, _ = gmres_augmented_solve(
+    x, _ = _gmres_augmented_solve(
         A, b, tol=tol, max_iter=max_iter, x0=x0, cache=cache, use_ilu=use_ilu
     )
     if perm is not None:
@@ -710,14 +654,28 @@ def sparse_steady_state(
     n = Q.shape[0]
     A, b = _augmented_system(Q)
     if perm_c is None:
-        pi, perm_c = lu_analyse_solve(A, b)
-    else:
-        perm_c = np.asarray(perm_c)
-        if perm_c.shape != (n,):
-            raise ValueError(
-                f"perm_c must have length {n}, got shape {perm_c.shape}"
-            )
-        pi = lu_resolve_permuted(A[:, perm_c], b, perm_c)
+        with obs.span("solve.lu_analyse", n=n):
+            try:
+                lu = splu(A)
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise NumericalSolveError(f"singular generator: {exc}") from exc
+            pi = lu.solve(b)
+        # SuperLU's perm_c maps original -> factor column positions;
+        # invert it so a later call can *pre*-permute the columns
+        return _finalize_pi(pi), np.argsort(lu.perm_c)
+    perm_c = np.asarray(perm_c)
+    if perm_c.shape != (n,):
+        raise ValueError(
+            f"perm_c must have length {n}, got shape {perm_c.shape}"
+        )
+    A = A[:, perm_c]
+    with obs.span("solve.lu_factor", n=n):
+        try:
+            y = splu(A, permc_spec="NATURAL").solve(b)
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise NumericalSolveError(f"singular generator: {exc}") from exc
+    pi = np.empty(n)
+    pi[perm_c] = y
     return _finalize_pi(pi), perm_c
 
 

@@ -174,10 +174,11 @@ class SweepBackend(abc.ABC):
     symbolic factorisation analysis); :meth:`solve` binds one grid
     point's values to the template and returns a *solution*;
     :meth:`evaluate` turns a solution plus a metric spec into one
-    result-table cell.  Backends with a linear-algebra core additionally
-    accept a steady-state solver ``method`` (``"auto"``/``"lu"``/
-    ``"gmres"``/``"power"``) — see ``docs/solvers.md`` for the selection
-    guide.
+    result-table cell.  The ``gspn`` backend, whose chains have no
+    structure to exploit, additionally accepts a steady-state solver
+    ``method`` (``"auto"``/``"lu"``/``"gmres"``/``"power"``) — see
+    ``docs/solvers.md`` for the selection guide; the phase-type backend
+    always runs its exact level recursion.
     """
 
     #: registry name, e.g. ``"gspn"``

@@ -15,17 +15,17 @@ exploits rate rebinding:
   (:func:`repro.core.phase_type.build_stage_lattice`), sort the COO
   triplets into a fixed CSR pattern, and precompute the per-state
   collapse vectors (state-kind masks, job counts, power draws);
-- **solve_batch** (per span of the grid): under ``method="auto"``, the
-  exact ``O(states)`` level recursion
-  (:func:`repro.core.phase_type.stage_chain_stationary`) run **once** over
-  the span's stacked ``(B, 4)`` rate rows — no matrix is assembled, and
-  the per-point Python overhead is paid per batch.  Row ``k`` of the
-  result is bitwise the vector a one-point :meth:`PhaseTypeBackend.solve`
-  computes, whatever the batch's size or order, so batching is invisible
-  in the rows.  The explicit methods stay as cross-checks and solve point
-  by point: ``"lu"`` fills the augmented system's data slot by an affine
-  map and solves through a symbolic LU shared across the sweep;
-  ``"gmres"`` and ``"power"`` iterate with warm starts.
+- **solve_batch** (per span of the grid): the exact ``O(states)`` level
+  recursion (:func:`repro.core.phase_type.stage_chain_stationary`) run
+  **once** over the span's stacked ``(B, 4)`` rate rows — no matrix is
+  assembled, and the per-point Python overhead is paid per batch.  Row
+  ``k`` of the result is bitwise the vector a one-point
+  :meth:`PhaseTypeBackend.solve` computes, whatever the batch's size or
+  order, so batching is invisible in the rows.
+
+The recursion is the backend's only steady-state solver.  Its
+independent check is the generic sparse LU (or GMRES) of each point's
+own generator, ``PhaseTypeSweepSolution.Q``, which the tests run.
 
 Per-point failure isolation survives batching: a point whose parameters
 fail to bind never enters the stack, and a row the kernel returns
@@ -67,16 +67,7 @@ from repro.core.phase_type import (
     stage_rate_vector,
     state_power_vector,
 )
-from repro.markov.ctmc import (
-    CTMC,
-    SolverCache,
-    _finalize_pi,
-    gmres_augmented_solve,
-    lu_analyse_solve,
-    lu_resolve_permuted,
-    power_steady_state,
-    resolve_steady_state_method,
-)
+from repro.markov.ctmc import CTMC, _finalize_pi
 from repro.sweep.backends.base import (
     CPUParamsAxesMixin,
     MetricSpec,
@@ -87,15 +78,6 @@ __all__ = ["PhaseTypeBackend", "PhaseTypeSweepSolution", "PhaseTypeTemplate"]
 
 #: stage-structure state kinds -> canonical StateFractions names
 _KIND_TO_STATE = {"busy": "active", "powerup": "powerup", "standby": "standby", "idle": "idle"}
-
-#: ILU strength for the GMRES path.  The stage-expanded chain is
-#: narrow-banded in its natural state order, so a *strong* incomplete
-#: factorisation stays cheap to build (unlike on lattice-like reachability
-#: graphs, where ``repro.markov.ctmc``'s weak defaults are the right call)
-#: and pays for itself across a warm-started grid: per-point solves drop
-#: to a handful of iterations.
-_ILU_DROP_TOL = 1e-5
-_ILU_FILL_FACTOR = 20
 
 #: Exception types a batched solve records *per point* instead of raising:
 #: the same numerical family the runner's pointwise isolation catches
@@ -148,13 +130,6 @@ class PhaseTypeTemplate:
     indptr: np.ndarray
     indices: np.ndarray
     rate_pick: np.ndarray  # CSR-ordered symbolic rate ids
-    # fixed CSC pattern of the augmented steady-state system
-    # (Q^T with its last balance row replaced by the normalisation row);
-    # per-point numbers are the affine map  A.data = A_G @ rate_vec + A_c0
-    A_indptr: np.ndarray
-    A_indices: np.ndarray
-    A_G: np.ndarray  # (nnz_A, 4) symbolic-rate coefficients
-    A_c0: np.ndarray  # (nnz_A,) constant part (the normalisation row)
     # collapse vectors
     kind_masks: Dict[str, np.ndarray]  # state name -> {0,1} occupancy mask
     jobs: np.ndarray  # jobs in system per state
@@ -245,20 +220,14 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         ``truncation_mass`` metric stays negligible.  State count grows
         as ``1 + stages * n_max + n_max + stages`` — the
         level recursion's cost is linear in it.
-    method : {"auto", "lu", "gmres", "power"}
-        Steady-state solver.  ``"auto"`` runs the exact level recursion
-        at every size (see
-        :func:`repro.core.phase_type.stage_chain_stationary`).  The
-        explicit methods are cross-checks (see
-        :meth:`repro.markov.ctmc.CTMC.steady_state`): ``"lu"`` runs the
-        affine-map symbolic-LU path; the iterative methods warm-start
-        each grid point from the previous point's solution and share one
-        ILU preconditioner across the grid.
-    tol : float, optional
-        Convergence tolerance of the iterative methods (default
-        ``1e-10``); ignored by ``"lu"``.
-    max_iter : int, optional
-        Iteration budget of the iterative methods; ignored by ``"lu"``.
+
+    Notes
+    -----
+    The steady state is always the exact level recursion
+    (:func:`repro.core.phase_type.stage_chain_stationary`); there is no
+    solver to choose.  ``PhaseTypeSweepSolution.Q`` is the point's
+    generator, for cross-checks against the generic solvers of
+    :mod:`repro.markov.ctmc`.
     """
 
     name = "phase-type"
@@ -278,11 +247,7 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         stages_powerup: Optional[int] = None,
         stages_idle: Optional[int] = None,
         n_max: Optional[int] = None,
-        method: str = "auto",
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
     ) -> None:
-        resolve_steady_state_method(1, method)  # validate the name eagerly
         if params is None:
             params = CPUModelParams.paper_defaults()
         if params.power_up_delay <= 0.0 or params.power_down_threshold <= 0.0:
@@ -304,11 +269,6 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         self.k_d = model.k_d
         self.k_t = model.k_t
         self.n_max = model.n_max
-        self.method = method
-        self.tol = tol
-        self.max_iter = max_iter
-        self._factor_cache: SolverCache = SolverCache()
-        self._A_perm: Optional[sparse.csc_matrix] = None
 
     # ------------------------------------------------------------------ #
     def _prepare(self) -> PhaseTypeTemplate:
@@ -327,10 +287,6 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         assert not dup.any(), "stage structure emitted duplicate edges"
         indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-
-        A_indptr, A_indices, A_G, A_c0 = self._augmented_pattern(
-            n, rows, cols, rate_ids
-        )
 
         kind_masks = {
             name: np.zeros(n) for name in STATE_NAMES
@@ -352,63 +308,12 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
             indptr=indptr,
             indices=cols,
             rate_pick=rate_ids,
-            A_indptr=A_indptr,
-            A_indices=A_indices,
-            A_G=A_G,
-            A_c0=A_c0,
             kind_masks=kind_masks,
             jobs=jobs,
             trunc_mask=trunc,
             power_mw=state_power_vector(states, self.params.profile),
             p0=p0,
         )
-
-    @staticmethod
-    def _augmented_pattern(
-        n: int, rows: np.ndarray, cols: np.ndarray, rate_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSC pattern + affine data map of the steady-state system.
-
-        The system is ``A = [Q^T without its last row; ones]``.  Every
-        entry of ``A`` is an affine function of the four symbolic rates:
-        off-diagonal generator entries carry exactly one rate, diagonal
-        entries carry minus the sum of their row's exit rates, and the
-        normalisation row is the constant 1 — so the per-point numbers
-        collapse to ``A.data = A_G @ rate_vec + A_c0``, one tiny GEMV.
-        """
-        # triplets (row, col, rate slot, coefficient) of A
-        off = cols != n - 1  # Q^T entries, minus the replaced last row
-        diag = rows != n - 1  # exit-rate contributions to Q^T's diagonal
-        t_rows = np.concatenate([cols[off], rows[diag], np.full(n, n - 1)])
-        t_cols = np.concatenate([rows[off], rows[diag], np.arange(n)])
-        t_slot = np.concatenate(
-            [rate_ids[off], rate_ids[diag], np.full(n, -1)]
-        )
-        t_coeff = np.concatenate(
-            [np.ones(off.sum()), -np.ones(diag.sum()), np.ones(n)]
-        )
-
-        order = np.lexsort((t_rows, t_cols))  # CSC: by column, then row
-        t_rows, t_cols = t_rows[order], t_cols[order]
-        t_slot, t_coeff = t_slot[order], t_coeff[order]
-        new_group = np.ones(len(t_rows), dtype=bool)
-        new_group[1:] = (t_cols[1:] != t_cols[:-1]) | (t_rows[1:] != t_rows[:-1])
-        group = np.cumsum(new_group) - 1
-        nnz = int(group[-1]) + 1
-
-        A_indices = t_rows[new_group]
-        entry_cols = t_cols[new_group]
-        A_indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(entry_cols, minlength=n), out=A_indptr[1:])
-
-        A_G = np.zeros((nnz, 4))
-        A_c0 = np.zeros(nnz)
-        symbolic = t_slot >= 0
-        np.add.at(
-            A_G, (group[symbolic], t_slot[symbolic]), t_coeff[symbolic]
-        )
-        np.add.at(A_c0, group[~symbolic], t_coeff[~symbolic])
-        return A_indptr, A_indices, A_G, A_c0
 
     def _point_params(self, point: Mapping[str, float]) -> CPUModelParams:
         params = super()._point_params(point)
@@ -465,10 +370,8 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         Returns a list aligned with *points*: a
         :class:`PhaseTypeSweepSolution` per solved point, or the
         numerical exception that felled it (zero-delay parameter points,
-        non-finite rows, convergence stalls).  Configuration errors —
-        unknown axes and the like, which would fail on every point —
-        propagate instead.  An explicit ``"lu"``, ``"gmres"`` or
-        ``"power"`` method has no stacked form and solves point by point.
+        non-finite rows).  Configuration errors — unknown axes and the
+        like, which would fail on every point — propagate instead.
         """
         tpl = self.prepare()
         results: List[Union[PhaseTypeSweepSolution, Exception, None]] = [
@@ -485,11 +388,7 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
                 continue
             bound.append((pos, params, self._rate_vector(params)))
         if bound:
-            rate_vecs = [rv for _, _, rv in bound]
-            if self.method == "auto":
-                pis = self._solve_stack(tpl, rate_vecs)
-            else:
-                pis = self._solve_pointwise(tpl, rate_vecs)
+            pis = self._solve_stack(tpl, [rv for _, _, rv in bound])
             for (pos, params, rate_vec), pi in zip(bound, pis):
                 if isinstance(pi, Exception):
                     results[pos] = pi
@@ -521,8 +420,8 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
     ) -> List[Union[np.ndarray, Exception]]:
         """Same points, one at a time, exactly as :meth:`solve` does.
 
-        The path for the explicit methods, and for isolating a failed
-        kernel call.  Each point either solves or records its exception.
+        Isolates a kernel call that failed as a whole: each point either
+        solves or records its exception.
         """
         out: List[Union[np.ndarray, Exception]] = []
         for rate_vec in rate_vecs:
@@ -536,139 +435,10 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
     def _steady_state(
         self, tpl: PhaseTypeTemplate, rate_vec: np.ndarray
     ) -> np.ndarray:
-        """Solve ``pi Q = 0`` for one point.
-
-        Dispatches on the backend's ``method``: the exact level recursion
-        (``"auto"``), the LU path below, or the iterative solvers (GMRES
-        on the same augmented CSC system, power iteration on the
-        generator), which warm-start from the previous grid point's
-        solution held in the shared cache.
-        """
-        if self.method == "auto":
-            return _finalize_pi(
-                stage_chain_stationary(tpl.lattice, rate_vec[None, :])[0]
-            )
-        if self.method == "gmres":
-            return self._gmres_steady_state(tpl, rate_vec)
-        if self.method == "power":
-            return self._power_steady_state(tpl, rate_vec)
-        return self._lu_steady_state(tpl, rate_vec)
-
-    def _gmres_steady_state(
-        self, tpl: PhaseTypeTemplate, rate_vec: np.ndarray
-    ) -> np.ndarray:
-        """ILU-GMRES on the affine-map augmented system (no permutation)."""
-        n = tpl.n_states
-        A = sparse.csc_matrix(
-            (tpl.A_G @ rate_vec + tpl.A_c0, tpl.A_indices, tpl.A_indptr),
-            shape=(n, n),
+        """Solve ``pi Q = 0`` for one point: a one-row recursion call."""
+        return _finalize_pi(
+            stage_chain_stationary(tpl.lattice, rate_vec[None, :])[0]
         )
-        b = np.zeros(n)
-        b[-1] = 1.0
-        x, _ = gmres_augmented_solve(
-            A,
-            b,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            cache=self._factor_cache,
-            drop_tol=_ILU_DROP_TOL,
-            fill_factor=_ILU_FILL_FACTOR,
-        )
-        return _finalize_pi(x)
-
-    def _power_steady_state(
-        self, tpl: PhaseTypeTemplate, rate_vec: np.ndarray
-    ) -> np.ndarray:
-        """Power iteration on the uniformized point generator."""
-        n = tpl.n_states
-        off = sparse.csr_matrix(
-            (rate_vec[tpl.rate_pick], tpl.indices, tpl.indptr), shape=(n, n)
-        )
-        exit_rates = np.asarray(off.sum(axis=1)).ravel()
-        Q = (off - sparse.diags(exit_rates)).tocsr()
-        return power_steady_state(
-            Q,
-            tol=self.tol,
-            max_iter=self.max_iter,
-            cache=self._factor_cache,
-        )
-
-    def _lu_steady_state(
-        self, tpl: PhaseTypeTemplate, rate_vec: np.ndarray
-    ) -> np.ndarray:
-        """Direct solve through the shared symbolic LU.
-
-        The first point pays the symbolic COLAMD analysis and caches both
-        the column permutation and the data-slot shuffle that applies it;
-        every later point reassembles pre-permuted in ``O(nnz)`` and
-        factors with ``ColPerm=NATURAL`` — numeric work only.
-        """
-        n = tpl.n_states
-        data = tpl.A_G @ rate_vec + tpl.A_c0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        cache = self._factor_cache
-        if "perm_c" not in cache:
-            A = sparse.csc_matrix(
-                (data, tpl.A_indices, tpl.A_indptr), shape=(n, n)
-            )
-            pi, perm_c = lu_analyse_solve(A, b)
-            # data-slot view of the column permutation, so later points
-            # can assemble A[:, perm_c] by pure gathers
-            counts = np.diff(tpl.A_indptr)
-            data_map = np.concatenate(
-                [
-                    np.arange(tpl.A_indptr[p], tpl.A_indptr[p + 1])
-                    for p in perm_c
-                ]
-            )
-            perm_indptr = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(counts[perm_c], out=perm_indptr[1:])
-            cache.update(
-                perm_c=perm_c,
-                data_map=data_map,
-                perm_indptr=perm_indptr,
-                perm_indices=tpl.A_indices[data_map],
-            )
-        else:
-            A = self._permuted_system(n)
-            A.data[:] = data[cache["data_map"]]
-            pi = lu_resolve_permuted(A, b, cache["perm_c"])
-        return _finalize_pi(pi)
-
-    def _permuted_system(self, n: int) -> sparse.csc_matrix:
-        """The reusable pre-permuted matrix object (data overwritten
-        per point; ``splu`` copies what it needs, so sharing is safe)."""
-        if self._A_perm is None:
-            cache = self._factor_cache
-            self._A_perm = sparse.csc_matrix(
-                (
-                    np.empty(len(cache["data_map"])),
-                    cache["perm_indices"],
-                    cache["perm_indptr"],
-                ),
-                shape=(n, n),
-            )
-        return self._A_perm
-
-    def reset_point_state(self) -> None:
-        """Drop the previous point's warm start (chunk-boundary hook).
-
-        The symbolic LU analysis, the data-slot permutation, and the ILU
-        preconditioner are rate-independent and survive; only the
-        iterative methods' starting vector is forgotten.
-        """
-        self._factor_cache.drop_warm_start()
-
-    def reset_solver_state(self) -> None:
-        """Drop warm starts and cached factorisations (force cold solves).
-
-        The next solve pays the full symbolic analysis / preconditioner
-        build again — what a sweep amortises.  Mainly for benchmarks and
-        tests that compare warm against cold iteration.
-        """
-        self._factor_cache.clear()
-        self._A_perm = None
 
     @property
     def n_states(self) -> int:
@@ -677,18 +447,14 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
     @property
     def steady_method(self) -> str:
         """The steady-state solver a point solve runs."""
-        return "exact level-recursion" if self.method == "auto" else self.method
+        return "exact level-recursion"
 
     def describe(self) -> str:
-        solver = (
-            f"{self.steady_method} steady state in one call per batch"
-            if self.method == "auto"
-            else f"per-point {self.steady_method} steady state"
-        )
         return (
             f"{self.n_states} phase-type states "
             f"(k_d={self.k_d}, k_t={self.k_t}, n_max={self.n_max}), "
-            f"structure built once, {solver}"
+            f"structure built once, {self.steady_method} steady state in "
+            "one call per batch"
         )
 
     # ------------------------------------------------------------------ #

@@ -143,17 +143,7 @@ def canonical_model_spec(spec: Any) -> Dict[str, Any]:
         )
     if kind == "phase-type-batched":
         kind = "phase-type"  # deprecated spelling of the same template
-    solver = spec.get("solver", "auto")
-    if solver not in ("auto", "lu", "gmres", "power"):
-        raise RequestError(
-            f"model.solver must be auto/lu/gmres/power, got {solver!r}"
-        )
-    canonical: Dict[str, Any] = {
-        "kind": kind,
-        "solver": solver,
-        "tol": _opt_float(spec, "tol"),
-        "max_iter": _opt_int(spec, "max_iter"),
-    }
+    canonical: Dict[str, Any] = {"kind": kind}
     if kind == "gspn":
         _check_keys(
             spec,
@@ -177,7 +167,15 @@ def canonical_model_spec(spec: Any) -> Dict[str, Any]:
                 raise RequestError(
                     f"model.{knob} does not apply to net {net!r}"
                 )
+        solver = spec.get("solver", "auto")
+        if solver not in ("auto", "lu", "gmres", "power"):
+            raise RequestError(
+                f"model.solver must be auto/lu/gmres/power, got {solver!r}"
+            )
         canonical.update(
+            solver=solver,
+            tol=_opt_float(spec, "tol"),
+            max_iter=_opt_int(spec, "max_iter"),
             net=net,
             buffer=_opt_int(spec, "buffer"),
             nodes=_opt_int(spec, "nodes"),
@@ -185,8 +183,9 @@ def canonical_model_spec(spec: Any) -> Dict[str, Any]:
             max_markings=_opt_int(spec, "max_markings") or _DEFAULT_MAX_MARKINGS,
         )
         return canonical
-    # CPU-parameter families
-    allowed = ["kind", "params", "solver", "tol", "max_iter"]
+    # CPU-parameter families: no solver to choose (phase-type runs its
+    # exact level recursion, renewal is closed form)
+    allowed = ["kind", "params"]
     if kind == "phase-type":
         allowed += ["stages", "n_max"]
     _check_keys(spec, allowed)
@@ -236,13 +235,7 @@ def build_backend(canonical: Mapping[str, Any]) -> SweepBackend:
     if kind == "renewal":
         return make_backend("renewal", params=params)
     return make_backend(
-        kind,
-        params=params,
-        stages=canonical["stages"],
-        n_max=canonical["n_max"],
-        method=canonical["solver"],
-        tol=canonical["tol"],
-        max_iter=canonical["max_iter"],
+        kind, params=params, stages=canonical["stages"], n_max=canonical["n_max"]
     )
 
 

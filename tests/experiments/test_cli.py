@@ -53,12 +53,16 @@ class TestSolverFlags:
         assert "--solver" in err and "renewal" in err
 
     def test_sweep_phase_type_solver_threading(self, capsys):
-        assert main([
-            "sweep", "--model", "phase-type", "--rate", "T=0.2,0.4",
-            "--stages", "4", "--n-max", "8", "--solver", "power",
-            "--metric", "power",
-        ]) == 0
-        assert "power steady state" in capsys.readouterr().out
+        # phase-type has one solver: a solver choice is a usage error
+        for flags in (["--solver", "power"], ["--tol", "1e-9"],
+                      ["--max-iter", "5"]):
+            assert main([
+                "sweep", "--model", "phase-type", "--rate", "T=0.2,0.4",
+                "--stages", "4", "--n-max", "8", "--metric", "power",
+                *flags,
+            ]) == 2
+            err = capsys.readouterr().err
+            assert flags[0] in err and "gspn" in err
 
     def test_unknown_solver_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
@@ -87,11 +91,18 @@ class TestSteadyCommand:
     def test_phase_type_model(self, capsys):
         assert main([
             "steady", "--model", "phase-type", "--stages", "4",
-            "--n-max", "8", "--solver", "lu",
+            "--n-max", "8",
         ]) == 0
         out = capsys.readouterr().out
         assert "phase-type steady state" in out
         assert "fraction:standby" in out
+        assert "solved with exact level-recursion" in out
+        assert main([
+            "steady", "--model", "phase-type", "--stages", "4",
+            "--n-max", "8", "--solver", "lu",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "--solver" in err and "gspn" in err
 
     def test_gspn_rejects_phase_type_flags(self, capsys):
         assert main(["steady", "--net", "mm1k", "--n-max", "5"]) == 2

@@ -297,7 +297,7 @@ class TestCLITelemetry:
 
     def test_steady_profile_flag(self, capsys):
         args = [
-            "steady", "--model", "phase-type", "--solver", "gmres", "--profile",
+            "steady", "--net", "mm1k", "--solver", "gmres", "--profile",
         ]
         assert cli_main(args) == 0
         captured = capsys.readouterr()

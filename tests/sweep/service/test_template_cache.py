@@ -19,11 +19,13 @@ Three layers, matching the tentpole's cache guarantees:
 import asyncio
 from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sweep.service import (
     LRUTemplates,
+    RequestError,
     TemplateCache,
     canonical_model_spec,
     spec_fingerprint,
@@ -259,4 +261,21 @@ class TestFingerprintContract:
         assert canonical_model_spec(once) == once
         assert spec_fingerprint(canonical_model_spec(once)) == (
             spec_fingerprint(once)
+        )
+
+    @pytest.mark.parametrize("kind", ["phase-type", "phase-type-batched", "renewal"])
+    @pytest.mark.parametrize(
+        "key, value", [("solver", "power"), ("tol", 1e-3), ("max_iter", 1)]
+    )
+    def test_solver_keys_only_for_gspn(self, kind, key, value):
+        """The CPU families have no solver to choose: a solver key is
+        rejected by name instead of keying a duplicate template."""
+        with pytest.raises(RequestError, match=key):
+            canonical_model_spec({"kind": kind, key: value})
+        gspn = {"kind": "gspn", "net": "mm1k", key: value}
+        once = canonical_model_spec(gspn)
+        assert once[key] == value
+        assert canonical_model_spec(once) == once
+        assert fingerprint_of(gspn) != fingerprint_of(
+            {"kind": "gspn", "net": "mm1k"}
         )

@@ -2,20 +2,21 @@
 
 The phase-type backend always batches, and batching must be *invisible*
 in the results: its one level-recursion call per batch agrees with the
-LU, GMRES and power solves to 1e-9 or better and with a one-point-at-a-
-time loop bit for bit, chunk boundaries never change a point's result,
-and a bad point fails alone — whether it dies at parameter binding, in
+generic sparse LU and GMRES solves of each point's generator to 1e-9 or
+better and with a one-point-at-a-time loop bit for bit, chunk boundaries
+never change a point's result, and a bad point fails alone — whether it dies at parameter binding, in
 the kernel, or at normalisation time.
 """
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.core.params import CPUModelParams
-from repro.markov.ctmc import NumericalSolveError
+from repro.markov.ctmc import CTMC, NumericalSolveError, sparse_steady_state
 from repro.sweep import (
     BatchedPhaseTypeBackend,
     PhaseTypeBackend,
@@ -41,6 +42,23 @@ def metric_matrix(result, metrics=METRICS):
     return np.array([[row[m] for m in metrics] for row in result.rows()])
 
 
+def reference_matrix(grid, method="lu", metrics=METRICS, **kwargs):
+    """*metrics* over *grid* from the generic solvers: each point's
+    stationary vector is re-solved from its own generator, by sparse LU
+    or by ``CTMC.steady_state(method=...)``."""
+    backend = PhaseTypeBackend(PARAMS, **kwargs)
+    rows = []
+    for point in grid.points():
+        solution = backend.solve(point)
+        if method == "lu":
+            pi, _ = sparse_steady_state(solution.Q)
+        else:
+            pi = CTMC(solution.Q, backend="sparse").steady_state(method=method)
+        reference = replace(solution, pi=pi, _ctmc=None)
+        rows.append([backend.evaluate(reference, m) for m in metrics])
+    return np.array(rows)
+
+
 class PinnedBatchBackend(PhaseTypeBackend):
     """A phase-type backend whose batch size is pinned instead of budgeted.
 
@@ -57,70 +75,51 @@ class PinnedBatchBackend(PhaseTypeBackend):
 
 
 class TestBatchedParity:
-    """Acceptance: batched rows == pointwise rows, under every method."""
+    """Acceptance: batched rows == pointwise rows == the generic solvers'
+    rows (to 1e-9)."""
 
     @pytest.mark.parametrize("grid", [GRID_24, GRID_200], ids=["24pt", "200pt"])
     def test_dense_regime_parity(self, grid):
         """stages=2/n_max=10 -> n=33, a size small enough for dense LAPACK:
         the batched recursion equals the pointwise one bit for bit and the
-        pointwise LU to 1e-9."""
+        sparse LU of each point's generator to 1e-9."""
         kwargs = dict(stages=2, n_max=10)
         pointwise = SweepRunner(
             PinnedBatchBackend(PARAMS, batch=1, **kwargs), METRICS
         ).run(grid)
-        lu = SweepRunner(
-            PhaseTypeBackend(PARAMS, method="lu", **kwargs), METRICS
-        ).run(grid)
         batched = SweepRunner(
             PhaseTypeBackend(PARAMS, **kwargs), METRICS
         ).run(grid)
-        assert batched.n_failed == pointwise.n_failed == lu.n_failed == 0
+        assert batched.n_failed == pointwise.n_failed == 0
         np.testing.assert_array_equal(
             metric_matrix(batched), metric_matrix(pointwise)
         )
         np.testing.assert_allclose(
-            metric_matrix(batched), metric_matrix(lu), atol=1e-9
+            metric_matrix(batched), reference_matrix(grid, **kwargs), atol=1e-9
         )
 
     def test_sparse_lu_regime_parity(self):
         """stages=8/n_max=30 -> n=279: the recursion against the sparse
         LU of the same chain."""
         kwargs = dict(stages=8, n_max=30)
-        pointwise = SweepRunner(
-            PhaseTypeBackend(PARAMS, method="lu", **kwargs), METRICS
-        ).run(GRID_24)
         batched = SweepRunner(
             PhaseTypeBackend(PARAMS, **kwargs), METRICS
         ).run(GRID_24)
         np.testing.assert_allclose(
-            metric_matrix(batched), metric_matrix(pointwise), atol=1e-9
+            metric_matrix(batched), reference_matrix(GRID_24, **kwargs),
+            atol=1e-9,
         )
 
     def test_gmres_regime_parity(self):
-        """Forced iterative method: the batch solves point by point."""
-        kwargs = dict(stages=8, n_max=30, method="gmres")
-        pointwise = SweepRunner(
-            PinnedBatchBackend(PARAMS, batch=1, **kwargs), METRICS
-        ).run(GRID_24)
+        """The recursion against generic GMRES on the same chain."""
+        kwargs = dict(stages=8, n_max=30)
         batched = SweepRunner(
             PhaseTypeBackend(PARAMS, **kwargs), METRICS
         ).run(GRID_24)
         np.testing.assert_allclose(
-            metric_matrix(batched), metric_matrix(pointwise), atol=1e-9
-        )
-
-    def test_power_method_falls_back_pointwise(self):
-        """``power`` has no stacked form; results still match exactly."""
-        kwargs = dict(stages=2, n_max=8, method="power")
-        pointwise = SweepRunner(
-            PinnedBatchBackend(PARAMS, batch=1, **kwargs), ["power"]
-        ).run(SweepGrid({"T": [0.2, 0.6, 1.0]}))
-        batched = SweepRunner(
-            PhaseTypeBackend(PARAMS, **kwargs), ["power"]
-        ).run(SweepGrid({"T": [0.2, 0.6, 1.0]}))
-        np.testing.assert_array_equal(
-            metric_matrix(batched, ["power"]),
-            metric_matrix(pointwise, ["power"]),
+            metric_matrix(batched),
+            reference_matrix(GRID_24, method="gmres", **kwargs),
+            atol=1e-9,
         )
 
     def test_pool_path_matches_serial_bitwise(self):
@@ -343,18 +342,6 @@ class TestRunnerIntegration:
         assert {s.attrs["n"] for s in kernel} == {33}
         assert trace.counters["solver.batch.points"] == 24
 
-    def test_lu_regime_counters(self):
-        """An explicit ``method="lu"`` solves point by point through the
-        sparse LU: no kernel call, no batch points, the LU cache warm."""
-        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=30, method="lu")
-        with obs.tracing() as trace:
-            SweepRunner(backend, ["power"]).run(SweepGrid({"T": [0.2, 0.6]}))
-        names = [s.name for s in trace.spans]
-        assert "solve.stage_recursion" not in names
-        assert "solver.batch.points" not in trace.counters
-        assert "perm_c" in backend._factor_cache
-        assert "per-point lu" in backend.describe()
-
     def test_registry_and_describe(self):
         """The old batched spellings are aliases of the one backend."""
         assert BatchedPhaseTypeBackend is PhaseTypeBackend
@@ -374,23 +361,6 @@ class TestRunnerIntegration:
             SweepGrid({"T": [0.2, 0.4]})
         )
         assert result.n_failed == 0
-
-    def test_reset_solver_state_clears_batch_caches(self):
-        """The recursion keeps no per-sweep solver state: a reset between
-        two runs changes no bit, and an LU cache it did build is gone."""
-        backend = PhaseTypeBackend(PARAMS, stages=2, n_max=10)
-        first = SweepRunner(backend, METRICS).run(GRID_24)
-        assert len(backend._factor_cache) == 0
-        backend.method = "lu"
-        SweepRunner(backend, ["power"]).run(SweepGrid({"T": [0.2]}))
-        assert "perm_c" in backend._factor_cache
-        backend.reset_solver_state()
-        assert len(backend._factor_cache) == 0
-        backend.method = "auto"
-        again = SweepRunner(backend, METRICS).run(GRID_24)
-        np.testing.assert_array_equal(
-            metric_matrix(again), metric_matrix(first)
-        )
 
 
 class TestBatchedCLI:

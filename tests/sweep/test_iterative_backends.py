@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.core.params import CPUModelParams
-from repro.markov.ctmc import ConvergenceError
+from repro.markov.ctmc import (
+    CTMC,
+    ConvergenceError,
+    SolverCache,
+    gmres_steady_state,
+    power_steady_state,
+    sparse_steady_state,
+)
 from repro.petri.ctmc_export import GSPNSolver
 from repro.sweep import (
     PhaseTypeBackend,
@@ -75,69 +82,68 @@ class TestGSPNMethodThreading:
 
 
 class TestPhaseTypeMethodThreading:
+    """The phase-type backend has one solver, the exact level recursion;
+    the generic solvers on each point's own generator cross-check it."""
+
     def test_methods_agree_to_1e8(self):
-        kwargs = dict(stages=8, n_max=25)
-        pi_lu = PhaseTypeBackend(PARAMS, method="lu", **kwargs).solve({}).pi
-        pi_gmres = (
-            PhaseTypeBackend(PARAMS, method="gmres", **kwargs).solve({}).pi
-        )
-        pi_power = (
-            PhaseTypeBackend(PARAMS, method="power", tol=1e-13, **kwargs)
-            .solve({})
-            .pi
-        )
+        solution = PhaseTypeBackend(PARAMS, stages=8, n_max=25).solve({})
+        pi_lu, _ = sparse_steady_state(solution.Q)
+        pi_gmres = gmres_steady_state(solution.Q)
+        pi_power = power_steady_state(solution.Q, tol=1e-13)
+        np.testing.assert_allclose(solution.pi, pi_lu, rtol=0, atol=1e-8)
         np.testing.assert_allclose(pi_gmres, pi_lu, rtol=0, atol=1e-8)
         np.testing.assert_allclose(pi_power, pi_lu, rtol=0, atol=1e-8)
 
     def test_gmres_sweep_matches_lu_sweep(self):
-        grid = SweepGrid({"T": [0.2, 0.3, 0.4, 0.5]})
-        metrics = ["power", "fraction:standby"]
-        lu = SweepRunner(
-            PhaseTypeBackend(PARAMS, stages=8, n_max=25, method="lu"), metrics
-        ).run(grid)
-        gmres = SweepRunner(
-            PhaseTypeBackend(PARAMS, stages=8, n_max=25, method="gmres"),
-            metrics,
-        ).run(grid)
-        for m in metrics:
-            np.testing.assert_allclose(
-                gmres.column(m), lu.column(m), rtol=0, atol=1e-7
-            )
+        """A warm-started generic GMRES sweep over the points' generators
+        matches both the backend's rows and their sparse LU."""
+        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=25)
+        cache = SolverCache()
+        for T in (0.2, 0.3, 0.4, 0.5):
+            solution = backend.solve({"T": T})
+            pi_gmres = gmres_steady_state(solution.Q, cache=cache)
+            pi_lu, _ = sparse_steady_state(solution.Q)
+            np.testing.assert_allclose(pi_gmres, pi_lu, rtol=0, atol=1e-7)
+            np.testing.assert_allclose(solution.pi, pi_lu, rtol=0, atol=1e-7)
+        assert "pi0" in cache
 
     def test_unknown_method_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="cholesky"):
-            PhaseTypeBackend(PARAMS, method="cholesky")
+        for knob in (
+            {"method": "cholesky"},
+            {"method": "lu"},
+            {"tol": 1e-8},
+            {"max_iter": 10},
+        ):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                PhaseTypeBackend(PARAMS, **knob)
 
     def test_convergence_error_carries_budget(self):
-        backend = PhaseTypeBackend(
-            PARAMS, stages=8, n_max=25, method="power", tol=1e-15, max_iter=3
-        )
+        solution = PhaseTypeBackend(PARAMS, stages=8, n_max=25).solve({})
         with pytest.raises(ConvergenceError) as exc_info:
-            backend.solve({})
+            CTMC(solution.Q, backend="sparse").steady_state(
+                method="power", tol=1e-15, max_iter=3
+            )
         assert exc_info.value.iterations == 3
 
-    def test_reset_solver_state_forces_cold_solves(self):
-        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=25, method="gmres")
-        backend.solve({})
-        assert backend._factor_cache
-        backend.reset_solver_state()
-        assert not backend._factor_cache
-        backend.solve({})  # still solvable from cold
-        assert "pi0" in backend._factor_cache
-
     def test_describe_names_solver(self):
-        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=25, method="power")
-        assert "power steady state" in backend.describe()
+        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=25)
+        assert backend.steady_method == "exact level-recursion"
+        assert "exact level-recursion steady state" in backend.describe()
 
     def test_transient_metrics_reuse_iterative_solution(self):
-        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=20, method="gmres")
+        """Transient metrics of a recursion-solved point equal those of a
+        fresh CTMC of the same generator, steady state from GMRES."""
+        backend = PhaseTypeBackend(PARAMS, stages=8, n_max=20)
         solution = backend.solve({})
         energy = backend.evaluate(solution, "energy@5")
-        reference = PhaseTypeBackend(PARAMS, stages=8, n_max=20, method="lu")
-        assert (
-            abs(energy - reference.evaluate(reference.solve({}), "energy@5"))
-            < 1e-6
+        tpl = solution.template
+        reference = CTMC(solution.Q, backend="sparse")
+        np.testing.assert_allclose(
+            reference.steady_state(method="gmres"), solution.pi,
+            rtol=0, atol=1e-8,
         )
+        expected = reference.accumulated_reward(tpl.p0, tpl.power_mw, 5.0)
+        assert abs(energy - expected / 1000.0) < 1e-6
 
 
 class TestWSNClusterNet:
