@@ -3,8 +3,9 @@
 The paper used a Matlab event simulator as ground truth; this module is its
 reproduction, twice over:
 
-- :class:`CPUEventSimulator` — a faithful event-driven simulation on the
-  library's DES kernel (:class:`~repro.des.engine.Simulator`): Poisson(λ)
+- :class:`CPUEventSimulator` — a faithful event-driven simulation, run by
+  a kernel of the library's DES engine (:class:`~repro.des.engine.Simulator`)
+  over a run-local event heap: Poisson(λ)
   arrivals, exp(μ) FIFO service, power-down after a constant idle
   threshold ``T``, constant power-up delay ``D``.
 - :func:`simulate_job_scan` — an independent, vectorised-input
@@ -20,21 +21,21 @@ Petri net ("Initially, the CPU is in the Stand By mode").
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from heapq import heapify, heappop, heappush
+from itertools import count
+from math import isfinite
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.params import CPUModelParams, StateFractions
 from repro.des.distributions import Distribution
-from repro.des.engine import Simulator
-from repro.des.events import Event
+from repro.des.engine import SimulationError, Simulator
 from repro.des.random_streams import StreamManager
 from repro.des.replication import ReplicationSummary, run_replications
-from repro.des.statistics import TallyStatistic
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.workload.base import ArrivalProcess
@@ -47,10 +48,21 @@ __all__ = [
     "replicate_cpu_simulation",
 ]
 
+# event kinds and power states of CPUEventSimulator's run-local heap
+_ARRIVAL, _SERVICE_DONE, _POWER_DOWN, _POWER_UP_DONE = range(4)
+_IDLE, _STANDBY, _POWERUP, _ACTIVE = range(4)
+# withdrawn power-downs are swept out once the heap outgrows this
+_COMPACT_AT = 4096
+
+
 def _draw(
     sample: Callable[[np.random.Generator], float], rng: np.random.Generator
 ) -> float:
     return float(sample(rng))
+
+
+def _invalid_delay(delay: float, now: float) -> SimulationError:
+    return SimulationError(f"invalid delay {delay!r} at t={now}")
 
 
 @dataclass(frozen=True)
@@ -107,14 +119,21 @@ class CPUEventSimulator:
     def run(self, horizon: float, warmup: float = 0.0) -> CPUSimulationResult:
         """Simulate ``[0, horizon]`` and report statistics from *warmup* on.
 
-        The model state is flat: run-local ints and floats that the event
-        actions update in place.  Each power state keeps one occupancy
-        area, grown by ``now - entered`` when the state is left; the
-        queue-length integral grows by ``n * dt`` at every change of ``n``.
-        That is the arithmetic, in the same order, of a
+        The model state is flat: run-local ints and floats that one drain
+        loop updates in place.  Each power state keeps one occupancy area,
+        grown by ``now - entered`` when the state is left; the queue-length
+        integral grows by ``n * dt`` at every change of ``n``.  That is the
+        arithmetic, in the same order, of a
         :class:`~repro.des.monitors.StateOccupancyMonitor` of 0/1 indicators
         and a :class:`~repro.des.statistics.TimeWeightedStatistic`, so the
         results equal theirs bit for bit.
+
+        Events are ``(time, sequence, kind)`` tuples on a run-local heap,
+        drained by the run's :class:`~repro.des.engine.Simulator` kernel.
+        Sequence numbers are handed out in scheduling order, so events at
+        equal times run first-scheduled first, as the Event path runs
+        events of one priority.  A power-down is withdrawn by forgetting
+        its sequence number; its entry is skipped when popped.
         """
         if horizon <= 0.0:
             raise ValueError("horizon must be > 0")
@@ -142,14 +161,17 @@ class CPUEventSimulator:
         else:
             next_service = partial(_draw, svc_dist.sample, svc_rng)
 
-        sim = Simulator()
-        schedule = sim.schedule
+        heap: List[Tuple[float, int, int]] = []
+        seqs = count()
         arrival_times: deque[float] = deque()
-        latency = TallyStatistic()
+        now = 0.0
         n = 0  # jobs in system
-        mode = "standby"
-        power_down_event: Optional[Event] = None
+        mode = _STANDBY
+        pd_seq = -1  # sequence number of the live power-down, -1 if none
+        compact_at = _COMPACT_AT
         served = arrived = 0
+        lat_n = 0  # latency tally: Welford's running mean
+        lat_mean = 0.0
         # statistics since `start`: one occupancy area per power state
         # (the current state's open segment began at `entered`) and the
         # integral of n (last closed at `q_last`)
@@ -157,91 +179,122 @@ class CPUEventSimulator:
         idle_area = standby_area = powerup_area = active_area = 0.0
         q_area = 0.0
 
-        def service_done() -> None:
-            nonlocal n, served, mode, entered, active_area, q_area, q_last
-            nonlocal power_down_event
-            now = sim.now
-            q_area += n * (now - q_last)
-            q_last = now
-            n -= 1
-            served += 1
-            t_arr = arrival_times.popleft()
-            if t_arr >= warmup:
-                latency.record(now - t_arr)
-            if n > 0:
-                schedule(next_service(), service_done)
-            else:
-                active_area += now - entered
-                entered = now
-                mode = "idle"
-                power_down_event = schedule(T, power_down)
+        def drain(end_time: float) -> int:
+            nonlocal now, n, mode, pd_seq, compact_at, served, arrived
+            nonlocal lat_n, lat_mean, entered, q_last, q_area
+            nonlocal idle_area, standby_area, powerup_area, active_area
+            executed = 0
+            while heap:
+                time, seq, kind = heap[0]
+                if time > end_time:
+                    break
+                heappop(heap)
+                if kind == _POWER_DOWN and seq != pd_seq:
+                    continue  # withdrawn by an arrival
+                if time < now:
+                    raise SimulationError(
+                        f"event at t={time} popped while clock at {now}"
+                    )
+                now = time
+                executed += 1
+                if kind == _ARRIVAL:
+                    arrived += 1
+                    q_area += n * (now - q_last)
+                    q_last = now
+                    n += 1
+                    arrival_times.append(now)
+                    if mode == _STANDBY:
+                        standby_area += now - entered
+                        entered = now
+                        mode = _POWERUP
+                        heappush(heap, (now + D, next(seqs), _POWER_UP_DONE))
+                    elif mode == _IDLE:
+                        pd_seq = -1
+                        idle_area += now - entered
+                        entered = now
+                        mode = _ACTIVE
+                        service = next_service()
+                        if not service >= 0.0:
+                            raise _invalid_delay(service, now)
+                        heappush(heap, (now + service, next(seqs), _SERVICE_DONE))
+                    # active / powerup: the job just queues
+                    gap = next_gap()
+                    if isfinite(gap):
+                        if gap < 0.0:
+                            raise _invalid_delay(gap, now)
+                        heappush(heap, (now + gap, next(seqs), _ARRIVAL))
+                elif kind == _SERVICE_DONE:
+                    q_area += n * (now - q_last)
+                    q_last = now
+                    n -= 1
+                    served += 1
+                    t_arr = arrival_times.popleft()
+                    if t_arr >= warmup:
+                        # TallyStatistic.record's mean update
+                        x = now - t_arr
+                        lat_n += 1
+                        lat_mean += (x - lat_mean) / lat_n
+                    if n > 0:
+                        service = next_service()
+                        if not service >= 0.0:
+                            raise _invalid_delay(service, now)
+                        heappush(heap, (now + service, next(seqs), _SERVICE_DONE))
+                    else:
+                        active_area += now - entered
+                        entered = now
+                        mode = _IDLE
+                        pd_seq = next(seqs)
+                        heappush(heap, (now + T, pd_seq, _POWER_DOWN))
+                        if len(heap) > compact_at:
+                            # drop withdrawn power-downs; (time, seq) keys
+                            # are unique, so the order is unchanged
+                            heap[:] = [
+                                e for e in heap if e[2] != _POWER_DOWN or e[1] == pd_seq
+                            ]
+                            heapify(heap)
+                            compact_at = max(_COMPACT_AT, 2 * len(heap))
+                elif kind == _POWER_DOWN:
+                    pd_seq = -1
+                    idle_area += now - entered
+                    entered = now
+                    mode = _STANDBY
+                else:  # power-up done
+                    # power-up is always triggered by an arrival, so the
+                    # queue cannot be empty here
+                    assert n > 0
+                    powerup_area += now - entered
+                    entered = now
+                    mode = _ACTIVE
+                    service = next_service()
+                    if not service >= 0.0:
+                        raise _invalid_delay(service, now)
+                    heappush(heap, (now + service, next(seqs), _SERVICE_DONE))
+            return executed
 
-        def power_down() -> None:
-            nonlocal power_down_event, mode, entered, idle_area
-            power_down_event = None
-            now = sim.now
-            idle_area += now - entered
-            entered = now
-            mode = "standby"
-
-        def power_up_done() -> None:
-            nonlocal mode, entered, powerup_area
-            # power-up is always triggered by an arrival, so the queue
-            # cannot be empty here
-            assert n > 0
-            now = sim.now
-            powerup_area += now - entered
-            entered = now
-            mode = "active"
-            schedule(next_service(), service_done)
-
-        def arrival() -> None:
-            nonlocal n, arrived, mode, entered, q_area, q_last
-            nonlocal power_down_event, standby_area, idle_area
-            now = sim.now
-            arrived += 1
-            q_area += n * (now - q_last)
-            q_last = now
-            n += 1
-            arrival_times.append(now)
-            if mode == "standby":
-                standby_area += now - entered
-                entered = now
-                mode = "powerup"
-                schedule(D, power_up_done)
-            elif mode == "idle":
-                if power_down_event is not None:
-                    sim.cancel(power_down_event)
-                    power_down_event = None
-                idle_area += now - entered
-                entered = now
-                mode = "active"
-                schedule(next_service(), service_done)
-            # active / powerup: the job just queues
-            gap = next_gap()
-            if math.isfinite(gap):
-                schedule(gap, arrival)
-
+        sim = Simulator(kernel=drain)
         first_gap = next_gap()
-        if math.isfinite(first_gap):
-            schedule(first_gap, arrival)
+        if isfinite(first_gap):
+            if first_gap < 0.0:
+                raise _invalid_delay(first_gap, now)
+            heappush(heap, (now + first_gap, next(seqs), _ARRIVAL))
         if warmup > 0.0:
             sim.run_until(warmup)
             # restart the statistics at the warm-up point
             start = entered = q_last = float(warmup)
             idle_area = standby_area = powerup_area = active_area = 0.0
             q_area = 0.0
-            latency = TallyStatistic()
+            lat_n = 0
+            lat_mean = 0.0
             served = arrived = 0
         sim.run_until(horizon)
 
         # close the current state's open segment and the queue integral
         tail = horizon - entered
-        if mode == "idle":
+        if mode == _IDLE:
             idle_area += tail
-        elif mode == "standby":
+        elif mode == _STANDBY:
             standby_area += tail
-        elif mode == "powerup":
+        elif mode == _POWERUP:
             powerup_area += tail
         else:
             active_area += tail
@@ -255,7 +308,7 @@ class CPUEventSimulator:
             ),
             jobs_arrived=arrived,
             jobs_served=served,
-            mean_latency=latency.mean if latency.count else float("nan"),
+            mean_latency=lat_mean if lat_n else float("nan"),
             mean_jobs_in_system=(q_area + n * (horizon - q_last)) / span,
             horizon=horizon - warmup,
         )

@@ -2,8 +2,9 @@
 
 This package is the simulation substrate for the whole library.  It provides
 
-- an event-driven simulation :class:`~repro.des.engine.Simulator` (event heap
-  plus a monotonically advancing clock),
+- an event-driven simulation :class:`~repro.des.engine.Simulator`: a
+  monotonically advancing clock over its own event heap, or over a
+  caller's run-local heap through its kernel hook,
 - reproducible, independently seedable random-number streams
   (:mod:`repro.des.random_streams`),
 - distribution objects shared by the workload generators and the Petri net
@@ -15,10 +16,13 @@ This package is the simulation substrate for the whole library.  It provides
 - a replication runner with optional multiprocessing fan-out
   (:mod:`repro.des.replication`).
 
-The kernel is deliberately callback-based (schedule a callable at an absolute
-or relative time) rather than coroutine-based: callback scheduling keeps the
-hot loop free of generator overhead, which matters because the Petri net
-token game schedules and cancels events at a high rate.
+The engine is callback-based: :meth:`~repro.des.engine.Simulator.schedule`
+puts an :class:`~repro.des.events.Event` (a callable at an absolute or
+relative time) on its heap.  The paper's two simulators, the Petri net token
+game and the CPU event simulator, schedule and withdraw timers at a high
+rate, so they skip that layer: each keeps a run-local heap of plain
+``(time, sequence, tag)`` tuples and drains it through the engine's kernel
+hook, which keeps their clock and event count.
 """
 
 from repro.des.distributions import (
@@ -38,8 +42,6 @@ from repro.des.distributions import (
 from repro.des.engine import Simulator, SimulationError
 from repro.des.events import Event, EventQueue
 from repro.des.monitors import StateOccupancyMonitor, TraceRecorder
-from repro.des.precision import PrecisionResult, run_until_precise
-from repro.des.process import ProcessEnvironment, Process, Resource, Timeout
 from repro.des.random_streams import StreamManager
 from repro.des.replication import (
     ReplicationResult,
@@ -67,19 +69,14 @@ __all__ = [
     "HyperExponential",
     "LogNormal",
     "Pareto",
-    "PrecisionResult",
-    "Process",
-    "ProcessEnvironment",
     "ReplicationResult",
     "ReplicationSummary",
-    "Resource",
     "Simulator",
     "SimulationError",
     "StateOccupancyMonitor",
     "StreamManager",
     "TallyStatistic",
     "TimeWeightedStatistic",
-    "Timeout",
     "TraceRecorder",
     "TruncatedNormal",
     "Uniform",
@@ -87,5 +84,4 @@ __all__ = [
     "confidence_interval",
     "mser_truncation_point",
     "run_replications",
-    "run_until_precise",
 ]

@@ -16,6 +16,15 @@ Typical usage::
 
     sim.schedule(0.0, arrival)
     sim.run_until(1000.0)
+
+A simulator built with a *kernel* runs no :class:`~repro.des.events.Event`
+at all: the kernel is a ``drain(end_time) -> int`` callable that executes a
+caller-owned event heap up to ``end_time`` and returns how many events it
+ran.  :meth:`Simulator.run_until` and :meth:`Simulator.run` call it in place
+of the Event-heap loop, so the engine stays the run's clock and event
+counter.  The paper's simulators (the Petri token game and the CPU event
+simulator) work this way, on heaps of plain ``(time, sequence, tag)``
+tuples.
 """
 
 from __future__ import annotations
@@ -52,6 +61,13 @@ class Simulator:
     trace_hook:
         Optional callable ``(time, event) -> None`` invoked just before each
         event action runs.
+    kernel:
+        Optional ``drain(end_time) -> int`` callable that runs a caller-owned
+        event heap: it executes every event with time ``<= end_time``, keeps
+        time monotonic itself, and returns the number it executed.  A kernel
+        engine has no Event path: :meth:`schedule`, :meth:`schedule_at`,
+        :meth:`cancel`, :meth:`step` and :meth:`stop` raise, and so does
+        advancing it with a *max_events* budget or a *trace_hook* set.
     """
 
     __slots__ = (
@@ -59,6 +75,7 @@ class Simulator:
         "queue",
         "max_events",
         "trace_hook",
+        "kernel",
         "events_executed",
         "_stopped",
         "_compact_interval",
@@ -69,14 +86,34 @@ class Simulator:
         start_time: float = 0.0,
         max_events: Optional[int] = None,
         trace_hook: Optional[Callable[[float, Event], None]] = None,
+        kernel: Optional[Callable[[float], int]] = None,
     ) -> None:
         self.now = float(start_time)
         self.queue = EventQueue()
         self.max_events = max_events
         self.trace_hook = trace_hook
+        self.kernel = kernel
         self.events_executed = 0
         self._stopped = False
         self._compact_interval = 4096
+        if kernel is not None:
+            self._check_kernel_mode()
+
+    def _check_kernel_mode(self) -> None:
+        """Reject the Event-path options a kernel engine cannot honour."""
+        for name in ("max_events", "trace_hook"):
+            if getattr(self, name) is not None:
+                raise SimulationError(
+                    f"{name} needs the Event path; a kernel engine counts "
+                    f"and orders its own events"
+                )
+
+    def _no_kernel(self, what: str) -> None:
+        if self.kernel is not None:
+            raise SimulationError(
+                f"{what}() needs the Event path; this engine runs a kernel "
+                f"over its own event heap"
+            )
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -93,6 +130,8 @@ class Simulator:
         Returns the :class:`Event`, whose :meth:`~Event.cancel` method (or
         :meth:`Simulator.cancel`) descheduling it.
         """
+        if self.kernel is not None:
+            self._no_kernel("schedule")
         if delay < 0.0 or delay != delay:
             raise SimulationError(f"invalid delay {delay!r} at t={self.now}")
         event = Event(self.now + delay, action, priority, tag)
@@ -111,6 +150,7 @@ class Simulator:
         tag: Any = None,
     ) -> Event:
         """Schedule *action* at absolute simulation time *time*."""
+        self._no_kernel("schedule_at")
         if time < self.now or time != time:
             raise SimulationError(
                 f"cannot schedule at t={time!r}; clock is already at {self.now}"
@@ -118,7 +158,9 @@ class Simulator:
         return self.queue.push(Event(time, action, priority, tag))
 
     def cancel(self, event: Event) -> None:
-        """Deschedule a previously scheduled event (lazy O(1))."""
+        """Deschedule a previously scheduled event (lazy O(1)); a no-op for
+        an event that already fired or was already cancelled."""
+        self._no_kernel("cancel")
         self.queue.cancel(event)
 
     # ------------------------------------------------------------------ #
@@ -126,6 +168,7 @@ class Simulator:
     # ------------------------------------------------------------------ #
     def stop(self) -> None:
         """Request that the current run loop exit after the current event."""
+        self._no_kernel("stop")
         self._stopped = True
 
     def step(self) -> bool:
@@ -133,6 +176,7 @@ class Simulator:
 
         Returns ``True`` if an event ran, ``False`` if the queue was empty.
         """
+        self._no_kernel("step")
         event = self.queue.pop()
         if event is None:
             return False
@@ -152,9 +196,10 @@ class Simulator:
     def run(self) -> float:
         """Run until the event queue empties or :meth:`stop` is called.
 
-        Returns the final clock value.
+        Returns the final clock value.  A kernel engine runs its kernel dry;
+        the clock then stays where it was unless the kernel moved it.
         """
-        self._drain(float("inf"))
+        self._advance(float("inf"))
         return self.now
 
     def run_until(self, end_time: float) -> float:
@@ -168,10 +213,20 @@ class Simulator:
             raise SimulationError(
                 f"run_until({end_time}) but clock already at {self.now}"
             )
-        self._drain(end_time)
+        self._advance(end_time)
         if self.now < end_time:
             self.now = end_time
         return self.now
+
+    def _advance(self, end_time: float) -> None:
+        """Run events up to *end_time*: the kernel if there is one, else the
+        Event-heap loop."""
+        kernel = self.kernel
+        if kernel is None:
+            self._drain(end_time)
+        else:
+            self._check_kernel_mode()
+            self.events_executed += kernel(end_time)
 
     def _drain(self, end_time: float) -> None:
         """The one event loop behind :meth:`run` and :meth:`run_until`.
@@ -199,6 +254,7 @@ class Simulator:
                 )
             time, _, _, event = heappop(heap)
             queue._live -= 1
+            event.sequence = -1  # fired: a later cancel is a no-op
             if time < self.now:
                 raise SimulationError(
                     f"event at t={time} popped while clock at {self.now}"

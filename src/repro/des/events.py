@@ -6,10 +6,8 @@ scheduled for the same instant at the same priority fire in scheduling order,
 which is what reproducible simulations require.
 
 Cancellation is *lazy*: :meth:`EventQueue.cancel` marks the event and the pop
-loop discards cancelled entries.  Lazy deletion keeps cancellation O(1), which
-the Petri net simulator relies on — disabling a timed transition cancels its
-pending firing event, and under heavy immediate-transition traffic that
-happens far more often than actual firings.
+loop discards cancelled entries, which keeps cancellation O(1) for models
+that withdraw timers more often than they fire them.
 """
 
 from __future__ import annotations
@@ -52,7 +50,7 @@ class Event:
         self.action = action
         self.priority = int(priority)
         self.tag = tag
-        self.sequence = -1  # assigned by the queue on push
+        self.sequence = -1  # assigned on push; -1 again once popped
         self.cancelled = False
 
     def cancel(self) -> None:
@@ -95,8 +93,12 @@ class EventQueue:
         return event
 
     def cancel(self, event: Event) -> None:
-        """Lazily remove *event*; no-op if already cancelled or fired."""
-        if not event.cancelled:
+        """Lazily remove *event*; no-op if already cancelled or fired.
+
+        A popped event has its sequence number reset to ``-1``, so only an
+        event still in the heap counts against the live total.
+        """
+        if not event.cancelled and event.sequence >= 0:
             event.cancelled = True
             self._live -= 1
 
@@ -107,6 +109,7 @@ class EventQueue:
             _, _, _, event = heapq.heappop(heap)
             if not event.cancelled:
                 self._live -= 1
+                event.sequence = -1
                 return event
         return None
 
@@ -119,6 +122,8 @@ class EventQueue:
 
     def clear(self) -> None:
         """Drop every pending event."""
+        for _, _, _, event in self._heap:
+            event.sequence = -1
         self._heap.clear()
         self._live = 0
 

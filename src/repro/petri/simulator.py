@@ -32,14 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
-from operator import add, mul
+from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.des.engine import SimulationError, Simulator
-from repro.des.events import Event
 from repro.des.random_streams import StreamManager
 from repro.petri.marking import Marking
 from repro.petri.net import CompiledNet, PetriNet, transition_kernels
@@ -49,6 +48,9 @@ __all__ = ["PetriNetSimulator", "SimulationResult"]
 
 # receives an integer-indexable token vector (indexed by place index)
 Watcher = Callable[[Sequence[int]], float]
+
+# withdrawn timers are swept out of a run's heap once it outgrows this
+_COMPACT_AT = 4096
 
 
 @dataclass
@@ -212,14 +214,22 @@ class PetriNetSimulator:
         transitions = c.transitions
         n_trans = len(transitions)
 
-        engine = Simulator()
         marking: List[int] = c.initial_marking.tolist()
-        pending: List[Optional[Event]] = [None] * n_trans  # live timers
+        # the run-local event heap of (time, sequence, transition) timers:
+        # live[ti] is the sequence number of ti's live timer (-1 if none)
+        # and due[ti] its firing time; a withdrawn timer's entry stays in
+        # the heap and is skipped when popped
+        heap: List[Tuple[float, int, int]] = []
+        seqs = count()
+        live = [-1] * n_trans
+        due = [0.0] * n_trans
+        compact_at = _COMPACT_AT
         age_remaining: Dict[int, float] = {}
         identical_sample: Dict[int, float] = {}
         firing_counts = [0] * n_trans
         immediate_firings = 0
         timed_firings = 0
+        capped = False  # max_firings reached: no further event runs
 
         # --- statistics state ------------------------------------------ #
         area = [0.0] * len(marking)
@@ -227,19 +237,21 @@ class PetriNetSimulator:
         watcher_fns = [self._watchers[w] for w in watcher_names]
         watcher_area = [0.0] * len(watcher_fns)
         watcher_values = [0.0] * len(watcher_fns)
-        last_time = 0.0
+        now = last_time = 0.0
 
-        def accumulate(now: float) -> None:
-            # area[i] + marking[i] * dt, elementwise, without a Python loop
+        def accumulate(until: float) -> None:
+            # area[i] + marking[i] * dt; a zero term leaves an area as it is
+            # (a + 0 * dt == a, bit for bit), so unmarked places are skipped
             nonlocal last_time
-            dt = now - last_time
+            dt = until - last_time
             if dt > 0.0:
-                area[:] = map(add, area, map(mul, marking, repeat(dt)))
-                if watcher_fns:
-                    watcher_area[:] = map(
-                        add, watcher_area, map(mul, watcher_values, repeat(dt))
-                    )
-            last_time = now
+                for i, m in enumerate(marking):
+                    if m:
+                        area[i] += m * dt
+                for i, v in enumerate(watcher_values):
+                    if v:
+                        watcher_area[i] += v * dt
+            last_time = until
 
         # --- timer sources ----------------------------------------------- #
         def sample_delay(ti: int) -> float:
@@ -259,6 +271,7 @@ class PetriNetSimulator:
         # each timed transition's timer source, resolved once: RESAMPLE
         # draws straight from its stream
         draw: Dict[int, Callable[[], float]] = {}
+        is_age = [False] * n_trans
         for ti in c.timed_indices:
             t = transitions[ti]
             assert isinstance(t, TimedTransition)
@@ -266,8 +279,7 @@ class PetriNetSimulator:
                 draw[ti] = partial(t.distribution.sample, self._t_rng[ti])
             else:
                 draw[ti] = partial(sample_delay, ti)
-        names = [t.name for t in transitions]
-        schedule = engine.schedule
+            is_age[ti] = t.memory_policy is MemoryPolicy.AGE
 
         # --- settling after a firing --------------------------------------- #
         imm_order = self._immediate_order
@@ -277,12 +289,12 @@ class PetriNetSimulator:
         for ti in imm_order:
             imm_enabled[ti] = tests[ti](marking)
         max_chain = self.max_immediate_chain
-        # mask -> its timed transitions in index order, the order the full
-        # rescan visited them in: timers are scheduled (event sequence
-        # numbers assigned) exactly as before
+        # mask -> its timed transitions in index order, the order a full
+        # rescan visits them in, so timers get their sequence numbers in
+        # the full rescan's order
         expanded: Dict[int, Tuple[int, ...]] = {}
 
-        def settle(retest: int) -> None:
+        def settle(retest: int, now: float) -> None:
             """Fire immediates until the marking is tangible, re-read the
             watchers, then bring the timers of the *retest* mask, widened
             by the cascade's timed dependents, up to date."""
@@ -315,7 +327,7 @@ class PetriNetSimulator:
                     raise SimulationError(
                         f"immediate-transition livelock: more than "
                         f"{max_chain} zero-time firings at "
-                        f"t={engine.now:.6g} in net {self.net.name!r}"
+                        f"t={now:.6g} in net {self.net.name!r}"
                     )
 
             watcher_values[:] = [float(fn(marking)) for fn in watcher_fns]
@@ -327,42 +339,74 @@ class PetriNetSimulator:
                 order = expanded[retest] = tuple(
                     ti for ti in c.timed_indices if retest >> ti & 1
                 )
-            now = engine.now
             for ti in order:
                 is_enabled = tests[ti](marking)
-                ev = pending[ti]
-                if ev is not None:
+                if live[ti] >= 0:
                     if is_enabled:
                         continue  # clock keeps running
                     # disabled: withdraw the timer
-                    engine.cancel(ev)
-                    pending[ti] = None
-                    t = transitions[ti]
-                    assert isinstance(t, TimedTransition)
-                    if t.memory_policy is MemoryPolicy.AGE:
-                        age_remaining[ti] = max(ev.time - now, 0.0)
+                    live[ti] = -1
+                    if is_age[ti]:
+                        age_remaining[ti] = max(due[ti] - now, 0.0)
                     # IDENTICAL keeps identical_sample as is; RESAMPLE drops
                 elif is_enabled:
-                    pending[ti] = schedule(float(draw[ti]()), actions[ti], 1, names[ti])
+                    delay = float(draw[ti]())
+                    if delay < 0.0 or delay != delay:
+                        raise SimulationError(f"invalid delay {delay!r} at t={now}")
+                    live[ti] = seq = next(seqs)
+                    due[ti] = time = now + delay
+                    heappush(heap, (time, seq, ti))
 
-        # --- firing a timed transition ----------------------------------- #
-        def fire_timed(ti: int) -> None:
-            nonlocal timed_firings
-            accumulate(engine.now)
-            pending[ti] = None
-            if identical_sample:
-                identical_sample.pop(ti, None)  # fired: sample consumed
-            fires[ti](marking, imm_enabled)
-            firing_counts[ti] += 1
-            timed_firings += 1
-            settle(timed_deps[ti])
-            if max_firings is not None and timed_firings + immediate_firings >= max_firings:
-                engine.stop()
-
-        actions = {ti: partial(fire_timed, ti) for ti in c.timed_indices}
+        # --- the kernel: fire timers in (time, sequence) order ------------- #
+        def drain(end_time: float) -> int:
+            nonlocal now, last_time, timed_firings, capped, compact_at
+            executed = 0
+            if capped:
+                return executed
+            while heap:
+                time, seq, ti = heap[0]
+                if time > end_time:
+                    break
+                heappop(heap)
+                if live[ti] != seq:
+                    continue  # withdrawn timer
+                if time < now:
+                    raise SimulationError(
+                        f"event at t={time} popped while clock at {now}"
+                    )
+                now = time
+                # the areas up to the firing (accumulate, inlined)
+                dt = time - last_time
+                if dt > 0.0:
+                    for i, m in enumerate(marking):
+                        if m:
+                            area[i] += m * dt
+                    for i, v in enumerate(watcher_values):
+                        if v:
+                            watcher_area[i] += v * dt
+                last_time = time
+                live[ti] = -1
+                if identical_sample:
+                    identical_sample.pop(ti, None)  # fired: sample consumed
+                fires[ti](marking, imm_enabled)
+                firing_counts[ti] += 1
+                timed_firings += 1
+                executed += 1
+                settle(timed_deps[ti], time)
+                if max_firings is not None and timed_firings + immediate_firings >= max_firings:
+                    capped = True
+                    break
+                if len(heap) > compact_at:
+                    # drop withdrawn timers; (time, sequence) keys are
+                    # unique, so the firing order is unchanged
+                    heap[:] = [e for e in heap if live[e[2]] == e[1]]
+                    heapify(heap)
+                    compact_at = max(_COMPACT_AT, 2 * len(heap))
+            return executed
 
         # --- run ---------------------------------------------------------- #
-        settle(sum(1 << ti for ti in c.timed_indices))
+        settle(sum(1 << ti for ti in c.timed_indices), now)
+        engine = Simulator(kernel=drain)
 
         firing_offset = [0] * n_trans
         if warmup > 0.0:
@@ -372,10 +416,9 @@ class PetriNetSimulator:
             watcher_area[:] = [0.0] * len(watcher_area)
             firing_offset = list(firing_counts)
         engine.run_until(horizon)
-        accumulate(engine.now)
-        # close the window exactly at the horizon even if the queue drained
-        if last_time < horizon:
-            accumulate(horizon)
+        # close the window exactly at the horizon, also if the queue
+        # drained or the firing cap ended the run early
+        accumulate(horizon)
 
         observed = horizon - warmup
         return SimulationResult(

@@ -21,6 +21,7 @@ from repro.core.params import CPUModelParams
 from repro.core.simulation_cpu import CPUEventSimulator, CPUSimulationResult
 from repro.des.distributions import Deterministic, Erlang, Uniform
 from repro.des.engine import Simulator
+from repro.des.events import Event
 from repro.des.random_streams import StreamManager
 from repro.workload.open_workload import MMPPProcess
 from tests.core import reference_cpu_simulator
@@ -135,3 +136,39 @@ def test_paper_grid_matches_reference(engines, T, D):
     params = CPUModelParams.paper_defaults(T=T, D=D)
     _compare(engines, lambda: CPUEventSimulator(params, seed=3), 2_000.0, 100.0)
 
+
+
+def test_withdrawn_power_down_sweep_matches_reference(engines, monkeypatch):
+    """With T far beyond the horizon every idle period arms a power-down
+    that the next arrival withdraws: the dead heap entries pile up until
+    the kernel sweeps them out, and the sample path must not change."""
+    sweeps = []
+    real_heapify = simulation_cpu.heapify
+
+    def counting_heapify(heap):
+        sweeps.append(len(heap))
+        real_heapify(heap)
+
+    monkeypatch.setattr(simulation_cpu, "heapify", counting_heapify)
+    params = CPUModelParams.paper_defaults(T=1e6, D=0.3)
+    _compare(engines, lambda: CPUEventSimulator(params, seed=7), 12_000.0, 0.0)
+    assert sweeps and max(sweeps) <= 3, "withdrawn power-downs were never swept"
+
+
+def test_paper_point_runs_on_the_kernel_alone(engines, monkeypatch):
+    """A paper-point run builds one engine, advances it only through its
+    kernel, and constructs no Event."""
+    events = []
+    original_init = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        events.append(1)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    params = CPUModelParams.paper_defaults(T=0.3, D=0.3)
+    result = CPUEventSimulator(params, seed=3).run(2_000.0, warmup=100.0)
+    assert len(engines) == 1
+    assert events == []
+    assert engines[0].kernel is not None and engines[0].pending_count() == 0
+    assert engines[0].events_executed > result.jobs_served > 0

@@ -118,6 +118,16 @@ class TestStopAndBudget:
         sim.run()
         assert fired == []
 
+    def test_cancel_after_fire_keeps_pending_count(self):
+        sim = Simulator()
+        fired = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.run_until(1.5)
+        sim.cancel(fired)
+        assert sim.pending_count() == 1
+        sim.run()
+        assert (sim.events_executed, sim.pending_count()) == (2, 0)
+
     def test_trace_hook_sees_every_event(self):
         seen = []
         sim = Simulator(trace_hook=lambda t, ev: seen.append(t))
@@ -224,3 +234,96 @@ class TestDrainLoop:
         assert sim.step() is True
         assert (log, sim.now, sim.events_executed) == ([2], 2.0, 1)
         assert sim.step() is False
+
+
+class TestKernelMode:
+    """A kernel engine is the clock and event counter of a caller's heap."""
+
+    @staticmethod
+    def _kernel(times):
+        """A drain over a sorted list of event times; logs each call."""
+        calls = []
+
+        def drain(end_time: float) -> int:
+            ran = 0
+            while times and times[0] <= end_time:
+                times.pop(0)
+                ran += 1
+            calls.append((end_time, ran))
+            return ran
+
+        return drain, calls
+
+    def test_count_is_added_per_run_until(self):
+        drain, calls = self._kernel([1.0, 2.0, 3.0, 7.0])
+        sim = Simulator(kernel=drain)
+        sim.run_until(2.5)
+        assert sim.events_executed == 2
+        sim.run_until(10.0)
+        assert sim.events_executed == 4
+        assert calls == [(2.5, 2), (10.0, 2)]
+
+    def test_clock_ends_at_end_time(self):
+        drain, _ = self._kernel([1.0])
+        sim = Simulator(kernel=drain)
+        assert sim.run_until(5.0) == 5.0 and sim.now == 5.0
+        assert sim.run_until(5.0) == 5.0  # an empty step is allowed
+        with pytest.raises(SimulationError):
+            sim.run_until(4.0)
+
+    def test_run_drains_the_kernel(self):
+        drain, calls = self._kernel([1.0, 9.0])
+        sim = Simulator(kernel=drain)
+        sim.run()
+        assert sim.events_executed == 2
+        assert calls == [(float("inf"), 2)]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda sim: sim.schedule(1.0, lambda: None),
+            lambda sim: sim.schedule_at(1.0, lambda: None),
+            lambda sim: sim.step(),
+            lambda sim: sim.stop(),
+            lambda sim: sim.cancel(None),
+        ],
+    )
+    def test_event_path_calls_are_rejected(self, call):
+        sim = Simulator(kernel=self._kernel([])[0])
+        with pytest.raises(SimulationError, match="Event path"):
+            call(sim)
+
+    @pytest.mark.parametrize(
+        "option", [{"max_events": 10}, {"trace_hook": lambda t, ev: None}]
+    )
+    def test_event_path_options_are_rejected(self, option):
+        drain, calls = self._kernel([1.0])
+        with pytest.raises(SimulationError, match="Event path"):
+            Simulator(kernel=drain, **option)
+        # set after construction: rejected before the kernel runs
+        sim = Simulator(kernel=drain)
+        for name, value in option.items():
+            setattr(sim, name, value)
+        with pytest.raises(SimulationError, match="Event path"):
+            sim.run_until(5.0)
+        assert calls == [] and sim.events_executed == 0
+
+    def test_subclass_forwarding_init_and_run_until(self):
+        seen = []
+
+        class Counting(Simulator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+
+            def run_until(self, end_time):
+                before = self.events_executed
+                try:
+                    return super().run_until(end_time)
+                finally:
+                    seen.append(self.events_executed - before)
+
+        drain, _ = self._kernel([1.0, 2.0, 6.0])
+        sim = Counting(kernel=drain)
+        sim.run_until(3.0)
+        sim.run_until(8.0)
+        assert seen == [2, 1] and sim.now == 8.0

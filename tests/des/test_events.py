@@ -67,6 +67,29 @@ class TestCancellation:
         q.cancel(ev)
         assert len(q) == 0
 
+    def test_cancel_after_pop_is_a_no_op(self):
+        q = EventQueue()
+        fired = q.push(Event(1.0, _noop))
+        q.push(Event(2.0, _noop))
+        assert q.pop() is fired
+        q.cancel(fired)
+        assert len(q) == 1 and q
+        assert not fired.cancelled
+        q.compact()
+        assert q.pop().time == 2.0
+        assert len(q) == 0 and not q
+
+    def test_cancel_of_cleared_or_unqueued_event_is_a_no_op(self):
+        q = EventQueue()
+        dropped = q.push(Event(1.0, _noop))
+        q.clear()
+        q.cancel(dropped)
+        q.cancel(Event(3.0, _noop))  # never pushed
+        assert len(q) == 0 and not q
+        kept = q.push(Event(2.0, _noop))
+        assert len(q) == 1
+        assert q.pop() is kept
+
     def test_peek_skips_cancelled_head(self):
         q = EventQueue()
         ev1 = q.push(Event(1.0, _noop))

@@ -58,6 +58,7 @@ def reference_run(
     identical_sample: Dict[int, float] = {}
     firing_counts = np.zeros(n_trans, dtype=np.int64)
     immediate_firings = 0
+    capped = False  # max_firings reached: no further event runs
 
     area = np.zeros(n_places)
     watcher_names = list(sim._watchers)
@@ -156,6 +157,7 @@ def reference_run(
                 )
 
     def fire_timed(ti: int) -> None:
+        nonlocal capped
         accumulate(engine.now)
         pending.pop(ti, None)
         identical_sample.pop(ti, None)
@@ -165,6 +167,7 @@ def reference_run(
         recompute_watchers()
         update_timed_schedule(fired=ti)
         if max_firings is not None and int(firing_counts.sum()) >= max_firings:
+            capped = True
             engine.stop()
 
     stabilize()
@@ -178,7 +181,8 @@ def reference_run(
         area[:] = 0.0
         watcher_area[:] = 0.0
         firing_offset[:] = firing_counts
-    engine.run_until(horizon)
+    if not capped:  # a cap reached in the warm-up also ends the run
+        engine.run_until(horizon)
     accumulate(engine.now)
     if last_time < horizon:
         accumulate(horizon)

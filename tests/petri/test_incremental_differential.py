@@ -23,6 +23,7 @@ from repro.core.params import CPUModelParams
 from repro.core.petri_cpu import PetriCPUModel
 from repro.des.distributions import Deterministic, Exponential, Uniform
 from repro.des.engine import SimulationError, Simulator
+from repro.des.events import Event
 from repro.des.random_streams import StreamManager
 from repro.experiments.paper_experiments import (
     PAPER_POWER_UP_DELAYS,
@@ -287,3 +288,99 @@ def test_max_firings_counts_immediate_firings():
     net.add_output_arc("back", "a")
     res = PetriNetSimulator(net, seed=4).run(horizon=1e9, max_firings=10)
     assert res.firing_counts == {"go": 5, "back": 5}
+
+
+def _pingpong_net() -> PetriNet:
+    """Every timed firing of 'go' triggers one immediate firing of 'back'."""
+    net = PetriNet("pingpong")
+    net.add_place("a", initial=1)
+    net.add_place("b")
+    net.add_timed_transition("go", Exponential(5.0))
+    net.add_input_arc("a", "go")
+    net.add_output_arc("go", "b")
+    net.add_immediate_transition("back")
+    net.add_input_arc("b", "back")
+    net.add_output_arc("back", "a")
+    return net
+
+
+@pytest.mark.parametrize("max_firings", [10, 40])
+def test_max_firings_with_warmup_matches_reference(max_firings):
+    # the cap of 10 is reached inside the warm-up, the cap of 40 after it
+    net = _pingpong_net()
+    got = PetriNetSimulator(net, seed=4).run(
+        horizon=10.0, warmup=2.0, max_firings=max_firings
+    )
+    want = reference_run(
+        PetriNetSimulator(net, seed=4), horizon=10.0, warmup=2.0, max_firings=max_firings
+    )
+    assert_identical(got, want)
+    assert got.events_executed + got.immediate_firings == max_firings
+    in_window = sum(got.firing_counts.values())
+    assert (in_window == 0) == (max_firings == 10)
+
+
+# --------------------------------------------------------------------- #
+# the run-local kernel
+# --------------------------------------------------------------------- #
+def test_withdrawn_timer_sweep_matches_reference(monkeypatch):
+    """A far-future 'timeout' is armed and withdrawn by every 'job' cycle:
+    its dead heap entries pile up until the kernel sweeps them out, and
+    the sample path must not change."""
+    net = PetriNet("timeouts")
+    net.add_place("idle", initial=1)
+    net.add_place("busy")
+    net.add_place("expired")
+    net.add_timed_transition("start", Exponential(4.0))
+    net.add_input_arc("idle", "start")
+    net.add_output_arc("start", "busy")
+    net.add_timed_transition("finish", Exponential(4.0))
+    net.add_input_arc("busy", "finish")
+    net.add_output_arc("finish", "idle")
+    net.add_timed_transition("timeout", Deterministic(1e6))
+    net.add_input_arc("idle", "timeout")
+    net.add_output_arc("timeout", "expired")
+    sweeps = []
+    real_heapify = simulator_module.heapify
+
+    def counting_heapify(heap):
+        sweeps.append(len(heap))
+        real_heapify(heap)
+
+    monkeypatch.setattr(simulator_module, "heapify", counting_heapify)
+    got = PetriNetSimulator(net, seed=5).run(horizon=5_000.0)
+    want = reference_run(PetriNetSimulator(net, seed=5), horizon=5_000.0)
+    assert_identical(got, want)
+    assert got.firing_counts["timeout"] == 0
+    assert sweeps and max(sweeps) <= 2, "withdrawn timers were never swept"
+
+
+def test_paper_point_runs_on_the_kernel_alone(monkeypatch):
+    """A paper-point run builds one engine, advances it only through its
+    kernel, and constructs no Event."""
+    engines = []
+    events = []
+
+    class TrackedSimulator(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    original_init = Event.__init__
+
+    def counting_init(self, *args, **kwargs):
+        events.append(1)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(simulator_module, "Simulator", TrackedSimulator)
+    monkeypatch.setattr(Event, "__init__", counting_init)
+    config = FAST.sweep_config()
+    params = CPUModelParams.paper_defaults(D=PAPER_POWER_UP_DELAYS[1]).with_threshold(
+        FAST.thresholds()[2]
+    )
+    sim = PetriCPUModel(params, seed=config.seed)._make_simulator()
+    result = sim.run(config.petri_horizon, warmup=config.petri_warmup)
+    assert len(engines) == 1
+    assert events == []
+    assert engines[0].kernel is not None and engines[0].pending_count() == 0
+    assert engines[0].events_executed == result.events_executed > 0

@@ -332,6 +332,27 @@ class TestStatistics:
         total = sum(res.firing_counts.values())
         assert total == 100
 
+    def test_max_firings_reached_in_warmup_ends_the_run(self):
+        # every timed 'go' is followed by one immediate 'back': the cap of
+        # 10 firings is reached at t ~ 1, long before the warm-up ends
+        net = PetriNet("pingpong")
+        net.add_place("a", initial=1)
+        net.add_place("b")
+        net.add_timed_transition("go", Exponential(5.0))
+        net.add_input_arc("a", "go")
+        net.add_output_arc("go", "b")
+        net.add_immediate_transition("back")
+        net.add_input_arc("b", "back")
+        net.add_output_arc("back", "a")
+        res = PetriNetSimulator(net, seed=4).run(
+            horizon=1e9, warmup=1e6, max_firings=10
+        )
+        assert res.events_executed == 5 and res.immediate_firings == 5
+        # no event runs after the cap: the window sees the frozen marking
+        assert res.firing_counts == {"go": 0, "back": 0}
+        assert res.mean_tokens_dict() == {"a": 1.0, "b": 0.0}
+        assert res.observed_time == 1e9 - 1e6
+
     def test_run_batches_independent(self):
         sim = PetriNetSimulator(figure1_net(1.0), seed=9)
         batches = sim.run_batches(batch_length=50.0, n_batches=3)
