@@ -26,8 +26,16 @@ Model            Implementation                              Paper section
 :mod:`repro.core.comparison` sweeps any subset of them over a threshold
 grid and computes the paper's Table 4 / Table 5 delta statistics;
 :mod:`repro.core.energy` holds the eq.-25 energy accounting.
+
+Importing the package does not import scipy.  ``TransientCurve`` and
+``TransientEnergyModel`` (:mod:`repro.core.transient`, which integrates
+the phase-type chain with scipy's ``expm_multiply``) are resolved on first
+access.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.core.comparison import (
     MODEL_NAMES,
     SweepConfig,
@@ -69,7 +77,6 @@ from repro.core.simulation_cpu import (
     replicate_cpu_simulation,
     simulate_job_scan,
 )
-from repro.core.transient import TransientCurve, TransientEnergyModel
 
 __all__ = [
     "CPUEventSimulator",
@@ -106,3 +113,10 @@ __all__ = [
     "run_threshold_sweep",
     "simulate_job_scan",
 ]
+
+if TYPE_CHECKING:
+    from repro.core.transient import TransientCurve, TransientEnergyModel
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.transient": ("TransientCurve", "TransientEnergyModel"),
+})

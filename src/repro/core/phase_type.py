@@ -32,14 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro import obs
 from repro.core.params import CPUModelParams, PowerProfile, StateFractions
-from repro.markov.ctmc import _finalize_pi
+from repro.markov.stationary import _finalize_pi
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "PhaseTypeSolution",
@@ -254,7 +256,7 @@ def stage_chain_stationary(
     row ``k`` of the result is bitwise independent of the stack's size
     and order.  A row whose rates overflow or are invalid comes back
     non-finite rather than raising: callers validate with
-    :func:`repro.markov.ctmc._finalize_pi` (or the phase-type backend's
+    :func:`repro.markov.stationary._finalize_pi` (or the phase-type backend's
     stacked form), which fails only the offending point.
     """
     rates = np.asarray(rate_stack, dtype=np.float64)
@@ -410,8 +412,11 @@ class PhaseTypeModel:
         """Concrete rates for the ``RATE_*`` slots of the stage structure."""
         return stage_rate_vector(self.params, self.k_d, self.k_t)
 
-    def build_generator(self) -> Tuple[List[State], sparse.csr_matrix]:
+    def build_generator(self) -> Tuple[List[State], scipy.sparse.csr_matrix]:
         """The states and sparse generator of the stage-expanded chain."""
+        # the only scipy use of the module: solve() never builds the matrix
+        from scipy import sparse
+
         states, _, rows, cols, rate_ids = build_stage_structure(
             self.k_d, self.k_t, self.n_max, self._has_powerup, self._has_idle
         )

@@ -127,8 +127,8 @@ class Simulator:
     ) -> Event:
         """Schedule *action* to run ``delay`` time units from now.
 
-        Returns the :class:`Event`, whose :meth:`~Event.cancel` method (or
-        :meth:`Simulator.cancel`) descheduling it.
+        Returns the :class:`Event`; pass it to :meth:`cancel` to
+        deschedule it.
         """
         if self.kernel is not None:
             self._no_kernel("schedule")

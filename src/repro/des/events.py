@@ -53,10 +53,6 @@ class Event:
         self.sequence = -1  # assigned on push; -1 again once popped
         self.cancelled = False
 
-    def cancel(self) -> None:
-        """Mark the event so the queue discards it instead of firing it."""
-        self.cancelled = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6g}, prio={self.priority}, tag={self.tag!r}, {state})"

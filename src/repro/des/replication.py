@@ -11,12 +11,19 @@ Replications are embarrassingly parallel, so the runner can fan them out
 over a ``multiprocessing`` pool (``n_jobs > 1``); results are identical to
 the serial path because each replication's randomness depends only on
 ``(seed, replication_index)`` — see :class:`~repro.des.random_streams.StreamManager`.
+
+The confidence intervals are computed when
+:attr:`ReplicationSummary.intervals` is first read, not by
+:func:`run_replications`: the Student-t quantile needs ``scipy.stats``,
+and callers that use only the means (the paper's figures and tables) never
+import it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -47,21 +54,29 @@ class ReplicationSummary:
         Per-replication raw results, in index order.
     means / stds:
         Across-replication mean and sample standard deviation per metric.
-    intervals:
-        Student-t confidence intervals per metric at ``level``.
     level:
-        Confidence level used for ``intervals``.
+        Confidence level used for :attr:`intervals`.
     """
 
     replications: List[ReplicationResult]
     means: Dict[str, float] = field(default_factory=dict)
     stds: Dict[str, float] = field(default_factory=dict)
-    intervals: Dict[str, Tuple[float, float]] = field(default_factory=dict)
     level: float = 0.95
 
     @property
     def n(self) -> int:
         return len(self.replications)
+
+    @cached_property
+    def intervals(self) -> Dict[str, Tuple[float, float]]:
+        """Student-t confidence interval per metric at ``level``.
+
+        Computed on first read (it imports ``scipy.stats``) and cached.
+        """
+        return {
+            name: confidence_interval(self.metric_samples(name), self.level)
+            for name in self.means
+        }
 
     def metric_samples(self, name: str) -> np.ndarray:
         """All replications' values for one metric."""
@@ -152,5 +167,4 @@ def run_replications(
         summary.stds[name] = (
             float(samples.std(ddof=1)) if samples.size > 1 else 0.0
         )
-        summary.intervals[name] = confidence_interval(samples, level)
     return summary

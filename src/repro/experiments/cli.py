@@ -11,6 +11,10 @@ Examples::
 
 Fast mode (default) finishes in seconds; ``--full`` reproduces the paper's
 0.1-step threshold grid with long runs (minutes).
+
+Each command imports its own machinery when it runs.  At import the module
+loads only the paper's experiments and the constants the parser offers as
+choices, so ``list`` and ``run`` never import scipy.
 """
 
 from __future__ import annotations
@@ -25,22 +29,9 @@ from typing import List, Optional, Sequence, Union
 from repro import obs
 from repro.core.params import CPUModelParams
 from repro.experiments.paper_experiments import EXPERIMENTS, ExperimentConfig
-from repro.markov.ctmc import (
-    STEADY_STATE_METHODS,
-    ConvergenceError,
-)
-from repro.petri.analysis import ReachabilityOptions
-from repro.sweep import (
-    BACKEND_NAMES,
-    DEMO_NETS,
-    GSPNBackend,
-    PhaseTypeBackend,
-    RenewalBackend,
-    SweepGrid,
-    SweepRunner,
-)
-from repro.sweep.backends import resolve_cpu_axis
-from repro.verify import LINT_LEVELS, lint_net
+from repro.markov.stationary import STEADY_STATE_METHODS
+from repro.sweep import BACKEND_NAMES, DEMO_NETS
+from repro.verify import LINT_LEVELS
 
 __all__ = ["main", "build_parser"]
 
@@ -670,6 +661,8 @@ _CPU_DEFAULT_METRICS = ("fraction:standby", "fraction:active", "power")
 
 def _base_cpu_params(param_specs: Optional[List[str]]) -> CPUModelParams:
     """Paper-default CPU parameters with ``--param NAME=VALUE`` overrides."""
+    from repro.sweep.backends import resolve_cpu_axis
+
     overrides = {}
     for spec in param_specs or []:
         name, sep, value = spec.partition("=")
@@ -742,6 +735,9 @@ def _check_distributed_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.markov.ctmc import ConvergenceError
+    from repro.sweep import PhaseTypeBackend, RenewalBackend, SweepGrid, SweepRunner
+
     # keep the distributed package (asyncio/multiprocessing machinery) off
     # the startup path of plain sweeps: its error type joins the handler
     # only when --distributed is in play
@@ -877,6 +873,10 @@ _STEADY_NET_SIZE_KWARGS = {
 
 
 def _cmd_steady(args: argparse.Namespace) -> int:
+    from repro.markov.ctmc import ConvergenceError
+    from repro.petri.analysis import ReachabilityOptions
+    from repro.sweep import GSPNBackend, PhaseTypeBackend
+
     trace = _telemetry_trace(args, "steady")
     obs_token = obs.activate(trace) if trace is not None else None
     try:
@@ -960,6 +960,8 @@ def _cmd_steady(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.verify import lint_net
+
     try:
         factory, _ = DEMO_NETS[args.net]
         net = factory()

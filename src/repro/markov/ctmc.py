@@ -46,6 +46,11 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from repro import obs
+from repro.markov.stationary import (
+    STEADY_STATE_METHODS,
+    NumericalSolveError,
+    _finalize_pi,
+)
 
 __all__ = [
     "CTMC",
@@ -70,9 +75,6 @@ SPARSE_AUTO_THRESHOLD = 500
 #: Chains larger than this solve steady state iteratively (GMRES) under
 #: ``method="auto"``; at or below it, direct LU wins (see docs/solvers.md).
 ITERATIVE_AUTO_THRESHOLD = 20_000
-
-#: Steady-state solver methods accepted by :meth:`CTMC.steady_state`.
-STEADY_STATE_METHODS = ("auto", "lu", "gmres", "power")
 
 #: Default relative tolerance of the iterative steady-state methods.
 ITERATIVE_DEFAULT_TOL = 1e-10
@@ -104,18 +106,6 @@ ILU_REFRESH_ITERATIONS = 8
 RESIDUAL_HISTORY_LIMIT = 1000
 
 _BACKENDS = ("auto", "dense", "sparse")
-
-
-class NumericalSolveError(ValueError):
-    """A steady-state solve failed *numerically*.
-
-    Raised for singular systems (reducible chains), non-finite or
-    negative solution entries, and failed normalisations.  Subclasses
-    ``ValueError`` for backward compatibility, but gives callers a type
-    to distinguish a chain that cannot be solved from an API misuse —
-    the sweep runner treats the former as one bad grid point (NaN row)
-    and the latter as a configuration error that aborts the sweep.
-    """
 
 
 class ConvergenceError(RuntimeError):
@@ -248,25 +238,6 @@ def resolve_steady_state_method(n: int, method: str = "auto") -> str:
     if method == "auto":
         return "lu" if n <= ITERATIVE_AUTO_THRESHOLD else "gmres"
     return method
-
-
-def _finalize_pi(pi: np.ndarray) -> np.ndarray:
-    """Validate and normalise a raw steady-state solve result."""
-    if not np.all(np.isfinite(pi)):
-        raise NumericalSolveError(
-            "steady-state solve produced non-finite entries"
-        )
-    pi = np.where(np.abs(pi) < 1e-13, 0.0, pi)
-    if np.any(pi < -1e-9):
-        raise NumericalSolveError(
-            "steady-state solve produced negative probabilities; "
-            "the chain is likely reducible"
-        )
-    pi = np.clip(pi, 0.0, None)
-    total = pi.sum()
-    if not math.isfinite(total) or total <= 0.0:
-        raise NumericalSolveError("steady-state normalisation failed")
-    return pi / total
 
 
 def _augmented_system(Q: sparse.spmatrix) -> Tuple[sparse.csc_matrix, np.ndarray]:

@@ -1,0 +1,51 @@
+"""What every steady-state solver shares, on numpy alone.
+
+The solver method names, the error a numerically failed solve raises, and
+the validation/normalisation of a raw stationary vector.  The CTMC solvers
+in :mod:`repro.markov.ctmc` (scipy-backed) and the phase-type level
+recursion in :mod:`repro.core.phase_type` (numpy only) both use them, so
+they live here, where importing them does not import scipy.
+:mod:`repro.markov.ctmc` re-exports every name.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+__all__ = ["NumericalSolveError", "STEADY_STATE_METHODS"]
+
+#: Steady-state solver methods accepted by :meth:`CTMC.steady_state`.
+STEADY_STATE_METHODS = ("auto", "lu", "gmres", "power")
+
+
+class NumericalSolveError(ValueError):
+    """A steady-state solve failed *numerically*.
+
+    Raised for singular systems (reducible chains), non-finite or
+    negative solution entries, and failed normalisations.  Subclasses
+    ``ValueError`` for backward compatibility, but gives callers a type
+    to distinguish a chain that cannot be solved from an API misuse —
+    the sweep runner treats the former as one bad grid point (NaN row)
+    and the latter as a configuration error that aborts the sweep.
+    """
+
+
+def _finalize_pi(pi: np.ndarray) -> np.ndarray:
+    """Validate and normalise a raw steady-state solve result."""
+    if not np.all(np.isfinite(pi)):
+        raise NumericalSolveError(
+            "steady-state solve produced non-finite entries"
+        )
+    pi = np.where(np.abs(pi) < 1e-13, 0.0, pi)
+    if np.any(pi < -1e-9):
+        raise NumericalSolveError(
+            "steady-state solve produced negative probabilities; "
+            "the chain is likely reducible"
+        )
+    pi = np.clip(pi, 0.0, None)
+    total = pi.sum()
+    if not math.isfinite(total) or total <= 0.0:
+        raise NumericalSolveError("steady-state normalisation failed")
+    return pi / total

@@ -40,24 +40,19 @@ Quick example (the paper's Figure 1 — two places, one transition)::
     sim = PetriNetSimulator(net, seed=1)
     result = sim.run(horizon=100.0)
     result.mean_tokens("P1")   # -> approaches 1.0
+
+Importing the package does not import scipy: the token game and the
+structural analyzers never need it.  The reachability and CTMC export
+names (``ReachabilityGraph``, ``ReachabilityOptions``,
+``explore_reachability``, ``GSPNSolution``, ``GSPNSolver``,
+``ctmc_from_net``) are resolved on first access, which imports
+:mod:`repro.petri.analysis` or :mod:`repro.petri.ctmc_export`.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.petri.arcs import Arc, ArcKind
-from repro.petri.marking import Marking
-from repro.petri.net import NetStructureError, PetriNet, Place
-from repro.petri.simulator import PetriNetSimulator, SimulationResult
-from repro.petri.transitions import (
-    ImmediateTransition,
-    MemoryPolicy,
-    TimedTransition,
-    Transition,
-)
-from repro.petri.analysis import (
-    ReachabilityGraph,
-    ReachabilityOptions,
-    explore_reachability,
-)
-from repro.petri.ctmc_export import GSPNSolution, GSPNSolver, ctmc_from_net
 from repro.petri.dot_export import to_dot
 from repro.petri.invariants import (
     InvariantSearchResult,
@@ -69,6 +64,9 @@ from repro.petri.invariants import (
     t_invariants_detailed,
     verify_p_invariant,
 )
+from repro.petri.marking import Marking
+from repro.petri.net import NetStructureError, PetriNet, Place
+from repro.petri.simulator import PetriNetSimulator, SimulationResult
 from repro.petri.structural import (
     CommonerResult,
     ConflictSet,
@@ -80,6 +78,12 @@ from repro.petri.structural import (
     minimal_traps,
     structural_bounds,
     structurally_dead_transitions,
+)
+from repro.petri.transitions import (
+    ImmediateTransition,
+    MemoryPolicy,
+    TimedTransition,
+    Transition,
 )
 
 __all__ = [
@@ -121,3 +125,20 @@ __all__ = [
     "to_dot",
     "verify_p_invariant",
 ]
+
+if TYPE_CHECKING:
+    from repro.petri.analysis import (
+        ReachabilityGraph,
+        ReachabilityOptions,
+        explore_reachability,
+    )
+    from repro.petri.ctmc_export import GSPNSolution, GSPNSolver, ctmc_from_net
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.petri.analysis": (
+        "ReachabilityGraph",
+        "ReachabilityOptions",
+        "explore_reachability",
+    ),
+    "repro.petri.ctmc_export": ("GSPNSolution", "GSPNSolver", "ctmc_from_net"),
+})

@@ -33,17 +33,22 @@ Quick example::
     runner = SweepRunner(build_mm1k_net(), ["mean_tokens:queue"])
     result = runner.run(SweepGrid({"arrive": [0.5, 1.0, 1.5]}))
     print(result.render(title="M/M/1/K arrival-rate sweep"))
+
+Importing the package does not import scipy: the runner and the
+``gspn``/``phase-type`` backends are resolved on first access, so the
+CLI reads ``BACKEND_NAMES`` and ``DEMO_NETS`` without loading them.
 """
 
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.sweep.backends import (
     BACKEND_NAMES,
-    BatchedPhaseTypeBackend,
-    GSPNBackend,
-    PhaseTypeBackend,
     RenewalBackend,
     SweepBackend,
     make_backend,
 )
+from repro.sweep.backends.base import Metric, metric_name
 from repro.sweep.grid import SweepGrid, parse_axis
 from repro.sweep.nets import (
     DEMO_NETS,
@@ -52,15 +57,6 @@ from repro.sweep.nets import (
     build_wsn_cluster_net,
 )
 from repro.sweep.results import PointFailure, SweepResult
-from repro.sweep.runner import (
-    Metric,
-    SweepRunner,
-    contiguous_chunks,
-    evaluate_metric,
-    iter_point_rows,
-    metric_name,
-    solve_point_row,
-)
 
 __all__ = [
     "BACKEND_NAMES",
@@ -86,3 +82,32 @@ __all__ = [
     "parse_axis",
     "solve_point_row",
 ]
+
+if TYPE_CHECKING:
+    from repro.sweep.backends.gspn import GSPNBackend
+    from repro.sweep.backends.phase_type import (
+        BatchedPhaseTypeBackend,
+        PhaseTypeBackend,
+    )
+    from repro.sweep.runner import (
+        SweepRunner,
+        contiguous_chunks,
+        evaluate_metric,
+        iter_point_rows,
+        solve_point_row,
+    )
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sweep.backends.gspn": ("GSPNBackend",),
+    "repro.sweep.backends.phase_type": (
+        "BatchedPhaseTypeBackend",
+        "PhaseTypeBackend",
+    ),
+    "repro.sweep.runner": (
+        "SweepRunner",
+        "contiguous_chunks",
+        "evaluate_metric",
+        "iter_point_rows",
+        "solve_point_row",
+    ),
+})

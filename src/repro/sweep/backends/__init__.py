@@ -18,10 +18,15 @@ ship:
 ``renewal``   the exact renewal-reward closed form, for ground-truth
               cross-checks of the other two
 ============  ========================================================
+
+Importing the package does not import scipy: the ``gspn`` and
+``phase-type`` backends (and their solution types) are resolved on first
+access, which imports their modules then.
 """
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+from repro._lazy import lazy_exports
 from repro.sweep.backends.base import (
     CPU_AXIS_ALIASES,
     CPUParamsAxesMixin,
@@ -31,12 +36,6 @@ from repro.sweep.backends.base import (
     metric_name,
     parse_metric_spec,
     resolve_cpu_axis,
-)
-from repro.sweep.backends.gspn import GSPNBackend, evaluate_gspn_metric
-from repro.sweep.backends.phase_type import (
-    PhaseTypeBackend,
-    PhaseTypeSweepSolution,
-    PhaseTypeTemplate,
 )
 from repro.sweep.backends.renewal import RenewalBackend, RenewalSweepSolution
 
@@ -61,12 +60,27 @@ __all__ = [
     "resolve_cpu_axis",
 ]
 
+if TYPE_CHECKING:
+    from repro.sweep.backends.gspn import GSPNBackend, evaluate_gspn_metric
+    from repro.sweep.backends.phase_type import (
+        BatchedPhaseTypeBackend,
+        PhaseTypeBackend,
+        PhaseTypeSweepSolution,
+        PhaseTypeTemplate,
+    )
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.sweep.backends.gspn": ("GSPNBackend", "evaluate_gspn_metric"),
+    "repro.sweep.backends.phase_type": (
+        "BatchedPhaseTypeBackend",
+        "PhaseTypeBackend",
+        "PhaseTypeSweepSolution",
+        "PhaseTypeTemplate",
+    ),
+})
+
 #: CLI-facing registry; ``gspn`` needs a net, the CPU backends take params.
 BACKEND_NAMES = ("gspn", "phase-type", "renewal")
-
-#: Deprecated spelling: the phase-type backend always batches now.
-#: ``make_backend("phase-type-batched")`` resolves to it as well.
-BatchedPhaseTypeBackend = PhaseTypeBackend
 
 
 def make_backend(name: str, **kwargs: Any) -> SweepBackend:
@@ -77,9 +91,13 @@ def make_backend(name: str, **kwargs: Any) -> SweepBackend:
     ``make_backend("renewal", params=...)``.
     """
     if name == "gspn":
-        return GSPNBackend(**kwargs)
+        from repro.sweep.backends import gspn
+
+        return gspn.GSPNBackend(**kwargs)
     if name in ("phase-type", "phase-type-batched"):
-        return PhaseTypeBackend(**kwargs)
+        from repro.sweep.backends import phase_type
+
+        return phase_type.PhaseTypeBackend(**kwargs)
     if name == "renewal":
         return RenewalBackend(**kwargs)
     raise KeyError(f"unknown backend {name!r} (have: {list(BACKEND_NAMES)})")

@@ -74,7 +74,12 @@ from repro.sweep.backends.base import (
     SweepBackend,
 )
 
-__all__ = ["PhaseTypeBackend", "PhaseTypeSweepSolution", "PhaseTypeTemplate"]
+__all__ = [
+    "BatchedPhaseTypeBackend",
+    "PhaseTypeBackend",
+    "PhaseTypeSweepSolution",
+    "PhaseTypeTemplate",
+]
 
 #: stage-structure state kinds -> canonical StateFractions names
 _KIND_TO_STATE = {"busy": "active", "powerup": "powerup", "standby": "standby", "idle": "idle"}
@@ -564,3 +569,8 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
             if abs(float(p @ tpl.power_mw) - power_ss) <= band:
                 return t
         return math.inf
+
+
+#: Deprecated spelling: the phase-type backend always batches now.
+#: ``make_backend("phase-type-batched")`` resolves to it as well.
+BatchedPhaseTypeBackend = PhaseTypeBackend

@@ -20,25 +20,22 @@ The subsystem has three layers:
   runs before solving or fanning out a grid.
 
 See ``docs/verification.md`` for the code catalogue and examples.
+
+Importing the package does not import scipy: the names defined in
+:mod:`repro.verify.chain` and :mod:`repro.verify.lint` are resolved on
+first access.
 """
 
-from repro.verify.chain import (
-    ChainClassification,
-    chain_diagnostics,
-    classify_states,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
 from repro.verify.diagnostics import (
     CODES,
+    LINT_LEVELS,
     Diagnostic,
     LintReport,
     PreflightError,
     Severity,
-)
-from repro.verify.lint import (
-    LINT_LEVELS,
-    lint_net,
-    preflight_sweep,
-    raise_on_errors,
 )
 
 __all__ = [
@@ -55,3 +52,20 @@ __all__ = [
     "preflight_sweep",
     "raise_on_errors",
 ]
+
+if TYPE_CHECKING:
+    from repro.verify.chain import (
+        ChainClassification,
+        chain_diagnostics,
+        classify_states,
+    )
+    from repro.verify.lint import lint_net, preflight_sweep, raise_on_errors
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.verify.chain": (
+        "ChainClassification",
+        "chain_diagnostics",
+        "classify_states",
+    ),
+    "repro.verify.lint": ("lint_net", "preflight_sweep", "raise_on_errors"),
+})

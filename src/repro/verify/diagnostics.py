@@ -26,10 +26,15 @@ from typing import Dict, Iterator, List, Sequence
 __all__ = [
     "CODES",
     "Diagnostic",
+    "LINT_LEVELS",
     "LintReport",
     "PreflightError",
     "Severity",
 ]
+
+#: Recognised lint levels of :func:`repro.verify.lint.lint_net`, cheapest
+#: first (defined here, where the CLI reads them without importing scipy).
+LINT_LEVELS = ("quick", "standard", "deep")
 
 
 class Severity(enum.IntEnum):

@@ -42,6 +42,7 @@ from repro.petri.structural import (
 )
 from repro.verify.chain import chain_diagnostics, classify_states
 from repro.verify.diagnostics import (
+    LINT_LEVELS,
     Diagnostic,
     LintReport,
     PreflightError,
@@ -53,9 +54,6 @@ __all__ = [
     "lint_net",
     "preflight_sweep",
 ]
-
-#: Recognised lint levels, cheapest first.
-LINT_LEVELS = ("quick", "standard", "deep")
 
 #: Exploration cap of the deep level (deliberately below the solver
 #: default: lint should stay interactive even on a mis-modelled net).

@@ -118,6 +118,15 @@ class TestStopAndBudget:
         sim.run()
         assert fired == []
 
+    def test_cancel_leaves_no_pending_count(self):
+        sim = Simulator()
+        cancelled = sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.cancel(cancelled)
+        sim.run()
+        assert sim.pending_count() == 0
+        assert not sim.queue
+
     def test_cancel_after_fire_keeps_pending_count(self):
         sim = Simulator()
         fired = sim.schedule(1.0, lambda: None)

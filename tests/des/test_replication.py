@@ -1,10 +1,16 @@
 """Replication runner: reproducibility, aggregation, parallel equivalence."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.des.random_streams import StreamManager
 from repro.des.replication import run_replications
+from repro.des.statistics import confidence_interval
 
 
 def _model(streams: StreamManager, loc: float = 10.0) -> dict:
@@ -52,6 +58,29 @@ class TestBasics:
         s = run_replications(_model, n_replications=30, seed=0)
         assert s.half_width("metric") > 0.0
         assert s.relative_half_width("metric") > 0.0
+
+    def test_intervals_equal_per_metric_confidence_interval(self):
+        s = run_replications(_model, n_replications=12, seed=4, level=0.9)
+        for name in ("metric", "draw"):
+            samples = np.asarray([r.metrics[name] for r in s.replications])
+            assert s.intervals[name] == confidence_interval(samples, 0.9)
+        assert s.intervals is s.intervals  # computed once, then cached
+
+    def test_run_replications_leaves_scipy_stats_unloaded(self):
+        # the intervals need scipy.stats; they are computed on first read
+        env = dict(
+            os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src")
+        )
+        code = (
+            "import sys\n"
+            "from repro.des.replication import run_replications\n"
+            "def model(streams):\n"
+            "    return {'x': float(streams.get('x').random())}\n"
+            "s = run_replications(model, n_replications=4, seed=1)\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+            "assert s.half_width('x') > 0.0 and 'scipy.stats' in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_zero_replications_rejected(self):
         with pytest.raises(ValueError):

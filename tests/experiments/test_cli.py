@@ -179,3 +179,49 @@ class TestSweepPreflight:
             "--distributed", "--shards", "2",
         ]) == 2
         assert "CH001" in capsys.readouterr().err
+
+
+class TestParserChoices:
+    """Every ``choices`` list is the one source constant, read through the
+    scipy-free route the parser uses."""
+
+    def test_choices_equal_source_constants(self):
+        import argparse
+
+        from repro.experiments.paper_experiments import EXPERIMENTS
+        from repro.markov.ctmc import STEADY_STATE_METHODS
+        from repro.sweep.backends import BACKEND_NAMES
+        from repro.sweep.nets import DEMO_NETS
+        from repro.verify.lint import LINT_LEVELS
+
+        nets = sorted(DEMO_NETS)
+        models = sorted(BACKEND_NAMES) + ["phase-type-batched"]
+        solvers = list(STEADY_STATE_METHODS)
+        expected = {
+            ("run", "experiment"): sorted(EXPERIMENTS) + ["all"],
+            ("sweep", "model"): models,
+            ("sweep", "net"): nets,
+            ("sweep", "backend"): ["auto", "dense", "sparse"],
+            ("sweep", "solver"): solvers,
+            ("lint", "net"): nets,
+            ("lint", "level"): list(LINT_LEVELS),
+            ("steady", "model"): ["gspn", "phase-type"],
+            ("steady", "net"): nets,
+            ("steady", "solver"): solvers,
+            ("query", "op"): ["sweep", "steady", "lint", "ping", "stats"],
+            ("query", "model"): list(BACKEND_NAMES) + ["phase-type-batched"],
+            ("query", "net"): nets,
+            ("query", "level"): list(LINT_LEVELS),
+            ("query", "solver"): solvers,
+        }
+        parser = build_parser()
+        (commands,) = (
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        found = {
+            (command, action.dest): list(action.choices)
+            for command, sub in commands.choices.items()
+            for action in sub._actions
+            if action.choices is not None
+        }
+        assert found == expected
