@@ -13,24 +13,34 @@ Fast mode (default) finishes in seconds; ``--full`` reproduces the paper's
 0.1-step threshold grid with long runs (minutes).
 
 Each command imports its own machinery when it runs.  At import the module
-loads only the paper's experiments and the constants the parser offers as
-choices, so ``list`` and ``run`` never import scipy.
+loads only the paper's experiments and the model-spec vocabulary
+(:mod:`repro.sweep.spec`) the parser offers as choices, so ``list`` and
+``run`` never import scipy.  ``sweep``, ``steady`` and ``query`` share one
+group of model flags, which :func:`_model_spec` turns into the service's
+model spec.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 from repro import obs
-from repro.core.params import CPUModelParams
 from repro.experiments.paper_experiments import EXPERIMENTS, ExperimentConfig
-from repro.markov.stationary import STEADY_STATE_METHODS
-from repro.sweep import BACKEND_NAMES, DEMO_NETS
+from repro.markov.stationary import CTMC_BACKENDS, STEADY_STATE_METHODS
+from repro.sweep import DEMO_NETS
+from repro.sweep.spec import (
+    MODEL_KINDS,
+    SPEC_FIELDS,
+    RequestError,
+    build_backend,
+    canonical_model_spec,
+    default_metrics,
+)
 from repro.verify import LINT_LEVELS
 
 __all__ = ["main", "build_parser"]
@@ -85,26 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--metric fraction:standby --metric power --metric energy@10"
         ),
     )
-    sweep_p.add_argument(
-        "--model",
-        choices=sorted(BACKEND_NAMES) + ["phase-type-batched"],
-        default="gspn",
-        help=(
-            "model backend: 'gspn' re-binds exponential rates of --net; "
-            "'phase-type' stage-expands the deterministic-delay CPU model "
-            "('phase-type-batched' is an old spelling of it); "
-            "'renewal' is the exact closed form (default: gspn)"
-        ),
-    )
-    sweep_p.add_argument(
-        "--net",
-        choices=sorted(DEMO_NETS),
-        default=None,
-        help=(
-            "demo net to sweep under --model gspn "
-            "(default: the exponentialised Figure 3 CPU)"
-        ),
-    )
+    _add_model_flags(sweep_p)
     sweep_p.add_argument(
         "--rate",
         action="append",
@@ -130,33 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
             "(default: per-model defaults)"
         ),
     )
-    sweep_p.add_argument(
-        "--param",
-        action="append",
-        default=None,
-        metavar="NAME=VALUE",
-        help=(
-            "base CPU parameter override for phase-type/renewal, "
-            "repeatable (e.g. --param SR=20 --param D=0.05)"
-        ),
-    )
-    sweep_p.add_argument(
-        "--stages",
-        type=int,
-        default=None,
-        help="Erlang stages per deterministic delay (phase-type; default 32)",
-    )
-    sweep_p.add_argument(
-        "--n-max",
-        type=int,
-        default=None,
-        help=(
-            "queue truncation level shared by the whole grid (phase-type; "
-            "default: sized from the base parameters)"
-        ),
-    )
-    # phase-type sweeps always batch; --batched is an accepted no-op
-    sweep_p.add_argument("--batched", action="store_true", help=argparse.SUPPRESS)
     sweep_p.add_argument(
         "--jobs",
         type=int,
@@ -202,13 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
             "interrupted sweep re-run with the same grid resumes from it"
         ),
     )
-    sweep_p.add_argument(
-        "--backend",
-        choices=["auto", "dense", "sparse"],
-        default=None,
-        help="CTMC linear-algebra backend under --model gspn (default auto)",
-    )
-    _add_solver_flags(sweep_p)
     sweep_p.add_argument(
         "--no-preflight",
         action="store_true",
@@ -288,59 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--solver gmres"
         ),
     )
-    steady_p.add_argument(
-        "--model",
-        choices=["gspn", "phase-type"],
-        default="gspn",
-        help="model family (renewal is closed form — nothing to solve)",
-    )
-    steady_p.add_argument(
-        "--net",
-        choices=sorted(DEMO_NETS),
-        default=None,
-        help="demo net under --model gspn (default: wsn-cluster)",
-    )
-    steady_p.add_argument(
-        "--buffer",
-        type=int,
-        default=None,
-        help="buffer/queue capacity of the demo net (gspn; grows the chain)",
-    )
-    steady_p.add_argument(
-        "--nodes",
-        type=int,
-        default=None,
-        help="sensor-node count (wsn-cluster only; grows the chain fast)",
-    )
-    steady_p.add_argument(
-        "--max-markings",
-        type=int,
-        default=None,
-        help=(
-            "reachability exploration cap for gspn nets "
-            "(default 2000000 — sized for the deep demo scenarios)"
-        ),
-    )
-    steady_p.add_argument(
-        "--param",
-        action="append",
-        default=None,
-        metavar="NAME=VALUE",
-        help="base CPU parameter override (phase-type), repeatable",
-    )
-    steady_p.add_argument(
-        "--stages",
-        type=int,
-        default=None,
-        help="Erlang stages per deterministic delay (phase-type; default 32)",
-    )
-    steady_p.add_argument(
-        "--n-max",
-        type=int,
-        default=None,
-        help="queue truncation level (phase-type; grows the chain)",
-    )
-    _add_solver_flags(steady_p)
+    _add_model_flags(steady_p)
     _add_telemetry_flags(steady_p)
     steady_p.set_defaults(func=_cmd_steady)
 
@@ -483,22 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="steady",
         help="request kind (default steady)",
     )
-    query_p.add_argument(
-        "--model",
-        choices=list(BACKEND_NAMES) + ["phase-type-batched"],
-        default="gspn",
-        help="model family (default gspn)",
-    )
-    query_p.add_argument(
-        "--net",
-        choices=sorted(DEMO_NETS),
-        default=None,
-        help="demo net for --model gspn / --op lint (default cpu-gspn)",
-    )
-    query_p.add_argument("--buffer", type=int, default=None,
-                         help="buffer capacity (net-dependent)")
-    query_p.add_argument("--nodes", type=int, default=None,
-                         help="cluster size (wsn-cluster only)")
+    _add_model_flags(query_p)
     query_p.add_argument(
         "--axis",
         action="append",
@@ -514,17 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="metric column (repeatable; default: the model's standard set)",
     )
     query_p.add_argument(
-        "--param",
-        action="append",
-        default=None,
-        metavar="NAME=VALUE",
-        help="base CPU parameter override (phase-type/renewal models)",
-    )
-    query_p.add_argument("--stages", type=int, default=None,
-                         help="Erlang stages (phase-type models)")
-    query_p.add_argument("--n-max", type=int, default=None,
-                         help="queue truncation (phase-type models)")
-    query_p.add_argument(
         "--level",
         choices=list(LINT_LEVELS),
         default="standard",
@@ -537,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="give up on the service after this long (default 120)",
     )
-    _add_solver_flags(query_p)
     query_p.set_defaults(func=_cmd_query)
     return parser
 
@@ -560,9 +438,88 @@ def _parse_hostport(spec: str, flag: str) -> tuple:
     return host, port
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    """Steady-state solver flags shared by ``sweep`` and ``steady``."""
-    parser.add_argument(
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    """The model-spec flags shared by ``sweep``, ``steady`` and ``query``.
+
+    Each flag sets the spec key of its name (``--model`` sets ``kind``,
+    ``--param`` sets ``params``); which keys apply to which model is
+    :data:`repro.sweep.spec.SPEC_KEYS`'s to say, not the parser's.
+    """
+    group = parser.add_argument_group("model spec (see docs/service.md)")
+    group.add_argument(
+        "--model",
+        choices=list(MODEL_KINDS),
+        default="gspn",
+        help=(
+            "model family: 'gspn' solves a demo --net; 'phase-type' "
+            "stage-expands the deterministic-delay CPU model "
+            "('phase-type-batched' is an old spelling of it); 'renewal' "
+            "is its exact closed form (default: gspn)"
+        ),
+    )
+    group.add_argument(
+        "--net",
+        choices=sorted(DEMO_NETS),
+        default=None,
+        help=(
+            "demo net of --model gspn, and the net query --op lint lints "
+            "(default: cpu-gspn, the exponentialised Figure 3 CPU; "
+            "steady: wsn-cluster)"
+        ),
+    )
+    group.add_argument(
+        "--buffer",
+        type=int,
+        default=None,
+        help="buffer/queue capacity of the demo net (gspn; grows the chain)",
+    )
+    group.add_argument(
+        "--nodes",
+        type=int,
+        default=None,
+        help="sensor-node count (wsn-cluster only; grows the chain fast)",
+    )
+    group.add_argument(
+        "--max-markings",
+        type=int,
+        default=None,
+        help="reachability exploration cap (gspn; default 2000000)",
+    )
+    group.add_argument(
+        "--backend",
+        choices=list(CTMC_BACKENDS),
+        default=None,
+        help="CTMC linear-algebra backend (gspn; default auto)",
+    )
+    group.add_argument(
+        "--param",
+        dest="params",
+        action="append",
+        default=None,
+        metavar="NAME=VALUE",
+        help=(
+            "base CPU parameter override (phase-type/renewal), repeatable "
+            "(e.g. --param SR=20 --param D=0.05)"
+        ),
+    )
+    group.add_argument(
+        "--stages",
+        type=int,
+        default=None,
+        help="Erlang stages per deterministic delay (phase-type; default 32)",
+    )
+    group.add_argument(
+        "--n-max",
+        type=int,
+        default=None,
+        help=(
+            "queue truncation level (phase-type; default: sized from the "
+            "base parameters)"
+        ),
+    )
+    # phase-type always batches; --batched is an accepted no-op
+    group.add_argument("--batched", action="store_true", help=argparse.SUPPRESS)
+    group.add_argument(
         "--solver",
         choices=list(STEADY_STATE_METHODS),
         default=None,
@@ -574,18 +531,76 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
             "level recursion"
         ),
     )
-    parser.add_argument(
+    group.add_argument(
         "--tol",
         type=float,
         default=None,
         help="iterative-solver convergence tolerance (gspn; default 1e-10)",
     )
-    parser.add_argument(
+    group.add_argument(
         "--max-iter",
         type=int,
         default=None,
         help="iterative-solver iteration budget (gspn)",
     )
+
+
+def _model_spec(args: argparse.Namespace, default_net: Optional[str] = None) -> dict:
+    """The model spec the flag group names: ``kind`` plus every flag given.
+
+    ``--param NAME=VALUE`` strings become numbers here; everything else
+    is left to :func:`_canonical_spec`.  *default_net* names the net of
+    a gspn spec that gives none.
+    """
+    spec: dict = {"kind": args.model}
+    for key in SPEC_FIELDS:
+        if key != "kind" and getattr(args, key) is not None:
+            spec[key] = getattr(args, key)
+    if "params" in spec:
+        spec["params"] = _parse_params(spec["params"])
+    if args.batched and args.model not in ("phase-type", "phase-type-batched"):
+        raise ValueError(
+            f"--batched does not apply to --model {args.model} "
+            "(it is for --model phase-type)"
+        )
+    if default_net is not None and args.model == "gspn":
+        spec.setdefault("net", default_net)
+    return spec
+
+
+def _parse_params(specs: List[str]) -> dict:
+    """``--param NAME=VALUE`` strings as a name -> float mapping."""
+    params = {}
+    for spec in specs:
+        name, sep, value = spec.partition("=")
+        if not sep or not name.strip() or not value.strip():
+            raise ValueError(f"--param must look like NAME=VALUE, got {spec!r}")
+        try:
+            params[name.strip()] = float(value)
+        except ValueError:
+            raise ValueError(
+                f"--param {name.strip()!r}: cannot parse value {value!r}"
+            ) from None
+    return params
+
+
+#: spec keys whose flag is not ``--<key>`` with dashes for underscores
+_KEY_FLAGS = {"kind": "--model", "params": "--param"}
+
+
+def _canonical_spec(spec: dict) -> dict:
+    """:func:`~repro.sweep.spec.canonical_model_spec`, its errors naming
+    the flags (``model.n_max`` reads ``--n-max``)."""
+    try:
+        return canonical_model_spec(spec)
+    except RequestError as exc:
+        raise ValueError(
+            re.sub(
+                r"\bmodel\.(\w+)",
+                lambda m: _KEY_FLAGS.get(m[1], "--" + m[1].replace("_", "-")),
+                str(exc),
+            )
+        ) from None
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
@@ -655,65 +670,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-#: default metric columns per CPU-model backend
-_CPU_DEFAULT_METRICS = ("fraction:standby", "fraction:active", "power")
-
-
-def _base_cpu_params(param_specs: Optional[List[str]]) -> CPUModelParams:
-    """Paper-default CPU parameters with ``--param NAME=VALUE`` overrides."""
-    from repro.sweep.backends import resolve_cpu_axis
-
-    overrides = {}
-    for spec in param_specs or []:
-        name, sep, value = spec.partition("=")
-        if not sep or not name.strip() or not value.strip():
-            raise ValueError(
-                f"--param must look like NAME=VALUE, got {spec!r}"
-            )
-        try:
-            overrides[resolve_cpu_axis(name.strip())] = float(value)
-        except ValueError:
-            raise ValueError(
-                f"--param {name.strip()!r}: cannot parse value {value!r}"
-            ) from None
-    return replace(CPUModelParams.paper_defaults(), **overrides)
-
-
-#: which optional sweep flags each model understands
-_SWEEP_FLAG_SCOPE = {
-    "--net": ("gspn",),
-    "--backend": ("gspn",),
-    "--param": ("phase-type", "renewal"),
-    "--stages": ("phase-type",),
-    "--n-max": ("phase-type",),
-    "--solver": ("gspn",),
-    "--tol": ("gspn",),
-    "--max-iter": ("gspn",),
-    "--batched": ("phase-type",),
-}
-
-
-def _check_sweep_flags(args: argparse.Namespace) -> None:
-    """Reject flags the selected --model would otherwise silently ignore."""
-    given = {
-        "--net": args.net,
-        "--backend": args.backend,
-        "--param": args.param,
-        "--stages": args.stages,
-        "--n-max": args.n_max,
-        "--solver": args.solver,
-        "--tol": args.tol,
-        "--max-iter": args.max_iter,
-        "--batched": args.batched or None,
-    }
-    for flag, models in _SWEEP_FLAG_SCOPE.items():
-        if given[flag] is not None and args.model not in models:
-            raise ValueError(
-                f"{flag} does not apply to --model {args.model} "
-                f"(it is for --model {'/'.join(models)})"
-            )
-
-
 def _check_distributed_flags(args: argparse.Namespace) -> None:
     """Reject fan-out flag combinations that would silently do nothing."""
     if not args.distributed:
@@ -736,7 +692,7 @@ def _check_distributed_flags(args: argparse.Namespace) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.markov.ctmc import ConvergenceError
-    from repro.sweep import PhaseTypeBackend, RenewalBackend, SweepGrid, SweepRunner
+    from repro.sweep import SweepGrid, SweepRunner
 
     # keep the distributed package (asyncio/multiprocessing machinery) off
     # the startup path of plain sweeps: its error type joins the handler
@@ -758,37 +714,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     obs_token = obs.activate(trace) if trace is not None else None
     progress: Optional[obs.ProgressLine] = None
     try:
-        if args.model == "phase-type-batched":
-            args.model = "phase-type"  # deprecated spelling
-        _check_sweep_flags(args)
+        spec = _canonical_spec(_model_spec(args))
         _check_distributed_flags(args)
-        runner_solver_kwargs = {}
-        if args.model == "gspn":
-            net = args.net if args.net is not None else "cpu-gspn"
-            factory, default_metrics = DEMO_NETS[net]
-            model: object = factory()
-            title = f"{net} sweep"
-            runner_solver_kwargs = dict(
-                method=args.solver if args.solver is not None else "auto",
-                tol=args.tol,
-                max_iter=args.max_iter,
-            )
-        else:
-            params = _base_cpu_params(args.param)
-            if args.model == "phase-type":
-                model = PhaseTypeBackend(
-                    params,
-                    stages=args.stages if args.stages is not None else 32,
-                    n_max=args.n_max,
-                )
-            else:
-                model = RenewalBackend(params)
-            default_metrics = _CPU_DEFAULT_METRICS
-            title = f"{args.model} sweep"
-        metrics: List[str] = (
-            args.metric if args.metric else list(default_metrics)
-        )
         grid = SweepGrid.from_specs(args.rate)
+        model = build_backend(spec)
+        metrics: List[str] = args.metric or default_metrics(spec)
+        title = f"{spec.get('net', spec['kind'])} sweep"
         if trace is not None and show_progress:
             progress = obs.ProgressLine(
                 len(grid.points()), sys.stderr, enabled=True
@@ -805,13 +736,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             runner: SweepRunner = DistributedSweepRunner(
                 model,
                 metrics,
-                backend=args.backend if args.backend is not None else "auto",
                 n_shards=shards,
                 host=host,
                 port=port,
                 checkpoint=args.checkpoint,
                 preflight=not args.no_preflight,
-                **runner_solver_kwargs,
             )
             bound_host, bound_port = runner.address
             if shards == 0:
@@ -824,13 +753,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             runner = SweepRunner(
                 model,
                 metrics,
-                backend=args.backend if args.backend is not None else "auto",
                 n_workers=args.jobs,
                 preflight=not args.no_preflight,
-                **runner_solver_kwargs,
             )
         t0 = time.perf_counter()
-        with obs.span("cli.sweep", model=args.model):
+        with obs.span("cli.sweep", model=spec["kind"]):
             result = runner.run(grid)
         elapsed = time.perf_counter() - t0
     except error_types as exc:
@@ -864,76 +791,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-#: net name -> constructor kwargs the ``steady`` size flags map onto
-_STEADY_NET_SIZE_KWARGS = {
-    "mm1k": {"--buffer": "K"},
-    "cpu-gspn": {"--buffer": "buffer_capacity"},
-    "wsn-cluster": {"--buffer": "buffer_capacity", "--nodes": "n_nodes"},
-}
-
-
 def _cmd_steady(args: argparse.Namespace) -> int:
     from repro.markov.ctmc import ConvergenceError
-    from repro.petri.analysis import ReachabilityOptions
-    from repro.sweep import GSPNBackend, PhaseTypeBackend
 
     trace = _telemetry_trace(args, "steady")
     obs_token = obs.activate(trace) if trace is not None else None
     try:
-        if args.model == "gspn":
-            for flag in ("--param", "--stages", "--n-max"):
-                if getattr(args, flag[2:].replace("-", "_")) is not None:
-                    raise ValueError(
-                        f"{flag} does not apply to --model gspn "
-                        "(it is for --model phase-type)"
-                    )
-            net = args.net if args.net is not None else "wsn-cluster"
-            factory, metrics = DEMO_NETS[net]
-            size_kwargs = {}
-            for flag, value in (("--buffer", args.buffer), ("--nodes", args.nodes)):
-                if value is None:
-                    continue
-                keyword = _STEADY_NET_SIZE_KWARGS[net].get(flag)
-                if keyword is None:
-                    raise ValueError(f"{flag} does not apply to --net {net}")
-                size_kwargs[keyword] = value
-            max_markings = (
-                args.max_markings if args.max_markings is not None else 2_000_000
-            )
-            backend: Union[GSPNBackend, PhaseTypeBackend] = GSPNBackend(
-                factory(**size_kwargs),
-                options=ReachabilityOptions(max_markings=max_markings),
-                method=args.solver if args.solver is not None else "auto",
-                tol=args.tol,
-                max_iter=args.max_iter,
-            )
-            title = f"{net} steady state"
-        else:
-            for flag, value in (
-                ("--net", args.net),
-                ("--buffer", args.buffer),
-                ("--nodes", args.nodes),
-                ("--max-markings", args.max_markings),
-                ("--solver", args.solver),
-                ("--tol", args.tol),
-                ("--max-iter", args.max_iter),
-            ):
-                if value is not None:
-                    raise ValueError(
-                        f"{flag} does not apply to --model phase-type "
-                        "(it is for --model gspn)"
-                    )
-            backend = PhaseTypeBackend(
-                _base_cpu_params(args.param),
-                stages=args.stages if args.stages is not None else 32,
-                n_max=args.n_max,
-            )
-            metrics = _CPU_DEFAULT_METRICS
-            title = "phase-type steady state"
-        with obs.span("cli.steady", model=args.model):
+        spec = _canonical_spec(_model_spec(args, default_net="wsn-cluster"))
+        backend = build_backend(spec)
+        metrics = default_metrics(spec)
+        title = f"{spec.get('net', spec['kind'])} steady state"
+        with obs.span("cli.steady", model=spec["kind"]):
             with obs.span("steady.prepare"):
                 backend.prepare()
-            n = backend.n_states
+            n = getattr(backend, "n_states", None)  # renewal: closed form
             t0 = time.perf_counter()
             with obs.span("steady.solve", n=n):
                 solution = backend.solve({})
@@ -952,10 +823,11 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     print("-" * len(title))
     for name, value in values:
         print(f"{name:30s} {value:.6g}")
-    print(
-        f"\n[{n} states solved with {backend.steady_method} "
-        f"in {elapsed:.3f} s — {backend.describe()}]"
+    solved = (
+        "closed form evaluated" if n is None
+        else f"{n} states solved with {backend.steady_method}"
     )
+    print(f"\n[{solved} in {elapsed:.3f} s — {backend.describe()}]")
     return 0
 
 
@@ -1083,36 +955,11 @@ def _build_query_payload(args: argparse.Namespace) -> dict:
         payload: dict = {"op": "lint", "net": args.net or "cpu-gspn"}
         if args.level != "standard":
             payload["level"] = args.level
+        if args.max_markings is not None:
+            payload["max_markings"] = args.max_markings
         return payload
-    model: dict = {"kind": args.model}
-    if args.model == "gspn":
-        if args.net is not None:
-            model["net"] = args.net
-        if args.buffer is not None:
-            model["buffer"] = args.buffer
-        if args.nodes is not None:
-            model["nodes"] = args.nodes
-    else:
-        if args.param:
-            params = {}
-            for spec in args.param:
-                name, sep, value = spec.partition("=")
-                if not sep:
-                    raise ValueError(
-                        f"--param must look like NAME=VALUE, got {spec!r}"
-                    )
-                params[name] = float(value)
-            model["params"] = params
-        if args.stages is not None:
-            model["stages"] = args.stages
-        if args.n_max is not None:
-            model["n_max"] = args.n_max
-    if args.solver is not None:
-        model["solver"] = args.solver
-    if args.tol is not None:
-        model["tol"] = args.tol
-    if args.max_iter is not None:
-        model["max_iter"] = args.max_iter
+    model = _model_spec(args)
+    _canonical_spec(model)  # a flag error exits 2 before any connection
     payload = {"op": args.op, "model": model}
     if args.op == "sweep":
         if not args.axis:

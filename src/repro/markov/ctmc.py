@@ -47,6 +47,7 @@ from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
 
 from repro import obs
 from repro.markov.stationary import (
+    CTMC_BACKENDS,
     STEADY_STATE_METHODS,
     NumericalSolveError,
     _finalize_pi,
@@ -54,6 +55,7 @@ from repro.markov.stationary import (
 
 __all__ = [
     "CTMC",
+    "CTMC_BACKENDS",
     "ConvergenceError",
     "ITERATIVE_AUTO_THRESHOLD",
     "NumericalSolveError",
@@ -104,9 +106,6 @@ ILU_REFRESH_ITERATIONS = 8
 #: on ``ConvergenceError`` (and shipped across process boundaries) to the
 #: trailing entries, which are the ones that show the stall shape.
 RESIDUAL_HISTORY_LIMIT = 1000
-
-_BACKENDS = ("auto", "dense", "sparse")
-
 
 class ConvergenceError(RuntimeError):
     """An iterative steady-state solve stalled before reaching tolerance.
@@ -684,8 +683,10 @@ class CTMC:
         backend: str = "auto",
         factor_cache: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
+        if backend not in CTMC_BACKENDS:
+            raise ValueError(
+                f"backend must be one of {CTMC_BACKENDS}, got {backend!r}"
+            )
         is_sparse_input = sparse.issparse(generator)
         if is_sparse_input:
             Q = generator.tocsr().astype(np.float64)

@@ -1,6 +1,6 @@
 """What every steady-state solver shares, on numpy alone.
 
-The solver method names, the error a numerically failed solve raises, and
+The solver method and backend names, the error a numerically failed solve raises, and
 the validation/normalisation of a raw stationary vector.  The CTMC solvers
 in :mod:`repro.markov.ctmc` (scipy-backed) and the phase-type level
 recursion in :mod:`repro.core.phase_type` (numpy only) both use them, so
@@ -14,10 +14,13 @@ import math
 
 import numpy as np
 
-__all__ = ["NumericalSolveError", "STEADY_STATE_METHODS"]
+__all__ = ["CTMC_BACKENDS", "NumericalSolveError", "STEADY_STATE_METHODS"]
 
 #: Steady-state solver methods accepted by :meth:`CTMC.steady_state`.
 STEADY_STATE_METHODS = ("auto", "lu", "gmres", "power")
+
+#: Linear-algebra backends a :class:`CTMC` runs on.
+CTMC_BACKENDS = ("auto", "dense", "sparse")
 
 
 class NumericalSolveError(ValueError):

@@ -25,6 +25,7 @@ from repro.sweep.service.session import (
     RequestError,
     build_backend,
     canonical_model_spec,
+    default_metrics,
     parse_request,
     request_over_socket,
     solve_response,
@@ -47,6 +48,7 @@ __all__ = [
     "WorkerPool",
     "build_backend",
     "canonical_model_spec",
+    "default_metrics",
     "parse_request",
     "request_over_socket",
     "solve_response",

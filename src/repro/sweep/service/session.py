@@ -14,10 +14,11 @@ Ops: ``sweep`` (grid solve), ``steady`` (one point at base parameters),
 ``lint`` (structural verification of a demo net), ``ping`` and ``stats``
 (health/introspection; never queued).
 
-:func:`canonical_model_spec` normalises the ``model`` spec — defaults
-filled in, axis aliases resolved, numeric types pinned — and
-:func:`parse_request` turns a payload into a validated
-:class:`ServiceRequest` whose ``fingerprint``
+:func:`~repro.sweep.spec.canonical_model_spec` normalises the ``model``
+spec — defaults filled in, axis aliases resolved, numeric types pinned;
+the spec vocabulary lives in :mod:`repro.sweep.spec`, and this module
+re-exports it — and :func:`parse_request` turns a payload into a
+validated :class:`ServiceRequest` whose ``fingerprint``
 (:func:`~repro.sweep.service.template_cache.spec_fingerprint` of the
 canonical spec) keys the template cache.  Anything malformed raises
 :class:`RequestError`, which the server maps to an ``error`` reply /
@@ -30,21 +31,21 @@ import math
 import pickle
 import socket
 import struct
-from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.core.params import CPUModelParams
-from repro.petri.analysis import ReachabilityOptions
-from repro.sweep.backends import (
-    GSPNBackend,
-    SweepBackend,
-    make_backend,
-    resolve_cpu_axis,
-)
 from repro.sweep.grid import SweepGrid
 from repro.sweep.nets import DEMO_NETS
 from repro.sweep.results import PointFailure
 from repro.sweep.service.template_cache import spec_fingerprint
+from repro.sweep.spec import (
+    MODEL_KINDS,
+    RequestError,
+    build_backend,
+    canonical_model_spec,
+    default_metrics,
+    optional_int,
+)
+from repro.verify.diagnostics import LINT_LEVELS
 
 __all__ = [
     "MODEL_KINDS",
@@ -53,6 +54,7 @@ __all__ = [
     "ServiceRequest",
     "build_backend",
     "canonical_model_spec",
+    "default_metrics",
     "parse_request",
     "recv_frame",
     "request_over_socket",
@@ -61,189 +63,6 @@ __all__ = [
 ]
 
 REQUEST_OPS = ("sweep", "steady", "lint", "ping", "stats")
-MODEL_KINDS = ("gspn", "phase-type", "phase-type-batched", "renewal")
-
-#: default metric columns for the CPU-parameter backends (mirrors the CLI)
-CPU_DEFAULT_METRICS = ("fraction:standby", "fraction:active", "power")
-
-#: which net-size knobs each demo net accepts, and the constructor
-#: keyword each maps onto
-_NET_SIZE_KWARGS: Dict[str, Dict[str, str]] = {
-    "mm1k": {"buffer": "K"},
-    "cpu-gspn": {"buffer": "buffer_capacity"},
-    "wsn-cluster": {"buffer": "buffer_capacity", "nodes": "n_nodes"},
-    "deadlock": {},
-}
-
-_DEFAULT_MAX_MARKINGS = 2_000_000
-
-
-class RequestError(ValueError):
-    """A malformed or unserviceable request (client error, HTTP 400)."""
-
-
-# --------------------------------------------------------------------------
-# model specs
-# --------------------------------------------------------------------------
-
-
-def _opt_int(spec: Mapping[str, Any], key: str, minimum: int = 1) -> Optional[int]:
-    value = spec.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RequestError(f"model.{key} must be an integer, got {value!r}")
-    if float(value) != int(value):
-        raise RequestError(f"model.{key} must be an integer, got {value!r}")
-    value = int(value)
-    if value < minimum:
-        raise RequestError(f"model.{key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _opt_float(spec: Mapping[str, Any], key: str) -> Optional[float]:
-    value = spec.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RequestError(f"model.{key} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise RequestError(f"model.{key} must be finite, got {value!r}")
-    return value
-
-
-def _check_keys(spec: Mapping[str, Any], allowed: Sequence[str]) -> None:
-    unknown = sorted(set(spec) - set(allowed))
-    if unknown:
-        raise RequestError(
-            f"unknown model spec key(s) {unknown} for kind "
-            f"{spec.get('kind')!r} (allowed: {sorted(allowed)})"
-        )
-
-
-def canonical_model_spec(spec: Any) -> Dict[str, Any]:
-    """Validate a model spec and return its canonical form.
-
-    Canonicalisation is what makes fingerprint collisions impossible by
-    construction: every size- and solver-relevant field is present (its
-    default filled in), axis aliases are resolved to one spelling, and
-    numeric types are pinned (``int`` knobs stay ints, rates become
-    floats) — so two specs fingerprint equal iff they configure the same
-    prepared template.
-    """
-    if not isinstance(spec, Mapping):
-        raise RequestError(
-            f"model spec must be a mapping, got {type(spec).__name__}"
-        )
-    kind = spec.get("kind", "gspn")
-    if kind not in MODEL_KINDS:
-        raise RequestError(
-            f"unknown model kind {kind!r} (have: {list(MODEL_KINDS)})"
-        )
-    if kind == "phase-type-batched":
-        kind = "phase-type"  # deprecated spelling of the same template
-    canonical: Dict[str, Any] = {"kind": kind}
-    if kind == "gspn":
-        _check_keys(
-            spec,
-            (
-                "kind", "net", "buffer", "nodes", "backend",
-                "solver", "tol", "max_iter", "max_markings",
-            ),
-        )
-        net = spec.get("net", "cpu-gspn")
-        if net not in DEMO_NETS:
-            raise RequestError(
-                f"unknown net {net!r} (have: {sorted(DEMO_NETS)})"
-            )
-        backend = spec.get("backend", "auto")
-        if backend not in ("auto", "dense", "sparse"):
-            raise RequestError(
-                f"model.backend must be auto/dense/sparse, got {backend!r}"
-            )
-        for knob in ("buffer", "nodes"):
-            if spec.get(knob) is not None and knob not in _NET_SIZE_KWARGS[net]:
-                raise RequestError(
-                    f"model.{knob} does not apply to net {net!r}"
-                )
-        solver = spec.get("solver", "auto")
-        if solver not in ("auto", "lu", "gmres", "power"):
-            raise RequestError(
-                f"model.solver must be auto/lu/gmres/power, got {solver!r}"
-            )
-        canonical.update(
-            solver=solver,
-            tol=_opt_float(spec, "tol"),
-            max_iter=_opt_int(spec, "max_iter"),
-            net=net,
-            buffer=_opt_int(spec, "buffer"),
-            nodes=_opt_int(spec, "nodes"),
-            backend=backend,
-            max_markings=_opt_int(spec, "max_markings") or _DEFAULT_MAX_MARKINGS,
-        )
-        return canonical
-    # CPU-parameter families: no solver to choose (phase-type runs its
-    # exact level recursion, renewal is closed form)
-    allowed = ["kind", "params"]
-    if kind == "phase-type":
-        allowed += ["stages", "n_max"]
-    _check_keys(spec, allowed)
-    params_in = spec.get("params") or {}
-    if not isinstance(params_in, Mapping):
-        raise RequestError(
-            f"model.params must be a mapping, got {type(params_in).__name__}"
-        )
-    params: Dict[str, float] = {}
-    for name, value in params_in.items():
-        try:
-            field = resolve_cpu_axis(str(name))
-        except (KeyError, ValueError) as exc:
-            raise RequestError(str(exc)) from exc
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RequestError(
-                f"model.params[{name!r}] must be a number, got {value!r}"
-            )
-        params[field] = float(value)
-    canonical["params"] = dict(sorted(params.items()))
-    if kind == "phase-type":
-        canonical["stages"] = _opt_int(spec, "stages") or 32
-        canonical["n_max"] = _opt_int(spec, "n_max")
-    return canonical
-
-
-def build_backend(canonical: Mapping[str, Any]) -> SweepBackend:
-    """Instantiate the (unprepared) backend a canonical spec describes."""
-    kind = canonical["kind"]
-    if kind == "gspn":
-        factory, _ = DEMO_NETS[canonical["net"]]
-        mapping = _NET_SIZE_KWARGS[canonical["net"]]
-        size_kwargs = {
-            mapping[knob]: canonical[knob]
-            for knob in ("buffer", "nodes")
-            if canonical.get(knob) is not None
-        }
-        return GSPNBackend(
-            factory(**size_kwargs),
-            options=ReachabilityOptions(max_markings=canonical["max_markings"]),
-            ctmc_backend=canonical["backend"],
-            method=canonical["solver"],
-            tol=canonical["tol"],
-            max_iter=canonical["max_iter"],
-        )
-    params = replace(CPUModelParams.paper_defaults(), **canonical["params"])
-    if kind == "renewal":
-        return make_backend("renewal", params=params)
-    return make_backend(
-        kind, params=params, stages=canonical["stages"], n_max=canonical["n_max"]
-    )
-
-
-def default_metrics(canonical: Mapping[str, Any]) -> List[str]:
-    """The spec's default metric columns (mirrors the sweep CLI)."""
-    if canonical["kind"] == "gspn":
-        return list(DEMO_NETS[canonical["net"]][1])
-    return list(CPU_DEFAULT_METRICS)
 
 
 # --------------------------------------------------------------------------
@@ -318,20 +137,13 @@ def parse_request(payload: Any) -> ServiceRequest:
                 f"lint needs a 'net' in {sorted(DEMO_NETS)}, got {net!r}"
             )
         level = payload.get("level", "standard")
-        if level not in ("quick", "standard", "deep"):
+        if level not in LINT_LEVELS:
             raise RequestError(
-                f"lint level must be quick/standard/deep, got {level!r}"
+                f"lint level must be {'/'.join(LINT_LEVELS)}, got {level!r}"
             )
-        max_markings = payload.get("max_markings")
-        if max_markings is not None:
-            if level != "deep":
-                raise RequestError(
-                    "max_markings applies only to level 'deep'"
-                )
-            if not isinstance(max_markings, int) or max_markings < 1:
-                raise RequestError(
-                    f"max_markings must be an int >= 1, got {max_markings!r}"
-                )
+        max_markings = optional_int(payload.get("max_markings"), "max_markings")
+        if max_markings is not None and level != "deep":
+            raise RequestError("max_markings applies only to level 'deep'")
         request.lint_net = net
         request.lint_level = level
         request.lint_max_markings = max_markings

@@ -6,7 +6,7 @@ the symbolic factorisation.  The service pays it once per *model*, not
 once per request, by caching prepared
 :class:`~repro.sweep.backends.base.SweepBackend` instances keyed by a
 **spec fingerprint** — the SHA-256 of the canonical model spec (see
-:func:`repro.sweep.service.session.canonical_model_spec`).
+:func:`repro.sweep.spec.canonical_model_spec`).
 
 Collision-impossibility is by construction, not by luck: the canonical
 spec carries *every* size- and solver-relevant field with its default
@@ -49,7 +49,7 @@ def spec_fingerprint(spec: Mapping[str, Any]) -> str:
     """SHA-256 of the canonical JSON serialisation of a model spec.
 
     *spec* must already be canonical (plain JSON types, defaults filled
-    in — :func:`~repro.sweep.service.session.canonical_model_spec`); the
+    in — :func:`~repro.sweep.spec.canonical_model_spec`); the
     hash is over ``json.dumps(..., sort_keys=True)`` so key order never
     matters and every field always contributes.
     """

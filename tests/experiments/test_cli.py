@@ -189,28 +189,31 @@ class TestParserChoices:
         import argparse
 
         from repro.experiments.paper_experiments import EXPERIMENTS
-        from repro.markov.ctmc import STEADY_STATE_METHODS
-        from repro.sweep.backends import BACKEND_NAMES
+        from repro.markov.ctmc import CTMC_BACKENDS, STEADY_STATE_METHODS
         from repro.sweep.nets import DEMO_NETS
+        from repro.sweep.spec import MODEL_KINDS
         from repro.verify.lint import LINT_LEVELS
 
         nets = sorted(DEMO_NETS)
-        models = sorted(BACKEND_NAMES) + ["phase-type-batched"]
+        models = list(MODEL_KINDS)
+        backends = list(CTMC_BACKENDS)
         solvers = list(STEADY_STATE_METHODS)
         expected = {
             ("run", "experiment"): sorted(EXPERIMENTS) + ["all"],
             ("sweep", "model"): models,
             ("sweep", "net"): nets,
-            ("sweep", "backend"): ["auto", "dense", "sparse"],
+            ("sweep", "backend"): backends,
             ("sweep", "solver"): solvers,
             ("lint", "net"): nets,
             ("lint", "level"): list(LINT_LEVELS),
-            ("steady", "model"): ["gspn", "phase-type"],
+            ("steady", "model"): models,
             ("steady", "net"): nets,
+            ("steady", "backend"): backends,
             ("steady", "solver"): solvers,
             ("query", "op"): ["sweep", "steady", "lint", "ping", "stats"],
-            ("query", "model"): list(BACKEND_NAMES) + ["phase-type-batched"],
+            ("query", "model"): models,
             ("query", "net"): nets,
+            ("query", "backend"): backends,
             ("query", "level"): list(LINT_LEVELS),
             ("query", "solver"): solvers,
         }
