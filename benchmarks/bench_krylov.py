@@ -1,18 +1,20 @@
-"""Krylov steady-state benchmarks: iterative solvers past the LU wall.
+"""Krylov steady-state benchmarks: GMRES past the LU wall.
 
-The subject is the generic solver family of :mod:`repro.markov.ctmc`
-(``CTMC(Q, backend="sparse").steady_state(method=...)``), driven on the
-generators of stage-expanded deterministic-delay chains — the phase-type
-backend's ``PhaseTypeSweepSolution.Q``, whose stationary vector the
-backend itself gets from its exact level recursion.  Two claims are
-measured and *asserted*, not just timed:
+The subject is the large-chain path of :mod:`repro.markov.ctmc`
+(``CTMC(Q).steady_state()``, which solves any chain past
+``DENSE_MAX_STATES`` by ILU-GMRES), driven on the generators of
+stage-expanded deterministic-delay chains — the phase-type backend's
+``PhaseTypeSweepSolution.Q``, whose stationary vector the backend itself
+gets from its exact level recursion.  The LU baseline is the reference
+SuperLU solve in ``tests/markov/reference_solvers.py`` (run from the
+repo root).  Two claims are measured and *asserted*, not just timed:
 
 1. **Scale**: ILU-preconditioned GMRES solves a chain >= 10x larger than
    the LU demo size (the deep-buffer scenario the direct factorisation
    cannot comfortably hold), and the solution is a genuine distribution
    with negligible truncation mass.
-2. **Parity**: where both run, GMRES matches the direct LU solve to 1e-8
-   (power iteration is cross-checked at a smaller size).
+2. **Parity**: where both run, GMRES matches the direct LU solve to 1e-8.
+   (The power-iteration cross-check lives in the tier-1 tests.)
 
 Warm-started sweeps through a shared ``SolverCache`` are covered by the
 tier-1 tests, not timed here: on the weak generic ILU their edge over
@@ -27,6 +29,7 @@ import numpy as np
 from repro.core.params import CPUModelParams
 from repro.markov.ctmc import CTMC
 from repro.sweep import PhaseTypeBackend
+from tests.markov.reference_solvers import sparse_steady_state
 
 PARAMS = CPUModelParams.paper_defaults(T=0.3, D=0.05)
 STAGES = 32
@@ -52,9 +55,14 @@ def generator(n_max):
     return solution.Q, solution
 
 
-def steady_state(Q, method, **kwargs):
-    """A fresh generic solve: nothing cached from an earlier call."""
-    return CTMC(Q, backend="sparse").steady_state(method=method, **kwargs)
+def steady_state(Q, method):
+    """A fresh solve, nothing cached from an earlier call: ``"lu"`` is the
+    reference SuperLU, ``"gmres"`` the production path."""
+    if method == "lu":
+        return sparse_steady_state(Q)[0]
+    chain = CTMC(Q, backend="sparse")
+    assert chain.resolve_method() == "gmres"
+    return chain.steady_state()
 
 
 def test_gmres_solves_10x_beyond_lu_demo(benchmark):
@@ -91,13 +99,3 @@ def test_gmres_matches_lu_to_1e8(benchmark):
     gap = float(np.abs(pi_lu - pi_gmres).max())
     print(f"\nmax |pi_lu - pi_gmres| over {len(pi_lu)} states: {gap:.2e}")
     np.testing.assert_allclose(pi_gmres, pi_lu, rtol=0, atol=1e-8)
-
-    # power iteration cross-check at a size where its mixing-limited
-    # convergence stays cheap
-    small = PhaseTypeBackend(PARAMS, stages=8, n_max=40).solve({}).Q
-    np.testing.assert_allclose(
-        steady_state(small, "power", tol=1e-12),
-        steady_state(small, "lu"),
-        rtol=0,
-        atol=1e-8,
-    )

@@ -31,15 +31,16 @@ from typing import List, Optional, Sequence
 
 from repro import obs
 from repro.experiments.paper_experiments import EXPERIMENTS, ExperimentConfig
-from repro.markov.stationary import CTMC_BACKENDS, STEADY_STATE_METHODS
 from repro.sweep import DEMO_NETS
 from repro.sweep.spec import (
     MODEL_KINDS,
+    REQUEST_OPS,
     SPEC_FIELDS,
     RequestError,
     build_backend,
     canonical_model_spec,
     default_metrics,
+    optional_int,
 )
 from repro.verify import LINT_LEVELS
 
@@ -236,13 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve one model's steady state once (solver showcase)",
         description=(
             "Build one model at its base parameters, solve the stationary "
-            "distribution (gspn nets with the chosen --solver, phase-type "
-            "with its exact level recursion), and report size, timing "
-            "and the default metrics.  Scale the state space with "
-            "--buffer/--nodes (gspn nets) or --n-max (phase-type) to see "
-            "where the iterative solvers take over, e.g.: "
-            "repro-experiments steady --net wsn-cluster --buffer 30 "
-            "--solver gmres"
+            "distribution (gspn nets by dense LU or, past 500 states, "
+            "GMRES; phase-type with its exact level recursion), and report "
+            "size, solver, timing and the default metrics.  Scale the "
+            "state space with --buffer/--nodes (gspn nets) or --n-max "
+            "(phase-type), e.g.: repro-experiments steady --net "
+            "wsn-cluster --buffer 30"
         ),
     )
     _add_model_flags(steady_p)
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_p.add_argument(
         "--op",
-        choices=["sweep", "steady", "lint", "ping", "stats"],
+        choices=list(REQUEST_OPS),
         default="steady",
         help="request kind (default steady)",
     )
@@ -449,7 +449,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--model",
         choices=list(MODEL_KINDS),
-        default="gspn",
+        default=None,
         help=(
             "model family: 'gspn' solves a demo --net; 'phase-type' "
             "stage-expands the deterministic-delay CPU model "
@@ -486,12 +486,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
         help="reachability exploration cap (gspn; default 2000000)",
     )
     group.add_argument(
-        "--backend",
-        choices=list(CTMC_BACKENDS),
-        default=None,
-        help="CTMC linear-algebra backend (gspn; default auto)",
-    )
-    group.add_argument(
         "--param",
         dest="params",
         action="append",
@@ -519,30 +513,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     )
     # phase-type always batches; --batched is an accepted no-op
     group.add_argument("--batched", action="store_true", help=argparse.SUPPRESS)
-    group.add_argument(
-        "--solver",
-        choices=list(STEADY_STATE_METHODS),
-        default=None,
-        help=(
-            "steady-state solver of --model gspn: 'lu' direct, 'gmres' "
-            "ILU-preconditioned Krylov, 'power' uniformized power "
-            "iteration; 'auto' picks by state count (default; see "
-            "docs/solvers.md).  Phase-type has one solver, its exact "
-            "level recursion"
-        ),
-    )
-    group.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="iterative-solver convergence tolerance (gspn; default 1e-10)",
-    )
-    group.add_argument(
-        "--max-iter",
-        type=int,
-        default=None,
-        help="iterative-solver iteration budget (gspn)",
-    )
 
 
 def _model_spec(args: argparse.Namespace, default_net: Optional[str] = None) -> dict:
@@ -552,18 +522,18 @@ def _model_spec(args: argparse.Namespace, default_net: Optional[str] = None) -> 
     is left to :func:`_canonical_spec`.  *default_net* names the net of
     a gspn spec that gives none.
     """
-    spec: dict = {"kind": args.model}
+    spec: dict = {"kind": args.model or "gspn"}
     for key in SPEC_FIELDS:
         if key != "kind" and getattr(args, key) is not None:
             spec[key] = getattr(args, key)
     if "params" in spec:
         spec["params"] = _parse_params(spec["params"])
-    if args.batched and args.model not in ("phase-type", "phase-type-batched"):
+    if args.batched and spec["kind"] not in ("phase-type", "phase-type-batched"):
         raise ValueError(
-            f"--batched does not apply to --model {args.model} "
+            f"--batched does not apply to --model {spec['kind']} "
             "(it is for --model phase-type)"
         )
-    if default_net is not None and args.model == "gspn":
+    if default_net is not None and spec["kind"] == "gspn":
         spec.setdefault("net", default_net)
     return spec
 
@@ -588,6 +558,11 @@ def _parse_params(specs: List[str]) -> dict:
 _KEY_FLAGS = {"kind": "--model", "params": "--param"}
 
 
+def _flag(key: str) -> str:
+    """The model flag that sets spec key *key*."""
+    return _KEY_FLAGS.get(key, "--" + key.replace("_", "-"))
+
+
 def _canonical_spec(spec: dict) -> dict:
     """:func:`~repro.sweep.spec.canonical_model_spec`, its errors naming
     the flags (``model.n_max`` reads ``--n-max``)."""
@@ -597,7 +572,7 @@ def _canonical_spec(spec: dict) -> dict:
         raise ValueError(
             re.sub(
                 r"\bmodel\.(\w+)",
-                lambda m: _KEY_FLAGS.get(m[1], "--" + m[1].replace("_", "-")),
+                lambda m: _flag(m[1]),
                 str(exc),
             )
         ) from None
@@ -838,13 +813,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         factory, _ = DEMO_NETS[args.net]
         net = factory()
         kwargs = {}
-        if args.max_markings is not None:
+        max_markings = optional_int(args.max_markings, "--max-markings")
+        if max_markings is not None:
             if args.level != "deep":
                 raise ValueError(
                     "--max-markings applies only to --level deep "
                     "(the other levels never explore the state space)"
                 )
-            kwargs["max_markings"] = args.max_markings
+            kwargs["max_markings"] = max_markings
         report = lint_net(net, level=args.level, **kwargs)
     except (KeyError, ValueError) as exc:
         msg = exc.args[0] if exc.args else exc
@@ -948,7 +924,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: the model flags (by spec key) each op without a model spec reads
+_OP_MODEL_KEYS = {"lint": ("net", "max_markings"), "ping": (), "stats": ()}
+
+
 def _build_query_payload(args: argparse.Namespace) -> dict:
+    if args.op in _OP_MODEL_KEYS:
+        for key in SPEC_FIELDS:
+            value = getattr(args, "model" if key == "kind" else key)
+            if value is not None and key not in _OP_MODEL_KEYS[args.op]:
+                raise ValueError(f"{_flag(key)} does not apply to --op {args.op}")
+        if args.batched:
+            raise ValueError(f"--batched does not apply to --op {args.op}")
     if args.op in ("ping", "stats"):
         return {"op": args.op}
     if args.op == "lint":

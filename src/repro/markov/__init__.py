@@ -10,8 +10,8 @@ This package supplies the analytical half of the paper's comparison:
 - :mod:`repro.markov.queueing` — textbook queueing formulas (M/M/1, M/M/1/K,
   M/M/c, M/G/1, M/D/1, Little's law) used as ground truth in tests.
 - :mod:`repro.markov.stationary` — what every steady-state solver
-  shares (method names, :class:`NumericalSolveError`, normalisation of
-  a raw solve) on numpy alone.
+  shares (:class:`NumericalSolveError`, normalisation of a raw solve) on
+  numpy alone.
 
 Importing the package does not import scipy: the names defined in
 :mod:`repro.markov.ctmc` and :mod:`repro.markov.birth_death` are resolved
@@ -48,7 +48,6 @@ __all__ = [
     "gmres_steady_state",
     "little_l",
     "little_w",
-    "power_steady_state",
     "resolve_steady_state_method",
 ]
 
@@ -59,7 +58,6 @@ if TYPE_CHECKING:
         ConvergenceError,
         SolverCache,
         gmres_steady_state,
-        power_steady_state,
         resolve_steady_state_method,
     )
 
@@ -70,7 +68,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "ConvergenceError",
         "SolverCache",
         "gmres_steady_state",
-        "power_steady_state",
         "resolve_steady_state_method",
     ),
 })

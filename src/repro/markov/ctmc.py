@@ -4,12 +4,11 @@ A CTMC is described by its infinitesimal generator ``Q`` (off-diagonal
 entries are transition rates, rows sum to zero).  This module provides
 
 - construction from a rate dictionary or a dense *or* scipy-sparse matrix,
-  with validation and an explicit dense/sparse *backend* choice,
-- steady-state solution ``pi Q = 0, sum(pi) = 1`` via a *family* of
-  solvers selectable per call — direct LU (dense or SuperLU), ILU-
-  preconditioned GMRES on the augmented system, or power iteration on the
-  uniformized DTMC — with an ``"auto"`` policy that picks by state count
-  and per-method caching of the solved ``pi``,
+  with validation and a dense/sparse storage *backend*,
+- steady-state solution ``pi Q = 0, sum(pi) = 1``, picked by the chain's
+  size alone: dense LU up to :data:`DENSE_MAX_STATES` states, ILU-
+  preconditioned GMRES on the augmented system above it (see
+  docs/solvers.md for the benchmark that sets the constant),
 - transient solution ``pi(t) = pi(0) exp(Q t)`` by uniformization (the
   numerically robust algorithm; never forms the matrix exponential of an
   ill-conditioned generator directly), using sparse matvecs under the
@@ -43,58 +42,53 @@ from typing import (
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import LinearOperator, gmres, spilu, splu
+from scipy.sparse.linalg import LinearOperator, gmres, spilu
 
 from repro import obs
-from repro.markov.stationary import (
-    CTMC_BACKENDS,
-    STEADY_STATE_METHODS,
-    NumericalSolveError,
-    _finalize_pi,
-)
+from repro.markov.stationary import NumericalSolveError, _finalize_pi
 
 __all__ = [
     "CTMC",
-    "CTMC_BACKENDS",
     "ConvergenceError",
-    "ITERATIVE_AUTO_THRESHOLD",
+    "DENSE_MAX_STATES",
     "NumericalSolveError",
-    "RESIDUAL_HISTORY_LIMIT",
-    "SPARSE_AUTO_THRESHOLD",
-    "STEADY_STATE_METHODS",
     "SolverCache",
     "gmres_steady_state",
-    "power_steady_state",
     "resolve_steady_state_method",
-    "sparse_steady_state",
 ]
 
 RateDict = Mapping[Tuple[Hashable, Hashable], float]
 
-#: Chains larger than this default to the sparse backend under ``"auto"``.
-SPARSE_AUTO_THRESHOLD = 500
+#: Chains of at most this many states solve steady state by dense LU and,
+#: under ``backend="auto"``, store their generator densely; larger chains
+#: solve by ILU-GMRES on sparse storage.  ``benchmarks/bench_gspn_solvers.py``
+#: measured dense LU overtaken by GMRES between 300 (``mm1k``) and 800
+#: (``wsn-cluster``) states.
+DENSE_MAX_STATES = 500
 
-#: Chains larger than this solve steady state iteratively (GMRES) under
-#: ``method="auto"``; at or below it, direct LU wins (see docs/solvers.md).
-ITERATIVE_AUTO_THRESHOLD = 20_000
+#: Relative residual target of the GMRES steady-state solve: the loosest
+#: that keeps rows within 1e-12 relative of a direct LU solve.  On the
+#: ``wsn-cluster`` chains, 1e-13 measured 7.5e-12 (8 788 states, cold) and
+#: 1e-14 measured 1.1e-12 (2 916 states, a warm-started 256-point sweep);
+#: 5e-15 measured 5.9e-13 there.  1e-15 costs up to 20x the iterations.
+GMRES_TOL = 5e-15
 
-#: Default relative tolerance of the iterative steady-state methods.
-ITERATIVE_DEFAULT_TOL = 1e-10
-
-#: Default iteration budgets (GMRES counts inner Krylov iterations).
-GMRES_DEFAULT_MAX_ITER = 1000
-POWER_DEFAULT_MAX_ITER = 100_000
+#: GMRES budget in inner Krylov iterations (the 119 164-state
+#: ``wsn-cluster`` chain converges in about 200).
+GMRES_MAX_ITER = 1000
 
 #: GMRES restart length (Krylov subspace dimension between restarts).
 GMRES_RESTART = 50
 
-#: Default ILU preconditioner strength: deliberately *weak*.  On
-#: arbitrary generators (multi-dimensional reachability graphs) a strong
-#: incomplete factorisation hits the same fill cliff as complete LU —
-#: exactly what the iterative path exists to avoid — while a weak ILU
-#: builds in ~linear time and merely costs extra (cheap) iterations.
-ILU_DROP_TOL = 0.1
-ILU_FILL_FACTOR = 2
+#: ILU preconditioner strengths ``(drop_tol, fill_factor)``, tried in
+#: order.  The first is deliberately *weak*: on multi-dimensional
+#: reachability graphs a strong incomplete factorisation costs up to 10x
+#: the whole weak-ILU solve (``wsn-cluster``), while a weak ILU builds in
+#: ~linear time and merely costs extra (cheap) iterations.  When it hits
+#: a zero pivot — the 962-state split-queue net of
+#: ``benchmarks/bench_sweep.py`` does, and unpreconditioned GMRES then
+#: stalls — the strong one is built instead.
+ILU_SETTINGS = ((0.1, 2), (1e-4, 10))
 
 #: A cached ILU preconditioner is dropped (rebuilt on the next solve) once
 #: a warm-started solve needs more than this many iterations — or 3x the
@@ -102,10 +96,6 @@ ILU_FILL_FACTOR = 2
 #: drifted too far from the operating point the ILU was built at.
 ILU_REFRESH_ITERATIONS = 8
 
-#: Power iteration can run for 100k+ sweeps; cap the residual history kept
-#: on ``ConvergenceError`` (and shipped across process boundaries) to the
-#: trailing entries, which are the ones that show the stall shape.
-RESIDUAL_HISTORY_LIMIT = 1000
 
 class ConvergenceError(RuntimeError):
     """An iterative steady-state solve stalled before reaching tolerance.
@@ -116,21 +106,17 @@ class ConvergenceError(RuntimeError):
     Attributes
     ----------
     method : str
-        The iterative method that stalled (``"gmres"`` or ``"power"``).
+        The iterative method that stalled (``"gmres"``).
     iterations : int
         Iterations performed before giving up.
     residual : float
-        The residual when the iteration stopped (relative linear-system
-        residual for GMRES; successive-iterate 1-norm difference for
-        power iteration).
+        The relative linear-system residual when the iteration stopped.
     tol : float
         The tolerance the residual failed to reach.
     residual_history : tuple of float or None
-        Per-iteration residuals up to the stall (preconditioned residual
-        norms for GMRES; successive-iterate differences — capped at the
-        trailing :data:`RESIDUAL_HISTORY_LIMIT` entries — for power
-        iteration), so a caller can see *how* the solve stalled (plateau
-        vs. divergence) instead of just the endpoint.
+        Per-iteration (preconditioned) residual norms up to the stall, so
+        a caller can see *how* the solve stalled (plateau vs. divergence)
+        instead of just the endpoint.
     """
 
     def __init__(
@@ -152,8 +138,7 @@ class ConvergenceError(RuntimeError):
         )
         super().__init__(
             f"{method} steady-state solve did not converge: residual "
-            f"{residual:.3e} > tol {tol:.1e} after {iterations} iterations "
-            f"(raise max_iter, loosen tol, or use method='lu')"
+            f"{residual:.3e} > tol {tol:.1e} after {iterations} iterations"
         )
 
     def __reduce__(self):
@@ -172,22 +157,22 @@ class ConvergenceError(RuntimeError):
         )
 
 
-#: ``SolverCache`` keys holding process-local objects (SuperLU/ILU handles)
-#: that cannot cross a pickle boundary, plus state meaningless without them.
+#: ``SolverCache`` keys holding process-local objects (ILU handles) that
+#: cannot cross a pickle boundary, plus state meaningless without them.
 _PROCESS_LOCAL_KEYS = frozenset({"ilu", "ilu_iters0"})
 
 
 class SolverCache(dict):
-    """Shared factor / warm-start cache for a family of same-pattern chains.
+    """Shared preconditioner / warm-start cache for same-pattern chains.
 
     A plain ``dict`` except that pickling drops process-local entries (the
     ILU preconditioner wraps a SuperLU handle, which cannot cross process
     boundaries), so sweep backends holding one stay shippable to worker
     pools — workers simply rebuild the dropped state on first use.
 
-    Well-known keys: ``"perm_c"`` (fill-reducing column permutation of the
-    direct sparse LU), ``"pi0"`` (previous solution, the iterative
-    methods' warm start), ``"ilu"`` (the ILU preconditioner operator).
+    Well-known keys: ``"pi0"`` (previous solution, the GMRES warm start),
+    ``"rcm_perm"`` (the state reordering), ``"ilu"`` (the ILU
+    preconditioner operator).
     """
 
     def __reduce__(self):
@@ -197,46 +182,19 @@ class SolverCache(dict):
     def drop_warm_start(self) -> None:
         """Forget the previous solution (``"pi0"``).
 
-        Pattern-level state — the column permutation, the RCM ordering,
-        the ILU preconditioner — is point-independent and stays.  Sweep
-        fan-out calls this at chunk boundaries: a warm start carried over
-        from a far-away grid point can slow or stall the iterative
-        methods, whereas the cold uniform start is merely unexciting.
+        Pattern-level state — the RCM ordering, the ILU preconditioner —
+        is point-independent and stays.  Sweep fan-out calls this at chunk
+        boundaries: a warm start carried over from a far-away grid point
+        can slow or stall GMRES, whereas the cold uniform start is merely
+        unexciting.
         """
         self.pop("pi0", None)
 
 
-def resolve_steady_state_method(n: int, method: str = "auto") -> str:
-    """The concrete solver ``method`` denotes for an *n*-state chain.
-
-    Deterministic in the state count: ``"auto"`` resolves to ``"lu"`` for
-    ``n <= ITERATIVE_AUTO_THRESHOLD`` and to ``"gmres"`` above it;
-    explicit method names resolve to themselves.
-
-    Parameters
-    ----------
-    n : int
-        Number of states of the chain.
-    method : {"auto", "lu", "gmres", "power"}
-        Requested solver method.
-
-    Returns
-    -------
-    str
-        One of ``"lu"``, ``"gmres"``, ``"power"``.
-
-    Raises
-    ------
-    ValueError
-        If *method* is not one of :data:`STEADY_STATE_METHODS`.
-    """
-    if method not in STEADY_STATE_METHODS:
-        raise ValueError(
-            f"method must be one of {STEADY_STATE_METHODS}, got {method!r}"
-        )
-    if method == "auto":
-        return "lu" if n <= ITERATIVE_AUTO_THRESHOLD else "gmres"
-    return method
+def resolve_steady_state_method(n: int) -> str:
+    """The solver an *n*-state chain's steady state runs: ``"lu"`` for
+    ``n <= DENSE_MAX_STATES``, else ``"gmres"``."""
+    return "lu" if n <= DENSE_MAX_STATES else "gmres"
 
 
 def _augmented_system(Q: sparse.spmatrix) -> Tuple[sparse.csc_matrix, np.ndarray]:
@@ -256,102 +214,116 @@ def _augmented_system(Q: sparse.spmatrix) -> Tuple[sparse.csc_matrix, np.ndarray
     return A, b
 
 
-def _gmres_augmented_solve(
-    A: sparse.spmatrix,
-    b: np.ndarray,
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
+def gmres_steady_state(
+    Q: Union[np.ndarray, sparse.spmatrix],
     x0: Optional[np.ndarray] = None,
     cache: Optional[Dict] = None,
-    use_ilu: bool = True,
-) -> Tuple[np.ndarray, int]:
-    """Solve a prebuilt augmented steady-state system by ILU-GMRES.
+) -> np.ndarray:
+    """Solve ``pi Q = 0, sum(pi) = 1`` by ILU-preconditioned GMRES.
 
-    The workhorse behind :func:`gmres_steady_state`, which assembles the
-    system and owns the state reordering.
+    Builds the augmented system (``Q^T`` with the last balance row
+    replaced by the normalisation row) and solves it with restarted GMRES
+    to :data:`GMRES_TOL` within :data:`GMRES_MAX_ITER` inner iterations,
+    preconditioned by an incomplete LU factorisation.  Unlike a direct
+    solve this never forms complete LU factors — which the normalisation
+    row of ones fills — so memory stays bounded by the ILU fill budget.
+
+    The states are reordered by reverse Cuthill-McKee first (near-free,
+    cached per pattern family) — reachability exploration emits
+    breadth-first state orders whose ILU factors are much weaker than the
+    same budget spent on a bandwidth-reduced ordering.  Warm starts and
+    the returned distribution stay in the caller's original state order;
+    the permutation is internal.
 
     Parameters
     ----------
-    A, b : sparse matrix, ndarray
-        The augmented system from :func:`_augmented_system` (or an
-        equivalent assembly with the same meaning).
-    tol : float, optional
-        Relative residual target (default ``ITERATIVE_DEFAULT_TOL``).
-    max_iter : int, optional
-        Inner-iteration budget (default ``GMRES_DEFAULT_MAX_ITER``);
-        rounded up to whole restart cycles of length ``GMRES_RESTART``.
+    Q : ndarray or sparse matrix
+        Generator (rows sum to zero).
     x0 : ndarray, optional
         Initial guess.  When omitted and *cache* holds a same-length
         ``"pi0"`` (the previous solve of the family), that warm start is
         used — on dense sweep grids this cuts the iteration count to a
         handful per point.
     cache : dict, optional
-        A :class:`SolverCache` shared by a family of same-pattern systems.
+        A :class:`SolverCache` shared by a family of same-pattern chains.
         The ILU preconditioner is stored under ``"ilu"`` and reused across
         solves (a stale ILU is still a valid preconditioner — it costs
         iterations, never correctness — and is dropped for rebuild once a
         solve needs more than ``ILU_REFRESH_ITERATIONS`` iterations or 3x
         the fresh-ILU iteration count); the solution lands under ``"pi0"``
-        for the next warm start.
-    use_ilu : bool
-        Disable to run unpreconditioned GMRES (mainly for tests and for
-        chains whose ILU factors would not fit in memory).  The ILU
-        strength is :data:`ILU_DROP_TOL` / :data:`ILU_FILL_FACTOR`.
+        for the next warm start.  The ILU strengths tried are
+        :data:`ILU_SETTINGS`.
 
     Returns
     -------
-    (x, iterations) : ndarray, int
-        The raw solution (un-normalised; pass through ``_finalize_pi``)
-        and the inner iteration count.
+    ndarray
+        The stationary distribution.
 
     Raises
     ------
     ConvergenceError
-        If the residual has not reached *tol* within the budget.
+        If the residual has not reached :data:`GMRES_TOL` within the
+        budget.  Assumes an irreducible chain; a reducible one may surface
+        here rather than as ``NumericalSolveError``, or converge to one of
+        its stationary distributions.
     """
-    n = len(b)
-    if tol is None:
-        tol = ITERATIVE_DEFAULT_TOL
-    if max_iter is None:
-        max_iter = GMRES_DEFAULT_MAX_ITER
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    warm_start = x0 is not None
+    if not sparse.issparse(Q):
+        Q = sparse.csr_matrix(np.asarray(Q, dtype=np.float64))
+    Q = Q.tocsr()
+    n = Q.shape[0]
     if x0 is None and cache is not None:
         pi0 = cache.get("pi0")
         if pi0 is not None and np.shape(pi0) == (n,):
-            x0 = np.asarray(pi0, dtype=np.float64)
-            warm_start = True
+            x0 = pi0
+    warm_start = x0 is not None
     obs.incr(
         "solver.warm_start.hits" if warm_start else "solver.warm_start.misses"
     )
+    perm: Optional[np.ndarray] = None
+    if n > 2:
+        perm = cache.get("rcm_perm") if cache is not None else None
+        if perm is not None and np.shape(perm) != (n,):
+            perm = None  # pattern family changed size: re-order
+        if perm is None:
+            perm = np.asarray(reverse_cuthill_mckee(Q, symmetric_mode=False))
+            if cache is not None:
+                cache["rcm_perm"] = perm
+        Q = Q[perm][:, perm].tocsr()
+        if x0 is not None:
+            x0 = np.asarray(x0, dtype=np.float64)[perm]
+    A, b = _augmented_system(Q)
+
     # cache["ilu"] holds the preconditioner, or None recording an earlier
     # failed factorisation (don't re-pay the failed attempt per point)
     known_failed = False
     M = None
-    if use_ilu and cache is not None and "ilu" in cache:
+    if cache is not None and "ilu" in cache:
         M = cache["ilu"]
         if M is None:
             known_failed = True
         elif M.shape != (n, n):
             M = None  # pattern family changed size: rebuild
     fresh_ilu = False
-    if M is None and use_ilu and not known_failed:
+    if M is None and not known_failed:
         with obs.span("solve.ilu_build", n=n) as ilu_sp:
-            try:
-                ilu = spilu(
-                    sparse.csc_matrix(A),
-                    drop_tol=ILU_DROP_TOL,
-                    fill_factor=ILU_FILL_FACTOR,
-                )
+            for drop_tol, fill_factor in ILU_SETTINGS:
+                try:
+                    ilu = spilu(
+                        sparse.csc_matrix(A),
+                        drop_tol=drop_tol,
+                        fill_factor=fill_factor,
+                    )
+                except RuntimeError:
+                    continue  # zero pivot: try the next strength
                 M = LinearOperator((n, n), ilu.solve)
                 fresh_ilu = True
                 obs.incr("solver.ilu.builds")
-            except RuntimeError:
-                # zero pivot in the incomplete factorisation (usually a
-                # reducible chain): fall through unpreconditioned and let the
+                ilu_sp.set("drop_tol", drop_tol)
+                break
+            else:
+                # every strength hit a zero pivot (usually a reducible
+                # chain): fall through unpreconditioned and let the
                 # convergence check speak
-                M = None
                 ilu_sp.set("failed", True)
         if cache is not None:
             cache["ilu"] = M
@@ -361,14 +333,14 @@ def _gmres_augmented_solve(
     def _record(pr_norm: float) -> None:
         residual_history.append(float(pr_norm))
 
-    restart = max(1, min(GMRES_RESTART, max_iter, n))
-    outer = max(1, -(-max_iter // restart))  # ceil division
+    restart = max(1, min(GMRES_RESTART, GMRES_MAX_ITER, n))
+    outer = max(1, -(-GMRES_MAX_ITER // restart))  # ceil division
     with obs.span("solve.gmres", n=n, warm_start=warm_start) as sp:
         x, info = gmres(
             A,
             b,
             x0=x0,
-            rtol=tol,
+            rtol=GMRES_TOL,
             atol=0.0,
             restart=restart,
             maxiter=outer,
@@ -385,8 +357,12 @@ def _gmres_augmented_solve(
         if info != 0:
             residual = float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
             raise ConvergenceError(
-                "gmres", iterations, residual, tol, residual_history
+                "gmres", iterations, residual, GMRES_TOL, residual_history
             )
+    if perm is not None:
+        x_orig = np.empty(n)
+        x_orig[perm] = x
+        x = x_orig
     if cache is not None:
         cache["pi0"] = np.asarray(x, dtype=np.float64).copy()
         # the per-iteration preconditioned residual norms of the last
@@ -401,252 +377,7 @@ def _gmres_augmented_solve(
             cache.pop("ilu", None)
             cache.pop("ilu_iters0", None)
             obs.incr("solver.ilu.rebuilds")
-    return x, iterations
-
-
-def gmres_steady_state(
-    Q: Union[np.ndarray, sparse.spmatrix],
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
-    x0: Optional[np.ndarray] = None,
-    cache: Optional[Dict] = None,
-    use_ilu: bool = True,
-    reorder: bool = True,
-) -> np.ndarray:
-    """Solve ``pi Q = 0, sum(pi) = 1`` by ILU-preconditioned GMRES.
-
-    Builds the augmented system (``Q^T`` with the last balance row
-    replaced by the normalisation row) and solves it with restarted GMRES,
-    preconditioned by an incomplete LU factorisation.  Unlike the direct
-    solve this never forms complete LU factors, so memory stays bounded by
-    the ILU fill budget — the path that keeps chains far past
-    :data:`ITERATIVE_AUTO_THRESHOLD` states tractable.
-
-    The states are reordered by reverse Cuthill-McKee first (*reorder*;
-    near-free, cached per pattern family) — reachability exploration
-    emits breadth-first state orders whose ILU factors are much weaker
-    than the same budget spent on a bandwidth-reduced ordering.  Warm
-    starts and the returned distribution stay in the caller's original
-    state order; the permutation is internal.
-
-    See :func:`_gmres_augmented_solve` for the remaining parameter
-    semantics (*cache* carries warm starts and the shared preconditioner
-    across a sweep).  Assumes an irreducible chain; unlike the LU path, a
-    reducible chain may surface as :class:`ConvergenceError` rather than
-    ``ValueError``, or converge to one of its stationary distributions.
-
-    Returns
-    -------
-    ndarray
-        The stationary distribution.
-    """
-    if not sparse.issparse(Q):
-        Q = sparse.csr_matrix(np.asarray(Q, dtype=np.float64))
-    Q = Q.tocsr()
-    n = Q.shape[0]
-    perm: Optional[np.ndarray] = None
-    if reorder and n > 2:
-        perm = cache.get("rcm_perm") if cache is not None else None
-        if perm is not None and np.shape(perm) != (n,):
-            perm = None  # pattern family changed size: re-order
-        if perm is None:
-            perm = np.asarray(reverse_cuthill_mckee(Q, symmetric_mode=False))
-            if cache is not None:
-                cache["rcm_perm"] = perm
-        Q = Q[perm][:, perm].tocsr()
-        if x0 is not None:
-            x0 = np.asarray(x0, dtype=np.float64)[perm]
-        elif cache is not None:
-            pi0 = cache.get("pi0")
-            if pi0 is not None and np.shape(pi0) == (n,):
-                x0 = np.asarray(pi0, dtype=np.float64)[perm]
-    A, b = _augmented_system(Q)
-    x, _ = _gmres_augmented_solve(
-        A, b, tol=tol, max_iter=max_iter, x0=x0, cache=cache, use_ilu=use_ilu
-    )
-    if perm is not None:
-        x_orig = np.empty(n)
-        x_orig[perm] = x
-        x = x_orig
-        if cache is not None:
-            # keep the warm start in original coordinates (the permuted
-            # copy stored by the inner solve is translated on every read)
-            cache["pi0"] = x.copy()
     return _finalize_pi(x)
-
-
-def power_steady_state(
-    Q: Union[np.ndarray, sparse.spmatrix],
-    tol: Optional[float] = None,
-    max_iter: Optional[int] = None,
-    x0: Optional[np.ndarray] = None,
-    cache: Optional[Dict] = None,
-) -> np.ndarray:
-    """Solve ``pi Q = 0, sum(pi) = 1`` by power iteration on the
-    uniformized DTMC.
-
-    With ``Lambda = 1.05 * max_i |Q_ii|`` the uniformized matrix
-    ``P = I + Q / Lambda`` is a strictly aperiodic stochastic matrix whose
-    unique fixed point (for irreducible chains) is the CTMC's stationary
-    distribution; iterating ``x <- x P`` converges geometrically at the
-    chain's mixing rate.  Each sweep is one CSR matvec and nothing beyond
-    the generator is ever stored — the lowest-memory solver in the family,
-    at the price of slow convergence for stiff or slowly mixing chains.
-
-    Parameters
-    ----------
-    Q : ndarray or sparse matrix
-        Generator (rows sum to zero).
-    tol : float, optional
-        Successive-iterate 1-norm target (default
-        ``ITERATIVE_DEFAULT_TOL``).
-    max_iter : int, optional
-        Sweep budget (default ``POWER_DEFAULT_MAX_ITER``).
-    x0 : ndarray, optional
-        Starting distribution; defaults to the *cache*'s ``"pi0"`` warm
-        start when present, else uniform.
-    cache : dict, optional
-        :class:`SolverCache` shared across a family; the solution is
-        stored under ``"pi0"`` for the next warm start.
-
-    Returns
-    -------
-    ndarray
-        The stationary distribution.
-
-    Raises
-    ------
-    ConvergenceError
-        If the successive-iterate difference is still above *tol* after
-        *max_iter* sweeps.
-    ValueError
-        If every state is absorbing (no uniformization constant exists).
-    """
-    if not sparse.issparse(Q):
-        Q = sparse.csr_matrix(np.asarray(Q, dtype=np.float64))
-    Q = Q.tocsr()
-    n = Q.shape[0]
-    if tol is None:
-        tol = ITERATIVE_DEFAULT_TOL
-    if max_iter is None:
-        max_iter = POWER_DEFAULT_MAX_ITER
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    lam = float(-Q.diagonal().min())
-    if lam <= 0.0:
-        raise ValueError(
-            "power iteration needs at least one non-absorbing state"
-        )
-    lam *= 1.05  # keep self-loop mass: guarantees aperiodicity
-    PT = (sparse.eye(n, format="csr") + Q.T.tocsr() / lam).tocsr()
-    warm_start = x0 is not None
-    if x0 is None and cache is not None:
-        pi0 = cache.get("pi0")
-        if pi0 is not None and np.shape(pi0) == (n,):
-            x0 = np.asarray(pi0, dtype=np.float64)
-            warm_start = True
-    obs.incr(
-        "solver.warm_start.hits" if warm_start else "solver.warm_start.misses"
-    )
-    if x0 is None:
-        x = np.full(n, 1.0 / n)
-    else:
-        x = np.clip(np.asarray(x0, dtype=np.float64), 0.0, None)
-        total = x.sum()
-        x = x / total if total > 0.0 else np.full(n, 1.0 / n)
-    diff = math.inf
-    diff_history: List[float] = []
-    with obs.span("solve.power", n=n, warm_start=warm_start) as sp:
-        for iteration in range(1, max_iter + 1):
-            x_new = PT @ x
-            total = x_new.sum()
-            if not (math.isfinite(total) and total > 0.0):
-                raise NumericalSolveError(
-                    "power iteration produced a non-distribution"
-                )
-            x_new /= total
-            diff = float(np.abs(x_new - x).sum())
-            diff_history.append(diff)
-            x = x_new
-            if diff <= tol:
-                break
-        else:
-            sp.set("iterations", max_iter)
-            obs.incr("solver.power.solves")
-            obs.incr("solver.power.iterations", max_iter)
-            raise ConvergenceError(
-                "power",
-                max_iter,
-                diff,
-                tol,
-                diff_history[-RESIDUAL_HISTORY_LIMIT:],
-            )
-        sp.set("iterations", iteration)
-        sp.set("final_residual", diff)
-        obs.incr("solver.power.solves")
-        obs.incr("solver.power.iterations", iteration)
-    if cache is not None:
-        cache["pi0"] = x.copy()
-        cache["residual_history"] = tuple(
-            diff_history[-RESIDUAL_HISTORY_LIMIT:]
-        )
-    return _finalize_pi(x)
-
-
-def sparse_steady_state(
-    Q: sparse.spmatrix, perm_c: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Solve ``pi Q = 0, sum(pi) = 1`` from a sparse generator via SuperLU.
-
-    The linear system (``Q^T`` with the last balance equation replaced by the
-    normalisation row) is factorised with an explicit LU so the fill-reducing
-    *column permutation* — the symbolic half of the factorisation — can be
-    reused.  Returns ``(pi, perm_c)``.
-
-    Parameters
-    ----------
-    Q:
-        Sparse generator (rows sum to zero).
-    perm_c:
-        Column permutation from a previous call on a generator with the
-        *same sparsity pattern* (e.g. an earlier point of a parameter
-        sweep).  When given, the system is permuted up front and SuperLU
-        factors with ``ColPerm=NATURAL``, skipping the COLAMD analysis;
-        any valid permutation keeps the solve exact (row pivoting is still
-        performed), so a stale permutation costs fill, never correctness.
-
-    Raises
-    ------
-    ValueError
-        If the system is singular (reducible chain) or the permutation has
-        the wrong length.
-    """
-    n = Q.shape[0]
-    A, b = _augmented_system(Q)
-    if perm_c is None:
-        with obs.span("solve.lu_analyse", n=n):
-            try:
-                lu = splu(A)
-            except RuntimeError as exc:  # "Factor is exactly singular"
-                raise NumericalSolveError(f"singular generator: {exc}") from exc
-            pi = lu.solve(b)
-        # SuperLU's perm_c maps original -> factor column positions;
-        # invert it so a later call can *pre*-permute the columns
-        return _finalize_pi(pi), np.argsort(lu.perm_c)
-    perm_c = np.asarray(perm_c)
-    if perm_c.shape != (n,):
-        raise ValueError(
-            f"perm_c must have length {n}, got shape {perm_c.shape}"
-        )
-    A = A[:, perm_c]
-    with obs.span("solve.lu_factor", n=n):
-        try:
-            y = splu(A, permc_spec="NATURAL").solve(b)
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise NumericalSolveError(f"singular generator: {exc}") from exc
-    pi = np.empty(n)
-    pi[perm_c] = y
-    return _finalize_pi(pi), perm_c
 
 
 class CTMC:
@@ -662,18 +393,17 @@ class CTMC:
     labels:
         Optional state labels (any hashables); defaults to ``range(n)``.
     backend:
-        ``"dense"``, ``"sparse"``, or ``"auto"`` (default).  ``"auto"``
-        picks sparse when the generator is already a scipy-sparse matrix or
-        when ``n > SPARSE_AUTO_THRESHOLD``.  The backend decides how the
-        steady-state system is solved and how uniformization multiplies;
-        results agree to solver precision either way.
+        Generator storage: ``"dense"``, ``"sparse"``, or ``"auto"``
+        (default), which picks sparse when the generator is already a
+        scipy-sparse matrix or when ``n > DENSE_MAX_STATES``.  The storage
+        decides how uniformization multiplies; the steady-state solver is
+        picked by ``n`` alone (see :meth:`steady_state`).
     factor_cache:
-        Optional mutable mapping shared by a *family* of chains with the
-        same sparsity pattern (e.g. the per-point chains of a parameter
-        sweep).  The sparse steady-state solve stores its fill-reducing
-        column permutation under ``"perm_c"`` and later chains reuse it,
-        paying the symbolic analysis once per family (see
-        :func:`sparse_steady_state`).  Ignored by the dense backend.
+        Optional :class:`SolverCache` shared by a *family* of chains with
+        the same sparsity pattern (e.g. the per-point chains of a
+        parameter sweep).  GMRES solves keep their state ordering, ILU
+        preconditioner and warm start there, so later chains reuse them.
+        Unused by chains that solve by dense LU.
     """
 
     def __init__(
@@ -683,9 +413,9 @@ class CTMC:
         backend: str = "auto",
         factor_cache: Optional[Dict[str, np.ndarray]] = None,
     ) -> None:
-        if backend not in CTMC_BACKENDS:
+        if backend not in ("auto", "dense", "sparse"):
             raise ValueError(
-                f"backend must be one of {CTMC_BACKENDS}, got {backend!r}"
+                f"backend must be 'auto', 'dense' or 'sparse', got {backend!r}"
             )
         is_sparse_input = sparse.issparse(generator)
         if is_sparse_input:
@@ -701,7 +431,7 @@ class CTMC:
         if backend == "auto":
             backend = (
                 "sparse"
-                if is_sparse_input or n > SPARSE_AUTO_THRESHOLD
+                if is_sparse_input or n > DENSE_MAX_STATES
                 else "dense"
             )
         self.backend = backend
@@ -752,10 +482,8 @@ class CTMC:
         if len(self._index) != n:
             raise ValueError("labels must be unique")
 
-        # solver caches (the generator is immutable after construction);
-        # steady-state solutions are cached per resolved method so method
-        # comparisons exercise genuinely independent solves
-        self._pi_cache: Dict[str, np.ndarray] = {}
+        # solver caches (the generator is immutable after construction)
+        self._pi: Optional[np.ndarray] = None
         self._unif: Optional[Tuple[float, Callable[[np.ndarray], np.ndarray]]] = None
         self._factor_cache = factor_cache
 
@@ -814,7 +542,7 @@ class CTMC:
         off = sparse.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
         exit_rates = np.asarray(off.sum(axis=1)).ravel()
         if backend == "sparse" or (
-            backend == "auto" and n > SPARSE_AUTO_THRESHOLD
+            backend == "auto" and n > DENSE_MAX_STATES
         ):
             Q: Union[np.ndarray, sparse.spmatrix] = off - sparse.diags(exit_rates)
         else:
@@ -825,95 +553,46 @@ class CTMC:
     # ------------------------------------------------------------------ #
     # solutions
     # ------------------------------------------------------------------ #
-    def steady_state(
-        self,
-        method: str = "auto",
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
-        x0: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def steady_state(self) -> np.ndarray:
         """Stationary distribution ``pi`` with ``pi Q = 0`` and ``sum = 1``.
 
-        Parameters
-        ----------
-        method : {"auto", "lu", "gmres", "power"}
-            Steady-state solver.
-
-            - ``"lu"`` — direct solve of the augmented system (one balance
-              equation replaced by the normalisation constraint), densely
-              via LAPACK or sparsely via SuperLU depending on the chain's
-              ``backend``.  Exact to machine precision; memory grows with
-              LU fill.
-            - ``"gmres"`` — restarted GMRES with an ILU preconditioner on
-              the same augmented system (:func:`gmres_steady_state`).
-              Memory bounded by the ILU fill budget; the path for chains
-              the direct factorisation cannot hold.
-            - ``"power"`` — power iteration on the uniformized DTMC
-              (:func:`power_steady_state`).  Lowest memory (the generator
-              plus two vectors), slowest convergence.
-            - ``"auto"`` — ``"lu"`` up to
-              :data:`ITERATIVE_AUTO_THRESHOLD` (20 000) states, then
-              ``"gmres"`` (see :func:`resolve_steady_state_method` and
-              docs/solvers.md).
-        tol : float, optional
-            Convergence tolerance of the iterative methods (default
-            ``1e-10``); ignored by ``"lu"``, which is direct.
-        max_iter : int, optional
-            Iteration budget of the iterative methods (GMRES inner
-            iterations / power sweeps); ignored by ``"lu"``.
-        x0 : ndarray, optional
-            Warm start for the iterative methods.  When omitted, the
-            chain's ``factor_cache`` provides the previous same-pattern
-            solution (``"pi0"``), which is what makes dense sweep grids
-            converge in a handful of iterations per point.
+        The chain's size picks the solver (:func:`resolve_steady_state_method`):
+        up to :data:`DENSE_MAX_STATES` states, a dense LU solve of the
+        augmented system (one balance equation replaced by the
+        normalisation constraint), exact to machine precision; above it,
+        ILU-preconditioned GMRES on the same system
+        (:func:`gmres_steady_state`), warm-started from the chain's
+        ``factor_cache``.
 
         Returns
         -------
         ndarray
-            The stationary distribution (a copy).  Solutions are cached
-            per resolved method — but only for default-argument solves: a
-            call with an explicit *tol*, *max_iter* or *x0* always solves
-            fresh (and is not cached), so asking for a tighter tolerance
-            can never be answered with an earlier, looser vector.
+            The stationary distribution (a copy; solved once and cached).
 
         Raises
         ------
-        ValueError
-            Unknown *method*, or a singular (reducible) chain under the
-            direct solver.
+        NumericalSolveError
+            A singular (reducible) chain under dense LU; the message names
+            the closed communicating classes.
         ConvergenceError
-            An iterative method stalled before reaching *tol*; the error
-            carries the iteration count and final residual.
-
-        Notes
-        -----
-        The direct solver detects reducible chains (singular system); the
-        iterative methods assume irreducibility and may instead stall or
-        converge to one of several stationary distributions.  Requires a
-        single recurrent class reachable from everywhere for the result
-        to be *the* stationary distribution.
+            GMRES stalled before reaching :data:`GMRES_TOL`; the error
+            carries the iteration count, residual and residual history.
         """
-        resolved = self.resolve_method(method)
-        default_solve = tol is None and max_iter is None and x0 is None
-        if default_solve:
-            cached = self._pi_cache.get(resolved)
-            if cached is not None:
-                return cached.copy()
-        with obs.span("solve.steady", method=resolved, n=self.n):
-            try:
-                pi = self._solve_steady_state(resolved, tol, max_iter, x0)
-            except NumericalSolveError as exc:
-                diagnosis = self.reducibility_diagnosis()
-                if diagnosis is not None:
-                    raise NumericalSolveError(f"{exc} — {diagnosis}") from exc
-                raise
-        if default_solve:
-            self._pi_cache[resolved] = pi
-        return pi.copy()
+        if self._pi is None:
+            method = self.resolve_method()
+            with obs.span("solve.steady", method=method, n=self.n):
+                try:
+                    self._pi = self._solve_steady_state(method)
+                except NumericalSolveError as exc:
+                    diagnosis = self.reducibility_diagnosis()
+                    if diagnosis is not None:
+                        raise NumericalSolveError(f"{exc} — {diagnosis}") from exc
+                    raise
+        return self._pi.copy()
 
-    def resolve_method(self, method: str = "auto") -> str:
-        """The concrete solver *method* denotes for this chain's size."""
-        return resolve_steady_state_method(self.n, method)
+    def resolve_method(self) -> str:
+        """The solver this chain's steady state runs (``"lu"``/``"gmres"``)."""
+        return resolve_steady_state_method(self.n)
 
     # ------------------------------------------------------------------ #
     # structure
@@ -959,55 +638,17 @@ class CTMC:
         )
 
     def seed_steady_state(self, pi: np.ndarray) -> None:
-        """Install an externally solved stationary vector.
-
-        Every method's cache is seeded — the vector *is* the stationary
-        distribution, however it was obtained (e.g. a sweep backend's
-        shared-template solve).
-        """
+        """Install an externally solved stationary vector (e.g. a sweep
+        backend's shared-template solve); :meth:`steady_state` returns it."""
         pi = np.asarray(pi, dtype=np.float64)
         if pi.shape != (self.n,):
             raise ValueError(f"pi must have shape ({self.n},)")
-        solved = pi.copy()
-        for name in STEADY_STATE_METHODS[1:]:
-            self._pi_cache[name] = solved
+        self._pi = pi.copy()
 
-    def _solve_steady_state(
-        self,
-        method: str,
-        tol: Optional[float],
-        max_iter: Optional[int],
-        x0: Optional[np.ndarray],
-    ) -> np.ndarray:
-        n = self.n
+    def _solve_steady_state(self, method: str) -> np.ndarray:
         if method == "gmres":
-            return gmres_steady_state(
-                self.Q_sparse,
-                tol=tol,
-                max_iter=max_iter,
-                x0=x0,
-                cache=self._factor_cache,
-            )
-        if method == "power":
-            return power_steady_state(
-                self.Q_sparse,
-                tol=tol,
-                max_iter=max_iter,
-                x0=x0,
-                cache=self._factor_cache,
-            )
-        if self.backend == "sparse":
-            # A = Q^T with the last row replaced by the normalisation row,
-            # factorised via SuperLU with the symbolic analysis shared
-            # through factor_cache when one was provided.
-            cache = self._factor_cache
-            perm_c = cache.get("perm_c") if cache is not None else None
-            if perm_c is not None and np.asarray(perm_c).shape != (n,):
-                perm_c = None  # pattern family changed size: re-analyse
-            pi, perm_c = sparse_steady_state(self.Q_sparse, perm_c)
-            if cache is not None:
-                cache["perm_c"] = perm_c
-            return pi
+            return gmres_steady_state(self.Q_sparse, cache=self._factor_cache)
+        n = self.n
         b = np.zeros(n)
         b[-1] = 1.0
         A = self.Q.T.copy()

@@ -1,7 +1,7 @@
 """What every steady-state solver shares, on numpy alone.
 
-The solver method and backend names, the error a numerically failed solve raises, and
-the validation/normalisation of a raw stationary vector.  The CTMC solvers
+The error a numerically failed solve raises, and the
+validation/normalisation of a raw stationary vector.  The CTMC solvers
 in :mod:`repro.markov.ctmc` (scipy-backed) and the phase-type level
 recursion in :mod:`repro.core.phase_type` (numpy only) both use them, so
 they live here, where importing them does not import scipy.
@@ -14,13 +14,7 @@ import math
 
 import numpy as np
 
-__all__ = ["CTMC_BACKENDS", "NumericalSolveError", "STEADY_STATE_METHODS"]
-
-#: Steady-state solver methods accepted by :meth:`CTMC.steady_state`.
-STEADY_STATE_METHODS = ("auto", "lu", "gmres", "power")
-
-#: Linear-algebra backends a :class:`CTMC` runs on.
-CTMC_BACKENDS = ("auto", "dense", "sparse")
+__all__ = ["NumericalSolveError"]
 
 
 class NumericalSolveError(ValueError):

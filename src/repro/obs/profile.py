@@ -21,8 +21,6 @@ __all__ = ["attribution_fraction", "render_profile"]
 _PROFILE_COUNTERS = (
     "solver.gmres.solves",
     "solver.gmres.iterations",
-    "solver.power.solves",
-    "solver.power.iterations",
     "solver.warm_start.hits",
     "solver.warm_start.misses",
     "solver.ilu.builds",

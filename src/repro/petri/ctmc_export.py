@@ -36,12 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from repro import obs
-from repro.markov.ctmc import (
-    CTMC,
-    SPARSE_AUTO_THRESHOLD,
-    SolverCache,
-    resolve_steady_state_method,
-)
+from repro.markov.ctmc import CTMC, DENSE_MAX_STATES, SolverCache
 from repro.petri.analysis import (
     ReachabilityGraph,
     ReachabilityOptions,
@@ -102,10 +97,9 @@ class GSPNSolution:
 
     ``rates`` maps each exponential transition name to the rate the chain
     was assembled with (the net's own rates, unless they were re-bound via
-    :meth:`GSPNSolver.solve`).  The steady-state vector is solved once —
-    with the ``solver_method``/``solver_tol``/``solver_max_iter`` the
-    solution was created with (see :meth:`CTMC.steady_state`) — and
-    cached; every query method reuses it.
+    :meth:`GSPNSolver.solve`).  The steady-state vector is solved once
+    (see :meth:`CTMC.steady_state`) and cached; every query method reuses
+    it.
     """
 
     ctmc: CTMC
@@ -114,9 +108,6 @@ class GSPNSolution:
     graph: ReachabilityGraph
     columns: MetricColumns
     rates: Dict[str, float] = field(default_factory=dict)
-    solver_method: str = "auto"
-    solver_tol: Optional[float] = None
-    solver_max_iter: Optional[int] = None
     _pi: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -131,11 +122,7 @@ class GSPNSolution:
     def _pi_vector(self) -> np.ndarray:
         """The stationary vector, solved once per solution instance."""
         if self._pi is None:
-            self._pi = self.ctmc.steady_state(
-                method=self.solver_method,
-                tol=self.solver_tol,
-                max_iter=self.solver_max_iter,
-            )
+            self._pi = self.ctmc.steady_state()
         return self._pi
 
     def steady_state(self) -> Dict[Marking, float]:
@@ -304,10 +291,10 @@ class GSPNSolver:
         for name, i in self._exp_names.items():
             self._base_rates[i] = compiled.transitions[i].rate
 
-        # shared across every sparse per-point CTMC: the sparsity pattern is
-        # rate-independent, so one symbolic LU analysis — or one ILU
-        # preconditioner plus the previous point's warm-start vector under
-        # the iterative methods — serves a whole sweep
+        # shared across every GMRES-solved per-point CTMC: the sparsity
+        # pattern is rate-independent, so one state ordering and one ILU
+        # preconditioner, plus the previous point's warm-start vector,
+        # serve a whole sweep
         self._factor_cache: SolverCache = SolverCache()
 
     @property
@@ -327,11 +314,11 @@ class GSPNSolver:
         return self._rows.copy(), self._cols.copy()
 
     def reset_warm_start(self) -> None:
-        """Drop the iterative methods' warm-start vector.
+        """Drop GMRES's warm-start vector.
 
         Called by sweep fan-out at chunk boundaries, where the previous
-        solve belongs to a non-adjacent grid point; the shared symbolic
-        analysis and preconditioner survive (they are rate-independent).
+        solve belongs to a non-adjacent grid point; the shared ordering
+        and preconditioner survive (they are rate-independent).
         """
         self._factor_cache.drop_warm_start()
 
@@ -376,50 +363,23 @@ class GSPNSolver:
             shape=(self.n, self.n),
         )
 
-    def solve(
-        self,
-        rates: Optional[Mapping[str, float]] = None,
-        backend: str = "auto",
-        method: str = "auto",
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
-    ) -> GSPNSolution:
+    def solve(self, rates: Optional[Mapping[str, float]] = None) -> GSPNSolution:
         """Assemble and wrap the CTMC for *rates* (no re-exploration).
 
-        Parameters
-        ----------
-        rates : mapping, optional
-            ``{transition name: new exponential rate}`` overrides; omitted
-            transitions keep the rate from the net definition.
-        backend : {"auto", "dense", "sparse"}
-            CTMC linear-algebra backend; ``"auto"`` goes sparse past
-            :data:`~repro.markov.ctmc.SPARSE_AUTO_THRESHOLD` states.
-        method : {"auto", "lu", "gmres", "power"}
-            Steady-state solver (see :meth:`CTMC.steady_state`).  The
-            iterative methods always run on the sparse generator and share
-            this solver's warm-start cache, so consecutive solves of a
-            sweep start from the previous point's solution.
-        tol, max_iter : float, int, optional
-            Convergence tolerance / iteration budget of the iterative
-            methods; ignored by ``"lu"``.
+        *rates* maps transition names to new exponential rates; omitted
+        transitions keep the rate from the net definition.  A chain of at
+        most :data:`~repro.markov.ctmc.DENSE_MAX_STATES` states is stored
+        densely and solves by dense LU; a larger one stays sparse and
+        solves by GMRES, warm-started from this solver's shared cache, so
+        consecutive solves of a sweep start from the previous point's
+        solution.
         """
-        resolved = resolve_steady_state_method(self.n, method)
         rate_vec = self._rate_vector(rates)
         Q = self._assemble(rate_vec)
-        if resolved == "lu" and (
-            backend == "dense"
-            or (backend == "auto" and self.n <= SPARSE_AUTO_THRESHOLD)
-        ):
+        if self.n <= DENSE_MAX_STATES:
             ctmc = CTMC(Q.toarray(), labels=self.markings, backend="dense")
         else:
-            # iterative methods always solve sparsely and warm-start from
-            # the shared cache, whatever the requested dense/sparse backend
-            ctmc = CTMC(
-                Q,
-                labels=self.markings,
-                backend="sparse" if resolved != "lu" else backend,
-                factor_cache=self._factor_cache,
-            )
+            ctmc = CTMC(Q, labels=self.markings, factor_cache=self._factor_cache)
         effective = {name: float(rate_vec[i]) for name, i in self._exp_names.items()}
         return GSPNSolution(
             ctmc=ctmc,
@@ -428,16 +388,11 @@ class GSPNSolver:
             graph=self.graph,
             columns=self.columns,
             rates=effective,
-            solver_method=method,
-            solver_tol=tol,
-            solver_max_iter=max_iter,
         )
 
 
 def ctmc_from_net(
-    net: PetriNet,
-    options: ReachabilityOptions = ReachabilityOptions(),
-    backend: str = "auto",
+    net: PetriNet, options: ReachabilityOptions = ReachabilityOptions()
 ) -> GSPNSolution:
     """Reduce an exponential-only net to a CTMC over tangible markings.
 
@@ -452,4 +407,4 @@ def ctmc_from_net(
         finite within ``options.max_markings``, or vanishing markings form a
         zero-time livelock.
     """
-    return GSPNSolver(net, options).solve(backend=backend)
+    return GSPNSolver(net, options).solve()

@@ -175,10 +175,9 @@ class SweepBackend(abc.ABC):
     point's values to the template and returns a *solution*;
     :meth:`evaluate` turns a solution plus a metric spec into one
     result-table cell.  The ``gspn`` backend, whose chains have no
-    structure to exploit, additionally accepts a steady-state solver
-    ``method`` (``"auto"``/``"lu"``/``"gmres"``/``"power"``) — see
-    ``docs/solvers.md`` for the selection guide; the phase-type backend
-    always runs its exact level recursion.
+    structure to exploit, solves by dense LU or GMRES by chain size (see
+    ``docs/solvers.md``); the phase-type backend always runs its exact
+    level recursion.
     """
 
     #: registry name, e.g. ``"gspn"``

@@ -13,15 +13,16 @@ over ``[0, t]``), both from the net's initial marking.  Energy-flavoured
 transient metrics need per-state power semantics a bare net does not have —
 use the phase-type backend for those.
 
-All per-point chains share one sparse-LU symbolic analysis: the solver's
-sparsity pattern is rate-independent, so the fill-reducing permutation from
-the first solve is reused by every later one (see
-:func:`repro.markov.ctmc.sparse_steady_state`).
+The chain's size picks the steady-state solver: dense LU up to
+:data:`~repro.markov.ctmc.DENSE_MAX_STATES` states, GMRES above it.  The
+per-point GMRES solves share one state ordering and ILU preconditioner —
+the sparsity pattern is rate-independent — and each warm-starts from the
+previous point's solution.
 """
 
 from __future__ import annotations
 
-from typing import List, Mapping, Optional
+from typing import List, Mapping
 
 import numpy as np
 
@@ -64,18 +65,6 @@ class GSPNBackend(SweepBackend):
     options : ReachabilityOptions
         Reachability exploration limits (``max_markings`` bounds the
         state-space exploration).
-    ctmc_backend : {"auto", "dense", "sparse"}
-        Linear-algebra backend forwarded to every per-point CTMC.
-    method : {"auto", "lu", "gmres", "power"}
-        Steady-state solver forwarded to every per-point solve (see
-        :meth:`repro.markov.ctmc.CTMC.steady_state`).  The iterative
-        methods warm-start each grid point from the previous point's
-        solution through the solver's shared cache.
-    tol : float, optional
-        Convergence tolerance of the iterative methods (default
-        ``1e-10``); ignored by ``"lu"``.
-    max_iter : int, optional
-        Iteration budget of the iterative methods; ignored by ``"lu"``.
     """
 
     name = "gspn"
@@ -86,30 +75,15 @@ class GSPNBackend(SweepBackend):
         self,
         net: PetriNet,
         options: ReachabilityOptions = ReachabilityOptions(),
-        ctmc_backend: str = "auto",
-        method: str = "auto",
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
     ) -> None:
-        resolve_steady_state_method(1, method)  # validate the name eagerly
         self.solver = GSPNSolver(net, options)
-        self.ctmc_backend = ctmc_backend
-        self.method = method
-        self.tol = tol
-        self.max_iter = max_iter
         self._place_names = tuple(self.solver.markings[0].place_names)
 
     def _prepare(self) -> GSPNSolver:
         return self.solver
 
     def solve(self, point: Mapping[str, float]) -> GSPNSolution:
-        return self.solver.solve(
-            rates=point,
-            backend=self.ctmc_backend,
-            method=self.method,
-            tol=self.tol,
-            max_iter=self.max_iter,
-        )
+        return self.solver.solve(rates=point)
 
     def axis_names(self) -> List[str]:
         return self.solver.exponential_transitions
@@ -124,7 +98,7 @@ class GSPNBackend(SweepBackend):
     @property
     def steady_method(self) -> str:
         """The steady-state solver a point solve runs."""
-        return resolve_steady_state_method(self.solver.n, self.method)
+        return resolve_steady_state_method(self.solver.n)
 
     def describe(self) -> str:
         return (

@@ -50,9 +50,8 @@ class RenewalBackend(CPUParamsAxesMixin, SweepBackend):
     drive both and the result tables line up row for row.
 
     There is no state space and no linear solve — each point is a few
-    scalar formulas — so the backend takes no solver ``method``/``tol``
-    knobs; see ``docs/solvers.md`` for where the closed form wins over
-    every matrix method.
+    scalar formulas; see ``docs/solvers.md`` for where the closed form
+    wins over every matrix method.
 
     Parameters
     ----------

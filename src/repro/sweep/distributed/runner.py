@@ -73,7 +73,7 @@ class DistributedSweepRunner(SweepRunner):
 
     Parameters
     ----------
-    model, metrics, options, backend, method, tol, max_iter:
+    model, metrics, options, preflight:
         Exactly as :class:`~repro.sweep.runner.SweepRunner`.
     n_shards:
         Local workers to launch (``worker_mode`` decides how).  ``0``
@@ -109,10 +109,6 @@ class DistributedSweepRunner(SweepRunner):
         model: Union[PetriNet, SweepBackend],
         metrics: Sequence[Metric],
         options: ReachabilityOptions = ReachabilityOptions(),
-        backend: str = "auto",
-        method: str = "auto",
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
         preflight: bool = True,
         *,
         n_shards: int = 2,
@@ -129,10 +125,6 @@ class DistributedSweepRunner(SweepRunner):
             model,
             metrics,
             options=options,
-            backend=backend,
-            method=method,
-            tol=tol,
-            max_iter=max_iter,
             preflight=preflight,
         )
         if n_shards < 0:

@@ -14,9 +14,9 @@ Three exponential-only seed nets:
   each with its own bounded sample buffer, contending for one shared
   radio channel.  Its state space is a *product* space
   (``(K+1)^n * (n+1)`` markings), so modest knobs produce chains deep in
-  iterative-solver territory — the demo scenario for the GMRES/power
-  steady-state methods (``repro-experiments steady --net wsn-cluster
-  --solver gmres``).
+  GMRES territory — the demo scenario for the steady-state size rule,
+  which solves chains past 500 states by GMRES (``repro-experiments
+  steady --net wsn-cluster --buffer 30``).
 
 Plus one *deliberately broken* net:
 
@@ -111,7 +111,7 @@ def build_wsn_cluster_net(
     The tangible state space is the product of the per-node buffer levels
     times the channel owner — ``(buffer_capacity + 1)**n_nodes *
     (n_nodes + 1)`` markings — which makes this the scaling scenario for
-    the iterative steady-state solvers: the defaults give ~8.8k states,
+    the GMRES steady-state path: the defaults give ~8.8k states,
     ``n_nodes=3, buffer_capacity=30`` already ~119k (past any comfortable
     direct-LU size), every one of them an exponential-only GSPN solvable
     through :class:`~repro.petri.ctmc_export.GSPNSolver`.

@@ -162,17 +162,6 @@ class SweepRunner:
     options:
         Reachability exploration limits (GSPN nets only; ignored when a
         backend instance is passed).
-    backend:
-        CTMC linear-algebra backend for GSPN solves (``"auto"`` default;
-        ignored when a backend instance is passed).
-    method, tol, max_iter:
-        Steady-state solver choice for GSPN solves —
-        ``"auto"``/``"lu"``/``"gmres"``/``"power"`` plus the iterative
-        tolerance and iteration budget (see
-        :meth:`repro.markov.ctmc.CTMC.steady_state`).  Only legal when
-        *model* is a net; a backend instance carries its own solver
-        configuration, so passing these with one raises ``ValueError``
-        instead of silently ignoring them.
     n_workers:
         ``None``/``0``/``1`` solves serially; ``>= 2`` fans contiguous
         partitions of points out over a process pool of that size.
@@ -195,31 +184,14 @@ class SweepRunner:
         model: Union[PetriNet, SweepBackend],
         metrics: Sequence[Metric],
         options: ReachabilityOptions = ReachabilityOptions(),
-        backend: str = "auto",
         n_workers: Optional[int] = None,
-        method: str = "auto",
-        tol: Optional[float] = None,
-        max_iter: Optional[int] = None,
         preflight: bool = True,
     ) -> None:
         if not metrics:
             raise ValueError("at least one metric is required")
         if isinstance(model, PetriNet):
-            self.model: SweepBackend = GSPNBackend(
-                model,
-                options,
-                ctmc_backend=backend,
-                method=method,
-                tol=tol,
-                max_iter=max_iter,
-            )
+            self.model: SweepBackend = GSPNBackend(model, options)
         elif isinstance(model, SweepBackend):
-            if method != "auto" or tol is not None or max_iter is not None:
-                raise ValueError(
-                    "method/tol/max_iter apply only when a PetriNet is "
-                    "passed; configure the backend instance directly "
-                    f"(got a {type(model).__name__})"
-                )
             self.model = model
         else:
             raise TypeError(
@@ -232,7 +204,6 @@ class SweepRunner:
         self.metric_names = [metric_name(m, i) for i, m in enumerate(self.metrics)]
         if len(set(self.metric_names)) != len(self.metric_names):
             raise ValueError(f"duplicate metric names: {self.metric_names}")
-        self.backend = backend
         self.n_workers = n_workers
         self.preflight = preflight
 

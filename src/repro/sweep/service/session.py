@@ -39,6 +39,7 @@ from repro.sweep.results import PointFailure
 from repro.sweep.service.template_cache import spec_fingerprint
 from repro.sweep.spec import (
     MODEL_KINDS,
+    REQUEST_OPS,
     RequestError,
     build_backend,
     canonical_model_spec,
@@ -61,8 +62,6 @@ __all__ = [
     "send_frame",
     "solve_response",
 ]
-
-REQUEST_OPS = ("sweep", "steady", "lint", "ping", "stats")
 
 
 # --------------------------------------------------------------------------

@@ -21,18 +21,17 @@ imports the backend it builds when it is called.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.params import CPUModelParams
-from repro.markov.stationary import CTMC_BACKENDS, STEADY_STATE_METHODS
 from repro.sweep.backends import SweepBackend, make_backend, resolve_cpu_axis
 from repro.sweep.nets import DEMO_NETS
 
 __all__ = [
     "CPU_DEFAULT_METRICS",
     "MODEL_KINDS",
+    "REQUEST_OPS",
     "RequestError",
     "SPEC_FIELDS",
     "SPEC_KEYS",
@@ -42,16 +41,16 @@ __all__ = [
     "optional_int",
 ]
 
+#: the ops a service request may name
+REQUEST_OPS = ("sweep", "steady", "lint", "ping", "stats")
+
 #: model kinds a spec may name; ``phase-type-batched`` is a deprecated
 #: spelling of ``phase-type`` and canonicalises to it
 MODEL_KINDS = ("gspn", "phase-type", "phase-type-batched", "renewal")
 
 #: the spec keys each (canonical) model kind takes
 SPEC_KEYS: Dict[str, Tuple[str, ...]] = {
-    "gspn": (
-        "kind", "net", "buffer", "nodes", "max_markings", "backend",
-        "solver", "tol", "max_iter",
-    ),
+    "gspn": ("kind", "net", "buffer", "nodes", "max_markings"),
     "phase-type": ("kind", "params", "stages", "n_max"),
     "renewal": ("kind", "params"),
 }
@@ -97,17 +96,6 @@ def optional_int(value: Any, name: str, minimum: int = 1) -> Optional[int]:
     return value
 
 
-def _optional_float(value: Any, name: str) -> Optional[float]:
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RequestError(f"{name} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise RequestError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 def _check_keys(spec: Mapping[str, Any], given_kind: str, kind: str) -> None:
     """Reject keys no kind takes, then keys another kind takes."""
     allowed = SPEC_KEYS[kind]
@@ -126,20 +114,11 @@ def _check_keys(spec: Mapping[str, Any], given_kind: str, kind: str) -> None:
             )
 
 
-def _one_of(spec: Mapping[str, Any], key: str, default: str, choices) -> str:
-    value = spec.get(key, default)
-    if value not in choices:
-        raise RequestError(
-            f"model.{key} must be {'/'.join(choices)}, got {value!r}"
-        )
-    return value
-
-
 def canonical_model_spec(spec: Any) -> Dict[str, Any]:
     """Validate a model spec and return its canonical form.
 
     Canonicalisation is what makes fingerprint collisions impossible by
-    construction: every size- and solver-relevant field is present (its
+    construction: every size-relevant field is present (its
     default filled in), axis aliases are resolved to one spelling, and
     numeric types are pinned (``int`` knobs stay ints, rates become
     floats) — so two specs fingerprint equal iff they configure the same
@@ -169,21 +148,17 @@ def canonical_model_spec(spec: Any) -> Dict[str, Any]:
                     f"model.{knob} does not apply to model.net {net}"
                 )
         canonical.update(
-            solver=_one_of(spec, "solver", "auto", STEADY_STATE_METHODS),
-            tol=_optional_float(spec.get("tol"), "model.tol"),
-            max_iter=optional_int(spec.get("max_iter"), "model.max_iter"),
             net=net,
             buffer=optional_int(spec.get("buffer"), "model.buffer"),
             nodes=optional_int(spec.get("nodes"), "model.nodes"),
-            backend=_one_of(spec, "backend", "auto", CTMC_BACKENDS),
             max_markings=(
                 optional_int(spec.get("max_markings"), "model.max_markings")
                 or _DEFAULT_MAX_MARKINGS
             ),
         )
         return canonical
-    # CPU-parameter families: no solver to choose (phase-type runs its
-    # exact level recursion, renewal is closed form)
+    # CPU-parameter families: phase-type runs its exact level recursion,
+    # renewal is closed form
     params_in = spec.get("params") or {}
     if not isinstance(params_in, Mapping):
         raise RequestError(
@@ -226,10 +201,6 @@ def build_backend(canonical: Mapping[str, Any]) -> SweepBackend:
             "gspn",
             net=factory(**size_kwargs),
             options=ReachabilityOptions(max_markings=canonical["max_markings"]),
-            ctmc_backend=canonical["backend"],
-            method=canonical["solver"],
-            tol=canonical["tol"],
-            max_iter=canonical["max_iter"],
         )
     params = replace(CPUModelParams.paper_defaults(), **canonical["params"])
     if kind == "renewal":

@@ -25,13 +25,10 @@ from repro.core.phase_type import (
     build_stage_structure,
     stage_chain_stationary,
 )
-from repro.markov.ctmc import (
-    NumericalSolveError,
-    _finalize_pi,
-    sparse_steady_state,
-)
+from repro.markov.ctmc import NumericalSolveError, _finalize_pi
 from repro.sweep import PhaseTypeBackend
 from repro.sweep.backends.phase_type import _finalize_pi_stack
+from tests.markov.reference_solvers import sparse_steady_state
 
 
 def generator(k_d, k_t, n_max, rate_row, has_powerup=True, has_idle=True):

@@ -2,7 +2,22 @@
 
 import pytest
 
+import repro.markov.ctmc as ctmc_mod
 from repro.experiments.cli import build_parser, main
+
+#: the flags that used to pick a gspn solver; a chain's size picks it now
+REMOVED_SOLVER_FLAGS = (
+    ["--solver", "gmres"], ["--backend", "sparse"], ["--tol", "1e-9"],
+    ["--max-iter", "200"],
+)
+
+
+def exit_code(argv):
+    """``main(argv)``'s exit status, whether returned or raised by argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestParser:
@@ -36,33 +51,34 @@ class TestParser:
 
 
 class TestSolverFlags:
-    def test_sweep_accepts_solver_flags(self, capsys):
-        assert main([
-            "sweep", "--net", "mm1k", "--rate", "arrive=0.5,1.0",
-            "--solver", "gmres", "--tol", "1e-9", "--max-iter", "200",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "gmres steady state" in out
+    @pytest.mark.parametrize("flags", REMOVED_SOLVER_FLAGS, ids=lambda f: f[0])
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--net", "mm1k", "--rate", "arrive=0.5,1.0"],
+        ["steady", "--net", "mm1k"],
+        ["query", "--connect", "127.0.0.1:9", "--net", "mm1k"],
+    ], ids=lambda c: c[0])
+    def test_removed_solver_flags_exit_2(self, command, flags, capsys):
+        assert exit_code([*command, *flags]) == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in (
+            capsys.readouterr().err
+        )
 
     def test_sweep_solver_rejected_for_renewal(self, capsys):
-        assert main([
+        assert exit_code([
             "sweep", "--model", "renewal", "--rate", "T=0.2,0.4",
             "--solver", "gmres",
         ]) == 2
-        err = capsys.readouterr().err
-        assert "--solver" in err and "renewal" in err
+        assert "--solver" in capsys.readouterr().err
 
     def test_sweep_phase_type_solver_threading(self, capsys):
         # phase-type has one solver: a solver choice is a usage error
-        for flags in (["--solver", "power"], ["--tol", "1e-9"],
-                      ["--max-iter", "5"]):
-            assert main([
+        for flags in REMOVED_SOLVER_FLAGS:
+            assert exit_code([
                 "sweep", "--model", "phase-type", "--rate", "T=0.2,0.4",
                 "--stages", "4", "--n-max", "8", "--metric", "power",
                 *flags,
             ]) == 2
-            err = capsys.readouterr().err
-            assert flags[0] in err and "gspn" in err
+            assert flags[0] in capsys.readouterr().err
 
     def test_unknown_solver_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
@@ -79,14 +95,19 @@ class TestSteadyCommand:
         assert "mean_tokens:buf0" in out
         assert "states solved with" in out
 
+    def test_default_steady_reports_gmres(self, capsys):
+        # wsn-cluster, 3 nodes x buffer 12: 8 788 states, past the rule
+        assert main(["steady"]) == 0
+        assert "8788 states solved with gmres" in capsys.readouterr().out
+
     def test_explicit_solver_and_net(self, capsys):
-        assert main([
-            "steady", "--net", "mm1k", "--buffer", "12",
-            "--solver", "gmres", "--tol", "1e-9",
-        ]) == 0
+        """The net is explicit; the chain's size names the solver."""
+        assert main(["steady", "--net", "mm1k", "--buffer", "12"]) == 0
         out = capsys.readouterr().out
         assert "mm1k steady state" in out
-        assert "solved with gmres" in out
+        assert "13 states solved with lu" in out
+        assert main(["steady", "--net", "mm1k", "--buffer", "600"]) == 0
+        assert "601 states solved with gmres" in capsys.readouterr().out
 
     def test_phase_type_model(self, capsys):
         assert main([
@@ -97,12 +118,11 @@ class TestSteadyCommand:
         assert "phase-type steady state" in out
         assert "fraction:standby" in out
         assert "solved with exact level-recursion" in out
-        assert main([
+        assert exit_code([
             "steady", "--model", "phase-type", "--stages", "4",
             "--n-max", "8", "--solver", "lu",
         ]) == 2
-        err = capsys.readouterr().err
-        assert "--solver" in err and "gspn" in err
+        assert "--solver" in capsys.readouterr().err
 
     def test_gspn_rejects_phase_type_flags(self, capsys):
         assert main(["steady", "--net", "mm1k", "--n-max", "5"]) == 2
@@ -116,13 +136,12 @@ class TestSteadyCommand:
         assert main(["steady", "--net", "mm1k", "--nodes", "3"]) == 2
         assert "--nodes" in capsys.readouterr().err
 
-    def test_nonconvergence_reported_as_error(self, capsys):
-        assert main([
-            "steady", "--net", "mm1k", "--buffer", "12",
-            "--solver", "power", "--tol", "1e-15", "--max-iter", "2",
-        ]) == 2
+    def test_nonconvergence_reported_as_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(ctmc_mod, "GMRES_MAX_ITER", 1)
+        monkeypatch.setattr(ctmc_mod, "ILU_SETTINGS", ((1.0, 1),))
+        assert main(["steady", "--net", "mm1k", "--buffer", "600"]) == 2
         err = capsys.readouterr().err
-        assert "did not converge" in err
+        assert "gmres steady-state solve did not converge" in err
 
 
 class TestLintCommand:
@@ -153,9 +172,51 @@ class TestLintCommand:
         assert main(["lint", "--net", "mm1k", "--max-markings", "10"]) == 2
         assert "--level deep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_markings_must_be_positive(self, value, capsys):
+        # the service's rule for the same key (repro.sweep.spec.optional_int)
+        assert main([
+            "lint", "--net", "mm1k", "--level", "deep", "--max-markings", value,
+        ]) == 2
+        assert f"--max-markings must be >= 1, got {value}" in (
+            capsys.readouterr().err
+        )
+
     def test_unknown_net_rejected(self):
         with pytest.raises(SystemExit):
             main(["lint", "--net", "nope"])
+
+
+class TestQueryFlagScoping:
+    """Ops without a model spec reject the model flags they do not read,
+    before any connection is made."""
+
+    @pytest.mark.parametrize("op, flags, first", [
+        ("lint", ["--model", "phase-type", "--buffer", "3", "--stages", "9"],
+         "--model"),
+        ("lint", ["--net", "mm1k", "--buffer", "3"], "--buffer"),
+        ("lint", ["--param", "SR=2"], "--param"),
+        ("lint", ["--batched"], "--batched"),
+        ("ping", ["--net", "mm1k"], "--net"),
+        ("stats", ["--max-markings", "10", "--n-max", "4"], "--max-markings"),
+    ])
+    def test_unused_model_flag_exits_2(self, op, flags, first, capsys):
+        assert main([
+            "query", "--connect", "127.0.0.1:9", "--op", op, *flags,
+        ]) == 2
+        assert f"error: {first} does not apply to --op {op}" in (
+            capsys.readouterr().err
+        )
+
+    def test_lint_reads_net_and_max_markings(self, capsys):
+        # both flags are lint's own: the payload builds, the connection
+        # (to a closed port) is what fails
+        assert main([
+            "query", "--connect", "127.0.0.1:9", "--op", "lint",
+            "--net", "mm1k", "--level", "deep", "--max-markings", "10",
+            "--timeout", "2",
+        ]) == 2
+        assert "does not apply" not in capsys.readouterr().err
 
 
 class TestSweepPreflight:
@@ -189,33 +250,24 @@ class TestParserChoices:
         import argparse
 
         from repro.experiments.paper_experiments import EXPERIMENTS
-        from repro.markov.ctmc import CTMC_BACKENDS, STEADY_STATE_METHODS
         from repro.sweep.nets import DEMO_NETS
-        from repro.sweep.spec import MODEL_KINDS
+        from repro.sweep.spec import MODEL_KINDS, REQUEST_OPS
         from repro.verify.lint import LINT_LEVELS
 
         nets = sorted(DEMO_NETS)
         models = list(MODEL_KINDS)
-        backends = list(CTMC_BACKENDS)
-        solvers = list(STEADY_STATE_METHODS)
         expected = {
             ("run", "experiment"): sorted(EXPERIMENTS) + ["all"],
             ("sweep", "model"): models,
             ("sweep", "net"): nets,
-            ("sweep", "backend"): backends,
-            ("sweep", "solver"): solvers,
             ("lint", "net"): nets,
             ("lint", "level"): list(LINT_LEVELS),
             ("steady", "model"): models,
             ("steady", "net"): nets,
-            ("steady", "backend"): backends,
-            ("steady", "solver"): solvers,
-            ("query", "op"): ["sweep", "steady", "lint", "ping", "stats"],
+            ("query", "op"): list(REQUEST_OPS),
             ("query", "model"): models,
             ("query", "net"): nets,
-            ("query", "backend"): backends,
             ("query", "level"): list(LINT_LEVELS),
-            ("query", "solver"): solvers,
         }
         parser = build_parser()
         (commands,) = (

@@ -1,4 +1,5 @@
-"""Iterative steady-state solvers: GMRES, power iteration, auto policy."""
+"""The steady-state size rule (dense LU, then GMRES), GMRES itself, and
+the power-iteration reference it is cross-checked against."""
 
 import pickle
 
@@ -6,15 +7,18 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+import repro.markov.ctmc as ctmc_mod
 from repro.markov.ctmc import (
     CTMC,
-    ITERATIVE_AUTO_THRESHOLD,
-    STEADY_STATE_METHODS,
+    DENSE_MAX_STATES,
     ConvergenceError,
     SolverCache,
     gmres_steady_state,
-    power_steady_state,
     resolve_steady_state_method,
+)
+from tests.markov.reference_solvers import (
+    power_steady_state,
+    sparse_steady_state,
 )
 
 
@@ -27,40 +31,49 @@ def _cyclic_chain(n=6, fast=5.0, slow=0.01):
     return CTMC.from_rates(rates)
 
 
+def _birth_death(n, lam=1.0, mu=2.0):
+    """An *n*-state birth-death chain, stored sparse (GMRES past the rule)."""
+    rates = {}
+    for i in range(n - 1):
+        rates[(i, i + 1)] = lam
+        rates[(i + 1, i)] = mu
+    return CTMC.from_rates(rates, labels=list(range(n)), backend="sparse")
+
+
 class TestMethodAgreement:
     def test_all_methods_agree_small_dense(self):
         Q = [[-1.0, 0.6, 0.4], [0.5, -1.5, 1.0], [0.2, 0.3, -0.5]]
-        pi = {
-            m: CTMC(Q).steady_state(method=m, tol=1e-13)
-            for m in ("lu", "gmres", "power")
-        }
-        np.testing.assert_allclose(pi["gmres"], pi["lu"], rtol=0, atol=1e-9)
-        np.testing.assert_allclose(pi["power"], pi["lu"], rtol=0, atol=1e-8)
+        pi_lu = CTMC(Q).steady_state()
+        np.testing.assert_allclose(gmres_steady_state(Q), pi_lu, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(
+            power_steady_state(Q, tol=1e-13), pi_lu, rtol=0, atol=1e-8
+        )
 
     def test_all_methods_agree_sparse_backend(self):
         chain = _cyclic_chain()
-        pi_lu = chain.steady_state(method="lu")
-        pi_gmres = CTMC(chain.Q_sparse, backend="sparse").steady_state(
-            method="gmres", tol=1e-12
+        pi_lu = CTMC(chain.Q_sparse, backend="sparse").steady_state()
+        np.testing.assert_allclose(
+            pi_lu, sparse_steady_state(chain.Q_sparse)[0], rtol=0, atol=1e-12
         )
-        pi_power = CTMC(chain.Q_sparse, backend="sparse").steady_state(
-            method="power", tol=1e-13
-        )
+        pi_gmres = gmres_steady_state(chain.Q_sparse)
+        pi_power = power_steady_state(chain.Q_sparse, tol=1e-13)
         np.testing.assert_allclose(pi_gmres, pi_lu, rtol=0, atol=1e-9)
         np.testing.assert_allclose(pi_power, pi_lu, rtol=0, atol=1e-7)
 
     def test_results_cached_per_method(self):
-        chain = _cyclic_chain()
-        a = chain.steady_state(method="gmres")
-        b = chain.steady_state(method="gmres")
+        """A chain has one solver, so its one solution is cached."""
+        chain = _birth_death(DENSE_MAX_STATES + 1)
+        a = chain.steady_state()
+        b = chain.steady_state()
         np.testing.assert_array_equal(a, b)
         b[0] = 123.0  # a copy is returned: mutating it must not poison
-        np.testing.assert_array_equal(a, chain.steady_state(method="gmres"))
+        np.testing.assert_array_equal(a, chain.steady_state())
 
     def test_module_level_solvers_accept_dense_arrays(self):
         Q = np.array([[-2.0, 2.0], [1.0, -1.0]])
         expect = np.array([1.0 / 3.0, 2.0 / 3.0])
         np.testing.assert_allclose(gmres_steady_state(Q), expect, atol=1e-9)
+        np.testing.assert_allclose(CTMC(Q).steady_state(), expect, atol=1e-15)
         np.testing.assert_allclose(
             power_steady_state(Q, tol=1e-14), expect, atol=1e-9
         )
@@ -69,36 +82,32 @@ class TestMethodAgreement:
 class TestAutoPolicy:
     def test_resolution_is_deterministic_in_state_count(self):
         assert resolve_steady_state_method(1) == "lu"
-        assert resolve_steady_state_method(ITERATIVE_AUTO_THRESHOLD) == "lu"
-        assert (
-            resolve_steady_state_method(ITERATIVE_AUTO_THRESHOLD + 1)
-            == "gmres"
-        )
-
-    def test_explicit_methods_resolve_to_themselves(self):
-        for m in ("lu", "gmres", "power"):
-            assert resolve_steady_state_method(10**9, m) == m
+        assert resolve_steady_state_method(DENSE_MAX_STATES) == "lu"
+        assert resolve_steady_state_method(DENSE_MAX_STATES + 1) == "gmres"
 
     def test_unknown_method_raises_with_menu(self):
-        with pytest.raises(ValueError, match="auto"):
-            resolve_steady_state_method(10, "cholesky")
-        with pytest.raises(ValueError, match="cholesky"):
-            CTMC([[-1.0, 1.0], [1.0, -1.0]]).steady_state(method="cholesky")
-
-    def test_ctmc_resolve_method_uses_own_size(self):
+        """No solver is selectable any more: every knob is a TypeError."""
         chain = CTMC([[-1.0, 1.0], [1.0, -1.0]])
-        assert chain.resolve_method() == "lu"
-        assert chain.resolve_method("power") == "power"
+        for knob in ({"method": "cholesky"}, {"method": "lu"}, {"tol": 1e-8}):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                chain.steady_state(**knob)
 
     def test_methods_tuple_is_documented_set(self):
-        assert STEADY_STATE_METHODS == ("auto", "lu", "gmres", "power")
+        """The rule's whole range is the documented pair."""
+        sizes = (1, DENSE_MAX_STATES, DENSE_MAX_STATES + 1, 10**7)
+        assert {resolve_steady_state_method(n) for n in sizes} == {"lu", "gmres"}
+
+    def test_ctmc_resolve_method_uses_own_size(self):
+        assert CTMC([[-1.0, 1.0], [1.0, -1.0]]).resolve_method() == "lu"
+        assert _birth_death(DENSE_MAX_STATES).resolve_method() == "lu"
+        assert _birth_death(DENSE_MAX_STATES + 1).resolve_method() == "gmres"
 
 
 class TestConvergenceError:
     def test_power_stall_raises_with_diagnostics(self):
         chain = _cyclic_chain()
         with pytest.raises(ConvergenceError) as exc_info:
-            chain.steady_state(method="power", max_iter=2, tol=1e-15)
+            power_steady_state(chain.Q_sparse, max_iter=2, tol=1e-15)
         err = exc_info.value
         assert err.method == "power"
         assert err.iterations == 2
@@ -106,36 +115,39 @@ class TestConvergenceError:
         message = str(err)
         assert "2 iterations" in message
         assert f"{err.residual:.3e}" in message
-        assert "method='lu'" in message
 
-    def test_gmres_stall_raises_with_diagnostics(self):
+    def test_gmres_stall_raises_with_diagnostics(self, monkeypatch):
         # unpreconditioned with a 2-iteration budget on a 40-state ring:
         # cannot converge, must raise rather than return the junk vector
+        monkeypatch.setattr(ctmc_mod, "GMRES_MAX_ITER", 2)
+        monkeypatch.setattr(ctmc_mod, "ILU_SETTINGS", ())  # no preconditioner
         chain = _cyclic_chain(n=40)
         with pytest.raises(ConvergenceError) as exc_info:
-            gmres_steady_state(
-                chain.Q_sparse, max_iter=2, tol=1e-12, use_ilu=False
-            )
+            gmres_steady_state(chain.Q_sparse)
         err = exc_info.value
         assert err.method == "gmres"
         assert err.iterations >= 1
-        assert err.residual > err.tol
+        assert err.residual > err.tol == ctmc_mod.GMRES_TOL
+        assert f"{err.iterations} iterations" in str(err)
 
-    def test_stalled_solve_is_not_cached(self):
-        chain = _cyclic_chain()
-        with pytest.raises(ConvergenceError):
-            chain.steady_state(method="power", max_iter=1, tol=1e-15)
-        pi = chain.steady_state(method="power", tol=1e-13)  # fresh solve
+    def test_stalled_solve_is_not_cached(self, monkeypatch):
+        chain = _birth_death(DENSE_MAX_STATES + 1, lam=1.0, mu=1.01)
+        with monkeypatch.context() as patch:
+            patch.setattr(ctmc_mod, "GMRES_MAX_ITER", 1)
+            patch.setattr(ctmc_mod, "ILU_SETTINGS", ((1.0, 1),))  # near-useless ILU
+            with pytest.raises(ConvergenceError):
+                chain.steady_state()
+        pi = chain.steady_state()  # fresh solve
         np.testing.assert_allclose(
-            pi, chain.steady_state(method="lu"), atol=1e-7
+            pi, sparse_steady_state(chain.Q_sparse)[0], rtol=0, atol=1e-12
         )
 
     def test_bad_max_iter_rejected(self):
-        chain = _cyclic_chain()
-        with pytest.raises(ValueError, match="max_iter"):
-            chain.steady_state(method="gmres", max_iter=0)
-        with pytest.raises(ValueError, match="max_iter"):
-            chain.steady_state(method="power", max_iter=0)
+        """The iteration budget is a module constant, not an argument."""
+        with pytest.raises(TypeError, match="max_iter"):
+            _cyclic_chain().steady_state(max_iter=0)
+        with pytest.raises(TypeError, match="max_iter"):
+            gmres_steady_state(_cyclic_chain().Q_sparse, max_iter=0)
 
     def test_power_rejects_all_absorbing(self):
         with pytest.raises(ValueError, match="absorbing"):
@@ -151,22 +163,18 @@ class TestWarmStartCache:
         # a same-pattern chain with slightly different rates reuses both
         chain_b = _cyclic_chain(fast=5.5)
         pi_b = gmres_steady_state(chain_b.Q_sparse, cache=cache)
-        np.testing.assert_allclose(
-            pi_b, chain_b.steady_state(method="lu"), atol=1e-8
-        )
+        np.testing.assert_allclose(pi_b, chain_b.steady_state(), atol=1e-8)
         assert not np.allclose(pi_a, pi_b)
 
     def test_wrong_size_cache_entries_ignored(self):
         cache = SolverCache(pi0=np.ones(3) / 3.0)
         chain = _cyclic_chain(n=8)
         pi = gmres_steady_state(chain.Q_sparse, cache=cache)
-        np.testing.assert_allclose(
-            pi, chain.steady_state(method="lu"), atol=1e-8
-        )
+        np.testing.assert_allclose(pi, chain.steady_state(), atol=1e-8)
 
     def test_explicit_x0_wins_over_cache(self):
         chain = _cyclic_chain()
-        pi_lu = chain.steady_state(method="lu")
+        pi_lu = chain.steady_state()
         pi = gmres_steady_state(
             chain.Q_sparse, x0=np.full(chain.n, 1.0 / chain.n)
         )
@@ -174,9 +182,12 @@ class TestWarmStartCache:
 
     def test_ctmc_factor_cache_shared_by_iterative_methods(self):
         cache = SolverCache()
-        chain = CTMC(_cyclic_chain().Q_sparse, factor_cache=cache)
-        chain.steady_state(method="gmres")
-        assert "pi0" in cache
+        big = _birth_death(DENSE_MAX_STATES + 1)
+        CTMC(big.Q_sparse, factor_cache=cache).steady_state()
+        assert "pi0" in cache and "ilu" in cache
+        small = SolverCache()  # dense LU has nothing to share
+        CTMC(_cyclic_chain().Q_sparse, factor_cache=small).steady_state()
+        assert not small
 
     def test_pickling_drops_process_local_entries(self):
         cache = SolverCache()
@@ -196,11 +207,10 @@ class TestWarmStartCache:
 
 class TestSeededSteadyState:
     def test_seed_serves_every_method(self):
-        chain = _cyclic_chain()
-        seeded = np.full(chain.n, 1.0 / chain.n)
-        chain.seed_steady_state(seeded)
-        for m in ("lu", "gmres", "power"):
-            np.testing.assert_array_equal(chain.steady_state(method=m), seeded)
+        for chain in (_cyclic_chain(), _birth_death(DENSE_MAX_STATES + 1)):
+            seeded = np.full(chain.n, 1.0 / chain.n)
+            chain.seed_steady_state(seeded)
+            np.testing.assert_array_equal(chain.steady_state(), seeded)
 
     def test_seed_shape_checked(self):
         chain = _cyclic_chain()
@@ -210,8 +220,8 @@ class TestSeededSteadyState:
 
 class TestLargerChainSanity:
     def test_gmres_on_block_tridiagonal_chain(self):
-        # a 900-state lattice random walk: sparse backend, auto -> lu at
-        # this size, but gmres must agree when asked for explicitly
+        # a 900-state lattice random walk: past the rule, so GMRES; the
+        # reference sparse LU must agree
         n = 30
         rng = np.random.default_rng(7)
         rows, cols, data = [], [], []
@@ -227,11 +237,12 @@ class TestLargerChainSanity:
         off = sparse.coo_matrix((data, (rows, cols)), shape=(n * n, n * n))
         Q = (off - sparse.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
         chain = CTMC(Q, backend="sparse")
+        assert chain.resolve_method() == "gmres"
         np.testing.assert_allclose(
-            chain.steady_state(method="gmres"),
-            chain.steady_state(method="lu"),
-            rtol=0,
-            atol=1e-9,
+            chain.steady_state(),
+            sparse_steady_state(Q)[0],
+            rtol=1e-10,
+            atol=0,
         )
 
 
@@ -244,25 +255,7 @@ class TestReviewRegressions:
         assert (revived.residual, revived.tol) == (1e-3, 1e-10)
         assert "42 iterations" in str(revived)
 
-    def test_tighter_tolerance_is_never_served_from_a_looser_cache(self):
-        chain = _cyclic_chain()
-        loose = chain.steady_state(method="power", tol=1e-1)
-        tight = chain.steady_state(method="power", tol=1e-13)
-        pi_lu = chain.steady_state(method="lu")
-        # the loose solve must not have poisoned the tight one
-        assert np.abs(tight - pi_lu).max() < 1e-7
-        assert np.abs(tight - pi_lu).max() <= np.abs(loose - pi_lu).max()
-
-    def test_explicit_arg_solves_are_not_cached(self):
-        chain = _cyclic_chain()
-        chain.steady_state(method="power", tol=1e-1)
-        assert "power" not in chain._pi_cache
-        chain.steady_state(method="power")
-        assert "power" in chain._pi_cache
-
     def test_failed_ilu_is_attempted_once_per_cache(self, monkeypatch):
-        import repro.markov.ctmc as ctmc_mod
-
         calls = {"n": 0}
 
         def failing_spilu(*args, **kwargs):
@@ -274,5 +267,26 @@ class TestReviewRegressions:
         chain = _cyclic_chain()
         for _ in range(3):  # three same-family solves, one failed attempt
             gmres_steady_state(chain.Q_sparse, cache=cache)
-        assert calls["n"] == 1
+        assert calls["n"] == len(ctmc_mod.ILU_SETTINGS)  # each strength once
         assert cache["ilu"] is None
+
+    def test_zero_pivot_in_weak_ilu_retries_strong(self, monkeypatch):
+        from scipy.sparse import linalg as sparse_linalg
+
+        tried = []
+
+        def weak_fails(A, drop_tol, fill_factor):
+            tried.append(drop_tol)
+            if drop_tol == ctmc_mod.ILU_SETTINGS[0][0]:
+                raise RuntimeError("Factor is exactly singular")
+            return sparse_linalg.spilu(A, drop_tol=drop_tol, fill_factor=fill_factor)
+
+        monkeypatch.setattr(ctmc_mod, "spilu", weak_fails)
+        cache = SolverCache()
+        chain = _birth_death(DENSE_MAX_STATES + 1)
+        pi = gmres_steady_state(chain.Q_sparse, cache=cache)
+        assert tried == [setting[0] for setting in ctmc_mod.ILU_SETTINGS]
+        assert cache["ilu"] is not None
+        np.testing.assert_allclose(
+            pi, sparse_steady_state(chain.Q_sparse)[0], rtol=0, atol=1e-12
+        )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.markov.ctmc import CTMC
+from repro.markov.ctmc import CTMC, DENSE_MAX_STATES, SolverCache
+from tests.markov.reference_solvers import sparse_steady_state
 
 
 def random_generator(n: int, seed: int = 0, density: float = 0.3) -> np.ndarray:
@@ -202,11 +203,11 @@ class TestAccumulatedReward:
 
 
 class TestSharedFactorisation:
-    """sparse_steady_state: one symbolic analysis serves a pattern family."""
+    """The reference sparse LU reuses one symbolic analysis across a
+    pattern family; the production GMRES path shares its ordering,
+    preconditioner and warm start through ``factor_cache``."""
 
     def test_perm_reuse_matches_fresh_solve(self):
-        from repro.markov.ctmc import sparse_steady_state
-
         Q1 = sparse.csr_matrix(random_generator(40, seed=1))
         pi1, perm = sparse_steady_state(Q1)
         assert perm.shape == (40,)
@@ -220,18 +221,16 @@ class TestSharedFactorisation:
         np.testing.assert_array_equal(perm2, perm)
 
     def test_wrong_length_perm_rejected(self):
-        from repro.markov.ctmc import sparse_steady_state
-
         Q = sparse.csr_matrix(random_generator(10))
         with pytest.raises(ValueError, match="perm_c"):
             sparse_steady_state(Q, np.arange(5))
 
     def test_factor_cache_threads_through_ctmc(self):
-        cache = {}
-        Q = random_generator(12, seed=3)
+        cache = SolverCache()
+        Q = random_generator(DENSE_MAX_STATES + 20, seed=3, density=0.01)
         c1 = CTMC(Q, backend="sparse", factor_cache=cache)
         pi1 = c1.steady_state()
-        assert "perm_c" in cache
+        assert {"pi0", "rcm_perm", "ilu"} <= set(cache)
         c2 = CTMC(Q * 2.0, backend="sparse", factor_cache=cache)
         pi2 = c2.steady_state()
         # scaling a generator leaves its stationary distribution unchanged
@@ -240,8 +239,9 @@ class TestSharedFactorisation:
         np.testing.assert_allclose(pi2, no_cache, atol=1e-12)
 
     def test_stale_cache_size_is_ignored_not_fatal(self):
-        cache = {"perm_c": np.arange(3)}
-        c = CTMC(random_generator(12, seed=5), backend="sparse", factor_cache=cache)
+        n = DENSE_MAX_STATES + 20
+        cache = SolverCache(pi0=np.ones(3) / 3.0, rcm_perm=np.arange(3))
+        c = CTMC(random_generator(n, seed=5, density=0.01), factor_cache=cache)
         pi = c.steady_state()
         assert pi.sum() == pytest.approx(1.0)
-        assert cache["perm_c"].shape == (12,)
+        assert cache["rcm_perm"].shape == cache["pi0"].shape == (n,)

@@ -11,16 +11,20 @@ import pytest
 
 from repro import obs
 from repro.experiments.cli import main as cli_main
+import repro.markov.ctmc as ctmc_mod
 from repro.markov.ctmc import (
-    RESIDUAL_HISTORY_LIMIT,
+    DENSE_MAX_STATES,
     ConvergenceError,
     SolverCache,
     gmres_steady_state,
-    power_steady_state,
 )
 from repro.obs import Trace
 from repro.sweep import SweepGrid, SweepRunner, build_mm1k_net
 from repro.sweep.distributed import DistributedSweepRunner
+from tests.markov.reference_solvers import (
+    RESIDUAL_HISTORY_LIMIT,
+    power_steady_state,
+)
 
 GRID = SweepGrid({"arrive": [0.2 * i + 0.2 for i in range(8)]})
 
@@ -56,16 +60,15 @@ class TestSerialSweepTelemetry:
         result = SweepRunner(build_mm1k_net(), ["mean_tokens:queue"]).run(GRID)
         assert result.telemetry is None
 
-    def test_failed_point_span_records_error(self):
-        # an impossible tolerance stalls the power iteration: the point
-        # fails, the sweep survives, and the span records the stage/error
+    def test_failed_point_span_records_error(self, monkeypatch):
+        # a one-iteration budget stalls GMRES: the point fails, the sweep
+        # survives, and the span records the stage/error
+        monkeypatch.setattr(ctmc_mod, "GMRES_MAX_ITER", 1)
+        monkeypatch.setattr(ctmc_mod, "ILU_SETTINGS", ((1.0, 1),))
         with obs.tracing("sweep") as trace:
             result = SweepRunner(
-                build_mm1k_net(),
+                build_mm1k_net(K=DENSE_MAX_STATES + 99),
                 ["mean_tokens:queue"],
-                method="power",
-                tol=1e-300,
-                max_iter=2,
                 preflight=False,
             ).run(SweepGrid({"arrive": [0.5]}))
         assert result.n_failed == 1
@@ -201,9 +204,11 @@ class TestResidualHistory:
         # so the history can be a single (tiny) entry — just require decay
         assert history[-1] <= history[0]
 
-    def test_gmres_stall_carries_history_on_error(self):
+    def test_gmres_stall_carries_history_on_error(self, monkeypatch):
+        monkeypatch.setattr(ctmc_mod, "GMRES_TOL", 1e-300)
+        monkeypatch.setattr(ctmc_mod, "GMRES_MAX_ITER", 3)
         with pytest.raises(ConvergenceError) as excinfo:
-            gmres_steady_state(mm1k_generator(200), tol=1e-300, max_iter=3)
+            gmres_steady_state(mm1k_generator(200))
         err = excinfo.value
         assert err.residual_history
         assert err.iterations == len(err.residual_history)
@@ -296,9 +301,8 @@ class TestCLITelemetry:
         assert {sp.name for sp in trace.spans} >= {"dist.chunk", "dist.worker"}
 
     def test_steady_profile_flag(self, capsys):
-        args = [
-            "steady", "--net", "mm1k", "--solver", "gmres", "--profile",
-        ]
+        # 600 states: past the size rule, so the solve is GMRES
+        args = ["steady", "--net", "mm1k", "--buffer", "599", "--profile"]
         assert cli_main(args) == 0
         captured = capsys.readouterr()
         assert "steady profile" in captured.err

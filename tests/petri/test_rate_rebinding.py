@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.des.distributions import Exponential
+from repro.markov.ctmc import CTMC
 from repro.petri.ctmc_export import GSPNSolver, ctmc_from_net
 from repro.petri.net import PetriNet
 
@@ -135,14 +136,14 @@ class TestSolutionCaching:
 
 class TestBackendChoice:
     def test_solver_backends_agree(self):
+        """Dense and sparse storage of the solver's generator agree."""
         solver = GSPNSolver(staged_net(1.3, 2.2))
-        dense = solver.solve(backend="dense")
-        sp = solver.solve(backend="sparse")
-        assert dense.ctmc.backend == "dense"
-        assert sp.ctmc.backend == "sparse"
-        assert np.max(
-            np.abs(dense.ctmc.steady_state() - sp.ctmc.steady_state())
-        ) < 1e-9
+        Q = solver.assemble_generator()
+        dense = CTMC(Q.toarray(), backend="dense")
+        sp = CTMC(Q, backend="sparse")
+        assert (dense.backend, sp.backend) == ("dense", "sparse")
+        assert solver.solve().ctmc.backend == "dense"  # small: dense LU
+        assert np.max(np.abs(dense.steady_state() - sp.steady_state())) < 1e-9
 
     def test_auto_backend_small_net_is_dense(self):
         sol = ctmc_from_net(mm1k_net(1.0, 2.0))

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.experiments import cli
 from repro.experiments.cli import main
-from repro.markov.stationary import CTMC_BACKENDS
 from repro.sweep.service import RequestError, parse_request, spec_fingerprint
 from repro.sweep.spec import SPEC_FIELDS
 from tests.sweep.service.fixture import ServiceFixture
@@ -67,16 +66,6 @@ def model_flags(draw, small: bool = False):
             add("--nodes", "nodes", draw(st.integers(1, 2)))
         if draw(st.booleans()):
             add("--max-markings", "max_markings", draw(st.integers(500, 10**6)))
-        backend = draw(st.none() | st.sampled_from(CTMC_BACKENDS))
-        if backend is not None:
-            add("--backend", "backend", backend)
-        solver = draw(st.none() | st.sampled_from(["auto", "lu", "gmres"]))
-        if solver is not None:
-            add("--solver", "solver", solver)
-        if solver == "gmres" and draw(st.booleans()):
-            add("--tol", "tol", draw(st.sampled_from([1e-9, 1e-12])))
-        if solver == "gmres" and draw(st.booleans()):
-            add("--max-iter", "max_iter", draw(st.integers(200, 1000)))
         return flags, body, _AXIS.get(net, "arr0")
     # aliases of the same parameter: the last one given wins everywhere
     overrides = draw(st.lists(st.sampled_from([

@@ -287,3 +287,23 @@ class TestBadRequests:
         assert reply["kind"] == "error"
         assert reply["code"] == "bad-request"
         assert needle in reply["message"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("solver", "gmres"), ("backend", "sparse"), ("tol", 1e-9),
+         ("max_iter", 200)],
+    )
+    def test_removed_solver_keys_are_bad_requests(self, key, value):
+        """A gspn chain's size picks its solver, so the spec keys that
+        used to choose one are unknown keys, on both channels."""
+        model = {**MM1K_MODEL, key: value}
+        with ServiceFixture(telemetry=False) as svc:
+            reply = svc.request(
+                {"op": "sweep", "model": model, "axes": ["arrive=1:2:2"]}
+            )
+            status, body = svc.http("POST", "/v1/steady", {"model": model})
+        assert reply["kind"] == "error"
+        assert reply["code"] == "bad-request"
+        assert f"unknown model spec key(s) ['{key}']" in reply["message"]
+        assert status == 400
+        assert key in body["error"]

@@ -9,8 +9,8 @@ Three layers, matching the tentpole's cache guarantees:
 - :class:`TemplateCache.get_or_prepare` is single-flight: concurrent
   awaiters of the same fingerprint run the builder exactly once;
 - :func:`spec_fingerprint` over :func:`canonical_model_spec` collides
-  iff two specs configure the same prepared template — every size- and
-  solver-relevant field perturbs it, while spelling differences (key
+  iff two specs configure the same prepared template — every
+  size-relevant field perturbs it, while spelling differences (key
   order, int-vs-float, axis aliases, omitted defaults) collapse.  This
   extends PR 5's checkpoint-fingerprint discipline from sweeps to
   models.
@@ -183,12 +183,6 @@ class TestFingerprintContract:
         )
         assert base != fingerprint_of({"kind": "gspn", "net": "cpu-gspn"})
         assert base != fingerprint_of(
-            {"kind": "gspn", "net": "mm1k", "buffer": 10, "backend": "dense"}
-        )
-        assert base != fingerprint_of(
-            {"kind": "gspn", "net": "mm1k", "buffer": 10, "solver": "power"}
-        )
-        assert base != fingerprint_of(
             {"kind": "gspn", "net": "mm1k", "buffer": 10, "max_markings": 99}
         )
 
@@ -205,8 +199,7 @@ class TestFingerprintContract:
         # omitted defaults == spelled-out defaults
         assert fingerprint_of({"kind": "gspn", "net": "mm1k"}) == (
             fingerprint_of({
-                "kind": "gspn", "net": "mm1k", "solver": "auto",
-                "backend": "auto", "max_markings": 2_000_000,
+                "kind": "gspn", "net": "mm1k", "max_markings": 2_000_000,
             })
         )
         # int vs float spellings of an integer knob
@@ -268,14 +261,11 @@ class TestFingerprintContract:
         "key, value", [("solver", "power"), ("tol", 1e-3), ("max_iter", 1)]
     )
     def test_solver_keys_only_for_gspn(self, kind, key, value):
-        """The CPU families have no solver to choose: a solver key is
-        rejected by name instead of keying a duplicate template."""
+        """No model kind has a solver to choose — the CPU families never
+        had one, and a gspn chain's size picks dense LU or GMRES — so a
+        solver key is rejected by name for every kind instead of keying
+        a duplicate template."""
         with pytest.raises(RequestError, match=key):
             canonical_model_spec({"kind": kind, key: value})
-        gspn = {"kind": "gspn", "net": "mm1k", key: value}
-        once = canonical_model_spec(gspn)
-        assert once[key] == value
-        assert canonical_model_spec(once) == once
-        assert fingerprint_of(gspn) != fingerprint_of(
-            {"kind": "gspn", "net": "mm1k"}
-        )
+        with pytest.raises(RequestError, match=key):
+            canonical_model_spec({"kind": "gspn", "net": "mm1k", key: value})

@@ -16,7 +16,7 @@ import pytest
 
 from repro import obs
 from repro.core.params import CPUModelParams
-from repro.markov.ctmc import CTMC, NumericalSolveError, sparse_steady_state
+from repro.markov.ctmc import NumericalSolveError, gmres_steady_state
 from repro.sweep import (
     BatchedPhaseTypeBackend,
     PhaseTypeBackend,
@@ -31,6 +31,7 @@ from repro.sweep.backends.phase_type import (
     WORKING_SET_COPIES,
     _finalize_pi_stack,
 )
+from tests.markov.reference_solvers import sparse_steady_state
 
 PARAMS = CPUModelParams.paper_defaults(T=0.3, D=0.05)
 METRICS = ["power", "fraction:standby", "mean_jobs", "truncation_mass"]
@@ -44,8 +45,8 @@ def metric_matrix(result, metrics=METRICS):
 
 def reference_matrix(grid, method="lu", metrics=METRICS, **kwargs):
     """*metrics* over *grid* from the generic solvers: each point's
-    stationary vector is re-solved from its own generator, by sparse LU
-    or by ``CTMC.steady_state(method=...)``."""
+    stationary vector is re-solved from its own generator, by the
+    reference sparse LU or by GMRES."""
     backend = PhaseTypeBackend(PARAMS, **kwargs)
     rows = []
     for point in grid.points():
@@ -53,7 +54,7 @@ def reference_matrix(grid, method="lu", metrics=METRICS, **kwargs):
         if method == "lu":
             pi, _ = sparse_steady_state(solution.Q)
         else:
-            pi = CTMC(solution.Q, backend="sparse").steady_state(method=method)
+            pi = gmres_steady_state(solution.Q)
         reference = replace(solution, pi=pi, _ctmc=None)
         rows.append([backend.evaluate(reference, m) for m in metrics])
     return np.array(rows)
@@ -129,7 +130,6 @@ class TestBatchedParity:
         pooled = SweepRunner(
             PhaseTypeBackend(PARAMS, stages=2, n_max=10),
             METRICS,
-            backend="pool",
             n_workers=2,
         ).run(GRID_24)
         np.testing.assert_array_equal(

@@ -16,6 +16,7 @@ from typing import List, Mapping
 import numpy as np
 import pytest
 
+import repro.markov.ctmc as ctmc_mod
 from repro.markov.ctmc import ConvergenceError, SolverCache
 from repro.sweep import (
     PointFailure,
@@ -172,17 +173,15 @@ class TestRunnerIsolation:
         assert all(e.error_type == "NumericalSolveError" for e in result.errors)
         assert all(e.stage == "metric" for e in result.errors)
 
-    def test_phase_type_stiff_corner_is_isolated(self):
+    def test_phase_type_stiff_corner_is_isolated(self, monkeypatch):
         """A real backend: an impossible iteration budget stalls GMRES on
         every point — the sweep still returns, all rows NaN + errors.
         (The phase-type recursion has no iteration to stall; a GSPN
-        chain carries the check.)"""
-        backend = GSPNBackend(
-            build_wsn_cluster_net(n_nodes=2, buffer_capacity=4),
-            method="gmres",
-            max_iter=1,
-            tol=1e-14,
-        )
+        chain past the dense-LU size carries the check.)"""
+        monkeypatch.setattr(ctmc_mod, "GMRES_MAX_ITER", 1)
+        monkeypatch.setattr(ctmc_mod, "ILU_SETTINGS", ((1.0, 1),))
+        backend = GSPNBackend(build_wsn_cluster_net(n_nodes=2, buffer_capacity=15))
+        assert backend.steady_method == "gmres"
         runner = SweepRunner(backend, ["mean_tokens:buf0"])
         result = runner.run(SweepGrid({"arr0": [0.5, 1.5]}))
         assert np.all(np.isnan(result.column("mean_tokens:buf0")))
@@ -211,10 +210,10 @@ class TestContiguousChunks:
 
 class TestWarmStartReset:
     def test_solver_cache_drop_keeps_pattern_state(self):
-        cache = SolverCache(pi0=np.ones(3), perm_c=np.arange(3), ilu="handle")
+        cache = SolverCache(pi0=np.ones(3), rcm_perm=np.arange(3), ilu="handle")
         cache.drop_warm_start()
         assert "pi0" not in cache
-        assert "perm_c" in cache and "ilu" in cache
+        assert "rcm_perm" in cache and "ilu" in cache
 
     def test_gspn_backend_reset(self):
         runner = SweepRunner(build_mm1k_net(), ["mean_tokens:queue"])

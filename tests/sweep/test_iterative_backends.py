@@ -1,18 +1,21 @@
-"""Solver-method threading through the sweep subsystem and the demo nets."""
+"""The steady-state size rule through the sweep subsystem and the demo
+nets, cross-checked against the reference solvers."""
 
 import numpy as np
 import pytest
 
+import repro.markov.ctmc as ctmc_mod
 from repro.core.params import CPUModelParams
 from repro.markov.ctmc import (
     CTMC,
+    DENSE_MAX_STATES,
     ConvergenceError,
     SolverCache,
     gmres_steady_state,
-    power_steady_state,
-    sparse_steady_state,
 )
+from repro.des.distributions import Exponential
 from repro.petri.ctmc_export import GSPNSolver
+from repro.petri.net import PetriNet
 from repro.sweep import (
     PhaseTypeBackend,
     SweepGrid,
@@ -21,64 +24,87 @@ from repro.sweep import (
     build_wsn_cluster_net,
 )
 from repro.sweep.backends import GSPNBackend
+from repro.sweep.nets import DEMO_NETS
+from tests.markov.reference_solvers import (
+    power_steady_state,
+    sparse_steady_state,
+)
 
 PARAMS = CPUModelParams.paper_defaults(T=0.3, D=0.05)
+
+
+#: an mm1k capacity whose chain (K + 1 states) is past the size rule
+BIG_K = DENSE_MAX_STATES + 99
 
 
 class TestGSPNMethodThreading:
     def test_solver_methods_agree_on_mm1k(self):
         solver = GSPNSolver(build_mm1k_net(K=15))
-        lu = solver.solve(method="lu")
-        gmres = solver.solve(method="gmres")
-        power = solver.solve(method="power", tol=1e-13)
-        ref = lu.mean_tokens("queue")
-        assert abs(gmres.mean_tokens("queue") - ref) < 1e-8
-        assert abs(power.mean_tokens("queue") - ref) < 1e-7
+        solution = solver.solve()
+        Q = solver.assemble_generator()
+        pi = solution.ctmc.steady_state()
+        np.testing.assert_allclose(
+            pi, sparse_steady_state(Q)[0], rtol=0, atol=1e-14
+        )
+        np.testing.assert_allclose(pi, gmres_steady_state(Q), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            pi, power_steady_state(Q, tol=1e-13), rtol=0, atol=1e-7
+        )
 
     def test_unknown_method_rejected_before_assembly(self):
         solver = GSPNSolver(build_mm1k_net(K=5))
-        with pytest.raises(ValueError, match="qr"):
-            solver.solve(method="qr")
+        for knob in ({"method": "qr"}, {"backend": "dense"}, {"tol": 1e-8}):
+            with pytest.raises(TypeError, match=next(iter(knob))):
+                solver.solve(**knob)
 
-    def test_backend_forwards_method_and_budget(self):
-        backend = GSPNBackend(
-            build_mm1k_net(K=15), method="power", tol=1e-15, max_iter=1
-        )
+    def test_backend_forwards_method_and_budget(self, monkeypatch):
+        """A chain past the size rule runs GMRES under the module budget;
+        a stall fails the solve with ConvergenceError."""
+        backend = GSPNBackend(build_mm1k_net(K=BIG_K))
+        assert backend.steady_method == "gmres"
+        monkeypatch.setattr(ctmc_mod, "GMRES_MAX_ITER", 1)
+        monkeypatch.setattr(ctmc_mod, "ILU_SETTINGS", ((1.0, 1),))
         with pytest.raises(ConvergenceError):
             backend.solve({}).mean_tokens("queue")
 
     def test_backend_describe_names_solver(self):
-        backend = GSPNBackend(build_mm1k_net(K=5), method="gmres")
-        assert "gmres" in backend.describe()
+        assert "lu steady state" in GSPNBackend(build_mm1k_net(K=5)).describe()
+        backend = GSPNBackend(build_mm1k_net(K=BIG_K))
+        assert "gmres steady state" in backend.describe()
 
     def test_runner_forwards_solver_to_wrapped_net(self):
-        runner = SweepRunner(
-            build_mm1k_net(K=10), ["mean_tokens:queue"], method="gmres"
-        )
-        result = runner.run(SweepGrid({"arrive": [0.5, 1.0, 1.5]}))
+        """A net handed to the runner is wrapped in a GSPNBackend, whose
+        solver is the size rule's: rows equal the explicit backend's."""
+        grid = SweepGrid({"arrive": [0.5, 1.0, 1.5]})
+        runner = SweepRunner(build_mm1k_net(K=BIG_K), ["mean_tokens:queue"])
+        assert runner.model.steady_method == "gmres"
         reference = SweepRunner(
-            build_mm1k_net(K=10), ["mean_tokens:queue"]
-        ).run(SweepGrid({"arrive": [0.5, 1.0, 1.5]}))
-        np.testing.assert_allclose(
-            result.column("mean_tokens:queue"),
+            GSPNBackend(build_mm1k_net(K=BIG_K)), ["mean_tokens:queue"]
+        ).run(grid)
+        np.testing.assert_array_equal(
+            runner.run(grid).column("mean_tokens:queue"),
             reference.column("mean_tokens:queue"),
-            rtol=0,
-            atol=1e-8,
         )
 
     def test_runner_rejects_solver_args_with_backend_instance(self):
         backend = GSPNBackend(build_mm1k_net(K=5))
-        with pytest.raises(ValueError, match="configure the backend"):
-            SweepRunner(backend, ["mean_tokens:queue"], method="gmres")
-        with pytest.raises(ValueError, match="configure the backend"):
-            SweepRunner(backend, ["mean_tokens:queue"], tol=1e-8)
+        for knob in ("method", "tol", "max_iter", "backend"):
+            with pytest.raises(TypeError, match=knob):
+                SweepRunner(backend, ["mean_tokens:queue"], **{knob: None})
+            with pytest.raises(TypeError, match=knob):
+                SweepRunner(build_mm1k_net(K=5), ["mean_tokens:queue"],
+                            **{knob: None})
 
     def test_gmres_sweep_warm_starts_through_shared_cache(self):
-        backend = GSPNBackend(build_mm1k_net(K=15), method="gmres")
-        SweepRunner(backend, ["mean_tokens:queue"]).run(
+        backend = GSPNBackend(build_mm1k_net(K=BIG_K))
+        result = SweepRunner(backend, ["mean_tokens:queue"]).run(
             SweepGrid({"arrive": [0.5, 1.0, 1.5]})
         )
         assert "pi0" in backend.solver._factor_cache
+        for arrive, row in zip((0.5, 1.0, 1.5), result.column("mean_tokens:queue")):
+            solution = backend.solver.solve({"arrive": arrive})
+            solution._pi = sparse_steady_state(solution.ctmc.Q_sparse)[0]
+            assert row == pytest.approx(solution.mean_tokens("queue"), rel=1e-12)
 
 
 class TestPhaseTypeMethodThreading:
@@ -120,9 +146,7 @@ class TestPhaseTypeMethodThreading:
     def test_convergence_error_carries_budget(self):
         solution = PhaseTypeBackend(PARAMS, stages=8, n_max=25).solve({})
         with pytest.raises(ConvergenceError) as exc_info:
-            CTMC(solution.Q, backend="sparse").steady_state(
-                method="power", tol=1e-15, max_iter=3
-            )
+            power_steady_state(solution.Q, tol=1e-15, max_iter=3)
         assert exc_info.value.iterations == 3
 
     def test_describe_names_solver(self):
@@ -139,8 +163,7 @@ class TestPhaseTypeMethodThreading:
         tpl = solution.template
         reference = CTMC(solution.Q, backend="sparse")
         np.testing.assert_allclose(
-            reference.steady_state(method="gmres"), solution.pi,
-            rtol=0, atol=1e-8,
+            gmres_steady_state(solution.Q), solution.pi, rtol=0, atol=1e-8
         )
         expected = reference.accumulated_reward(tpl.p0, tpl.power_mw, 5.0)
         assert abs(energy - expected / 1000.0) < 1e-6
@@ -153,15 +176,16 @@ class TestWSNClusterNet:
 
     def test_solves_and_channel_is_conserved(self):
         solver = GSPNSolver(build_wsn_cluster_net(n_nodes=2, buffer_capacity=4))
-        solution = solver.solve(method="gmres")
+        solution = solver.solve()
         # the channel token is either free or held by exactly one tx place
         for marking in solution.tangible_markings:
             held = sum(marking[f"tx{i}"] for i in range(2))
             assert marking["ch"] + held == 1
-        # stationary solve agrees with lu
-        lu = solver.solve(method="lu")
+        # stationary solve agrees with GMRES
+        solution._pi = gmres_steady_state(solution.ctmc.Q_sparse)
         assert (
-            abs(solution.mean_tokens("buf0") - lu.mean_tokens("buf0")) < 1e-8
+            abs(solution.mean_tokens("buf0") - solver.solve().mean_tokens("buf0"))
+            < 1e-8
         )
 
     def test_nodes_contend_for_the_channel(self):
@@ -182,3 +206,66 @@ class TestWSNClusterNet:
             build_wsn_cluster_net(n_nodes=0)
         with pytest.raises(ValueError, match="buffer_capacity"):
             build_wsn_cluster_net(buffer_capacity=0)
+
+
+def _split_net(capacity=30):
+    """Arrivals split 3:1 by immediate weights between two bounded
+    queues: a 962-state chain whose weak ILU hits a zero pivot."""
+    net = PetriNet("split")
+    net.add_place("gen", initial=1)
+    net.add_place("staging")
+    net.add_place("qa", capacity=capacity)
+    net.add_place("qb", capacity=capacity)
+    net.add_timed_transition("arrive", Exponential(1.0))
+    net.add_input_arc("gen", "arrive")
+    net.add_output_arc("arrive", "staging")
+    for name, queue, weight in (("to_a", "qa", 3.0), ("to_b", "qb", 1.0)):
+        net.add_immediate_transition(name, weight=weight)
+        net.add_input_arc("staging", name)
+        net.add_output_arc(name, queue)
+        net.add_output_arc(name, "gen")
+    for queue in ("qa", "qb"):
+        net.add_timed_transition(f"serve_{queue}", Exponential(5.0))
+        net.add_input_arc(queue, f"serve_{queue}")
+    return net
+
+
+class TestGMRESPreconditionerFallback:
+    def test_split_net_solves_through_the_strong_ilu(self):
+        solver = GSPNSolver(_split_net())
+        assert solver.n > DENSE_MAX_STATES
+        solution = solver.solve()
+        rows = [solution.mean_tokens(q) for q in ("qa", "qb")]
+        solution._pi = sparse_steady_state(solver.assemble_generator())[0]
+        reference = [solution.mean_tokens(q) for q in ("qa", "qb")]
+        np.testing.assert_allclose(rows, reference, rtol=1e-12, atol=0)
+        assert solver._factor_cache["ilu"] is not None  # preconditioned
+
+
+class TestSizeRuleRows:
+    """On both sides of ``DENSE_MAX_STATES``, a warm-started sweep's rows
+    agree with the reference sparse LU of each point to 1e-12 relative."""
+
+    @pytest.mark.parametrize("net, size, axis, method", [
+        ("mm1k", {"K": 400}, "arrive", "lu"),
+        ("mm1k", {"K": 1000}, "arrive", "gmres"),
+        ("cpu-gspn", {"buffer_capacity": 160}, "AR", "lu"),
+        ("cpu-gspn", {"buffer_capacity": 250}, "AR", "gmres"),
+        ("wsn-cluster", {"n_nodes": 2, "buffer_capacity": 10}, "arr0", "lu"),
+        ("wsn-cluster", {"n_nodes": 3, "buffer_capacity": 7}, "arr0", "gmres"),
+    ], ids=lambda v: "-".join(map(str, v.values())) if isinstance(v, dict) else v)
+    def test_rows_match_reference_lu(self, net, size, axis, method):
+        factory, metrics = DEMO_NETS[net]
+        backend = GSPNBackend(factory(**size))
+        assert backend.steady_method == method
+        base = backend.solver._base_rates[backend.solver._exp_names[axis]]
+        values = [0.8 * base, base, 1.2 * base]
+        result = SweepRunner(backend, list(metrics)).run(SweepGrid({axis: values}))
+        for i, value in enumerate(values):
+            solution = backend.solver.solve({axis: value})
+            solution._pi = sparse_steady_state(solution.ctmc.Q_sparse)[0]
+            for metric in metrics:
+                kind, _, arg = metric.partition(":")
+                assert result.column(metric)[i] == pytest.approx(
+                    getattr(solution, kind)(arg), rel=1e-12, abs=0
+                ), (metric, value)

@@ -98,7 +98,7 @@ def test_execution_paths_match_serial_bitwise(serial, path):
         )
     elif path == "pool":
         runner = SweepRunner(
-            backend(), METRICS, backend="pool", n_workers=2, preflight=False
+            backend(), METRICS, n_workers=2, preflight=False
         )
     else:
         runner = DistributedSweepRunner(

@@ -14,6 +14,7 @@ from repro.sweep import (
     build_mm1k_net,
     parse_axis,
 )
+from tests.markov.reference_solvers import sparse_steady_state
 
 
 class TestGrid:
@@ -165,19 +166,16 @@ class TestRunnerCorrectness:
         assert standby[0] > standby[1] > standby[2]
 
     def test_sweep_backends_agree(self):
+        """The sweep's rows (dense LU) agree with the reference sparse LU."""
         grid = SweepGrid({"arrive": [0.4, 0.9, 1.6]})
-        dense = SweepRunner(
-            build_mm1k_net(), ["mean_tokens:queue"], backend="dense"
-        ).run(grid)
-        sp = SweepRunner(
-            build_mm1k_net(), ["mean_tokens:queue"], backend="sparse"
-        ).run(grid)
-        np.testing.assert_allclose(
-            dense.column("mean_tokens:queue"),
-            sp.column("mean_tokens:queue"),
-            rtol=0,
-            atol=1e-9,
-        )
+        runner = SweepRunner(build_mm1k_net(), ["mean_tokens:queue"])
+        rows = runner.run(grid).column("mean_tokens:queue")
+        for value, row in zip((0.4, 0.9, 1.6), rows):
+            solution = runner.solver.solve({"arrive": value})
+            solution._pi = sparse_steady_state(solution.ctmc.Q_sparse)[0]
+            assert row == pytest.approx(
+                solution.mean_tokens("queue"), rel=1e-12, abs=0
+            )
 
 
 class TestRunnerValidation:
