@@ -31,6 +31,9 @@ __all__ = [
     "NetStructureError",
     "CompiledNet",
     "TokenVector",
+    "enabling_conditions",
+    "firing_statements",
+    "guard_globals",
     "transition_kernels",
 ]
 
@@ -143,56 +146,81 @@ class CompiledNet:
                 )
 
 
+def enabling_conditions(c: CompiledNet, token: str = "m[{}]") -> List[str]:
+    """Each transition's enabling test as Python source: ``m[p] >= k and
+    m[q] < j and m[r] <= c …`` (inputs, inhibitors, capacity checks, then
+    ``bool(g<j>(m))`` for guard *j*), the order of
+    :meth:`CompiledNet.enabled`; ``True`` when there is nothing to test.
+    *token* formats place *p*'s token count (a guard always receives the
+    list ``m``).  The one arc-to-condition builder behind every generated
+    kernel."""
+    conditions = []
+    for j, t in enumerate(c.transitions):
+        terms = [f"{token.format(p)} >= {k}" for p, k in c.inputs[j]]
+        terms += [f"{token.format(p)} < {k}" for p, k in c.inhibitors[j]]
+        terms += [
+            f"{token.format(p)} <= {c.capacities[p] - d}"
+            for p, d in c.capacity_checks[j]
+        ]
+        if t.guard is not None:
+            terms.append(f"bool(g{j}(m))")
+        conditions.append(" and ".join(terms) or "True")
+    return conditions
+
+
+def firing_statements(
+    c: CompiledNet, t: int, on_overflow: str, token: str = "m[{}]"
+) -> List[str]:
+    """Transition *t*'s firing as Python statements: *on_overflow* when the
+    firing would push a capacity-bounded output place past its bound, then
+    the net token deltas.  *token* formats place *p*'s token count."""
+    delta = dict(c.deltas[t])
+    overflow = " or ".join(
+        f"{token.format(p)} > {c.capacities[p] - delta.get(p, 0)}"
+        for p in dict.fromkeys(p for p, _ in c.outputs[t])
+        if c.capacities[p] >= 0
+    )
+    lines = [f"if {overflow}: {on_overflow}"] if overflow else []
+    return lines + [f"{token.format(p)} += {d}" for p, d in c.deltas[t]]
+
+
+def guard_globals(c: CompiledNet) -> Dict[str, Callable]:
+    """Guard *j* as the global ``g<j>`` the generated conditions call."""
+    return {
+        f"g{j}": t.guard for j, t in enumerate(c.transitions) if t.guard is not None
+    }
+
+
 def transition_kernels(
     c: CompiledNet, refresh: Sequence[Sequence[int]]
 ) -> Tuple[List[TokenTest], List[TokenFire]]:
     """Straight-line enabling tests and firing functions, one per transition.
 
-    Generated from the integer arc tuples, so the token game walks no arc
-    lists.  ``tests[t](m)`` is ``m[p] >= k and m[q] < j and m[r] <= c …``:
-    inputs, inhibitors, capacity checks, then the guard, the order of
-    :meth:`CompiledNet.enabled`.  ``fires[t](m, flags)`` adds *t*'s net
-    token deltas to *m*, then sets ``flags[j]`` to transition *j*'s enabling
-    for every *j* in ``refresh[t]``.  A firing that would push a
-    capacity-bounded output place past its bound is handed to
-    :meth:`CompiledNet.fire`, which raises its
+    Generated from the integer arc tuples by :func:`enabling_conditions`
+    and :func:`firing_statements`, so nothing walks arc lists.
+    ``tests[t](m)`` is *t*'s enabling condition.  ``fires[t](m, flags)``
+    adds *t*'s net token deltas to *m*, then sets ``flags[j]`` to
+    transition *j*'s enabling for every *j* in ``refresh[t]``.  A firing
+    that would push a capacity-bounded output place past its bound is
+    handed to :meth:`CompiledNet.fire`, which raises its
     :class:`NetStructureError` at the same arc.  On plain-list markings
     the kernels agree with :meth:`CompiledNet.enabled` and
-    :meth:`CompiledNet.fire` exactly.  The token game
-    (:mod:`repro.petri.simulator`) and the reachability explorer
-    (:mod:`repro.petri.analysis`) both run on them.
+    :meth:`CompiledNet.fire` exactly.  The reachability explorer
+    (:mod:`repro.petri.analysis`) runs on them; the token game
+    (:mod:`repro.petri.simulator`) generates one kernel per net from the
+    same builders.
 
-    Build them per simulator or exploration: stored on the cached
-    :class:`CompiledNet`, these functions would stop a compiled
-    :class:`PetriNet` from pickling.
+    Build them per exploration: stored on the cached :class:`CompiledNet`,
+    these functions would stop a compiled :class:`PetriNet` from pickling.
     """
-    transitions = c.transitions
-    # guard j is the global g<j> of every kernel
-    guards = {
-        f"g{j}": t.guard for j, t in enumerate(transitions) if t.guard is not None
-    }
-    conditions = []
-    for j, t in enumerate(transitions):
-        terms = [f"m[{p}] >= {k}" for p, k in c.inputs[j]]
-        terms += [f"m[{p}] < {k}" for p, k in c.inhibitors[j]]
-        terms += [f"m[{p}] <= {c.capacities[p] - d}" for p, d in c.capacity_checks[j]]
-        if t.guard is not None:
-            terms.append(f"bool(g{j}(m))")
-        conditions.append(" and ".join(terms) or "True")
-
+    guards = guard_globals(c)
+    conditions = enabling_conditions(c)
     tests: List[TokenTest] = [
         eval(_compile(f"lambda m: {cond}", "eval"), guards) for cond in conditions
     ]
     fires: List[TokenFire] = []
-    for t in range(len(transitions)):
-        delta = dict(c.deltas[t])
-        overflow = " or ".join(
-            f"m[{p}] > {c.capacities[p] - delta.get(p, 0)}"
-            for p in dict.fromkeys(p for p, _ in c.outputs[t])
-            if c.capacities[p] >= 0
-        )
-        lines = [f"if {overflow}: return fire(m)"] if overflow else []
-        lines += [f"m[{p}] += {d}" for p, d in c.deltas[t]]
+    for t in range(len(c.transitions)):
+        lines = firing_statements(c, t, "return fire(m)")
         lines += [f"f[{j}] = {conditions[j]}" for j in refresh[t]]
         namespace = dict(guards, fire=partial(c.fire, t))
         body = "".join(f"\n    {line}" for line in lines or ["pass"])

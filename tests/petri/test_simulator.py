@@ -310,6 +310,11 @@ class TestStatistics:
         res = sim.run(horizon=100.0)
         assert res.watcher("p1_busy") == pytest.approx(res.mean_tokens("P1"))
 
+    def test_watch_unknown_place_raises_key_error(self):
+        sim = PetriNetSimulator(figure1_net(), seed=4)
+        with pytest.raises(KeyError, match="unknown place 'nope'"):
+            sim.watch_place_positive("busy", "nope")
+
     def test_warmup_excludes_initial_transient(self):
         # token leaves P0 around t~1; with warmup 50 P1 should read ~1.0
         res = PetriNetSimulator(figure1_net(1.0), seed=6).run(
@@ -352,9 +357,3 @@ class TestStatistics:
         assert res.firing_counts == {"go": 0, "back": 0}
         assert res.mean_tokens_dict() == {"a": 1.0, "b": 0.0}
         assert res.observed_time == 1e9 - 1e6
-
-    def test_run_batches_independent(self):
-        sim = PetriNetSimulator(figure1_net(1.0), seed=9)
-        batches = sim.run_batches(batch_length=50.0, n_batches=3)
-        values = [b.mean_tokens("P1") for b in batches]
-        assert len(set(values)) == 3  # different randomness per batch
