@@ -10,10 +10,9 @@ reproduction, twice over:
   threshold ``T``, constant power-up delay ``D``.
 - :func:`simulate_job_scan` — an independent, vectorised-input
   implementation that walks pre-drawn arrival/service arrays with a Lindley
-  style recursion (one iteration per *job* instead of ~4 heap events), used
-  both as the fast path for large sweeps and as a cross-implementation
-  consistency check (two independent codebases, same distribution of
-  results).
+  style recursion (one iteration per *job* instead of ~4 heap events).  No
+  paper path calls it: it is a cross-implementation consistency check
+  only (two independent codebases, same distribution of results).
 
 Both start the CPU in standby with an empty queue, exactly like the paper's
 Petri net ("Initially, the CPU is in the Stand By mode").
@@ -32,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.params import CPUModelParams, StateFractions
-from repro.des.distributions import Distribution
+from repro.des.distributions import Distribution, Exponential
 from repro.des.engine import SimulationError, Simulator
 from repro.des.random_streams import StreamManager
 from repro.des.replication import ReplicationSummary, run_replications
@@ -55,10 +54,8 @@ _IDLE, _STANDBY, _POWERUP, _ACTIVE = range(4)
 _COMPACT_AT = 4096
 
 
-def _draw(
-    sample: Callable[[np.random.Generator], float], rng: np.random.Generator
-) -> float:
-    return float(sample(rng))
+def _draw(sample: Callable[..., float], *args: object) -> float:
+    return float(sample(*args))
 
 
 def _invalid_delay(delay: float, now: float) -> SimulationError:
@@ -148,18 +145,23 @@ class CPUEventSimulator:
             process.reset()
         svc_dist = self.service_distribution
 
-        # the draws, resolved once; the default exponentials are C-level
-        # partials (Generator.exponential already returns a Python float)
+        # the draws, resolved once; the default exponentials come from
+        # chunked samplers (plain Python floats, sample()'s bits), whose
+        # streams are settled when the run ends, also on an error
         next_gap: Callable[[], float]
         next_service: Callable[[], float]
+        settles: List[Callable[[], None]] = []
         if process is None:
-            next_gap = partial(arr_rng.exponential, 1.0 / p.arrival_rate)
+            next_gap, settle = Exponential(p.arrival_rate).sampler(arr_rng)
+            settles.append(settle)
         else:
             next_gap = partial(_draw, process.next_interarrival, arr_rng)
         if svc_dist is None:
-            next_service = partial(svc_rng.exponential, 1.0 / p.service_rate)
+            next_service, settle = Exponential(p.service_rate).sampler(svc_rng)
         else:
-            next_service = partial(_draw, svc_dist.sample, svc_rng)
+            draw_service, settle = svc_dist.sampler(svc_rng)
+            next_service = partial(_draw, draw_service)
+        settles.append(settle)
 
         heap: List[Tuple[float, int, int]] = []
         seqs = count()
@@ -272,21 +274,25 @@ class CPUEventSimulator:
             return executed
 
         sim = Simulator(kernel=drain)
-        first_gap = next_gap()
-        if isfinite(first_gap):
-            if first_gap < 0.0:
-                raise _invalid_delay(first_gap, now)
-            heappush(heap, (now + first_gap, next(seqs), _ARRIVAL))
-        if warmup > 0.0:
-            sim.run_until(warmup)
-            # restart the statistics at the warm-up point
-            start = entered = q_last = float(warmup)
-            idle_area = standby_area = powerup_area = active_area = 0.0
-            q_area = 0.0
-            lat_n = 0
-            lat_mean = 0.0
-            served = arrived = 0
-        sim.run_until(horizon)
+        try:
+            first_gap = next_gap()
+            if isfinite(first_gap):
+                if first_gap < 0.0:
+                    raise _invalid_delay(first_gap, now)
+                heappush(heap, (now + first_gap, next(seqs), _ARRIVAL))
+            if warmup > 0.0:
+                sim.run_until(warmup)
+                # restart the statistics at the warm-up point
+                start = entered = q_last = float(warmup)
+                idle_area = standby_area = powerup_area = active_area = 0.0
+                q_area = 0.0
+                lat_n = 0
+                lat_mean = 0.0
+                served = arrived = 0
+            sim.run_until(horizon)
+        finally:
+            for settle in settles:
+                settle()
 
         # close the current state's open segment and the queue integral
         tail = horizon - entered

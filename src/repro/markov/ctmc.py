@@ -53,6 +53,7 @@ __all__ = [
     "DENSE_MAX_STATES",
     "NumericalSolveError",
     "SolverCache",
+    "dense_steady_state",
     "gmres_steady_state",
     "resolve_steady_state_method",
 ]
@@ -212,6 +213,39 @@ def _augmented_system(Q: sparse.spmatrix) -> Tuple[sparse.csc_matrix, np.ndarray
     b = np.zeros(n)
     b[-1] = 1.0
     return A, b
+
+
+def dense_steady_state(Q: np.ndarray) -> np.ndarray:
+    """Raw stationary vector of a dense generator by LAPACK LU.
+
+    The system is ``Q^T`` with one balance equation replaced by the
+    normalisation ``sum(pi) = 1``: the last state's, and when another
+    state comes out the most probable, the solve is repeated with that
+    state's equation replaced.  Pinning an unlikely state leaves
+    round-off of about ``eps * max(pi)`` in every small entry, which on a
+    long chain's tail moves a mean by up to 1e-11; pinning the most
+    probable one keeps the small entries accurate.  The caller validates
+    and normalises the result (:func:`_finalize_pi`).
+    """
+    QT = Q.T
+    n = len(QT)
+    pi = _dense_augmented_solve(QT, n - 1)
+    top = int(np.argmax(pi))
+    if top != n - 1:
+        pi = _dense_augmented_solve(QT, top)
+    return pi
+
+
+def _dense_augmented_solve(QT: np.ndarray, row: int) -> np.ndarray:
+    """Solve ``Q^T`` with equation *row* replaced by ``sum(pi) = 1``."""
+    A = QT.copy()
+    A[row, :] = 1.0
+    b = np.zeros(len(A))
+    b[row] = 1.0
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalSolveError(f"singular generator: {exc}") from exc
 
 
 def gmres_steady_state(
@@ -558,11 +592,11 @@ class CTMC:
 
         The chain's size picks the solver (:func:`resolve_steady_state_method`):
         up to :data:`DENSE_MAX_STATES` states, a dense LU solve of the
-        augmented system (one balance equation replaced by the
-        normalisation constraint), exact to machine precision; above it,
-        ILU-preconditioned GMRES on the same system
-        (:func:`gmres_steady_state`), warm-started from the chain's
-        ``factor_cache``.
+        augmented system (the most probable state's balance equation
+        replaced by the normalisation constraint, :func:`dense_steady_state`),
+        exact to machine precision; above it, ILU-preconditioned GMRES on
+        an augmented system (:func:`gmres_steady_state`), warm-started from
+        the chain's ``factor_cache``.
 
         Returns
         -------
@@ -648,16 +682,7 @@ class CTMC:
     def _solve_steady_state(self, method: str) -> np.ndarray:
         if method == "gmres":
             return gmres_steady_state(self.Q_sparse, cache=self._factor_cache)
-        n = self.n
-        b = np.zeros(n)
-        b[-1] = 1.0
-        A = self.Q.T.copy()
-        A[-1, :] = 1.0
-        try:
-            pi = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalSolveError(f"singular generator: {exc}") from exc
-        return _finalize_pi(pi)
+        return _finalize_pi(dense_steady_state(self.Q))
 
     def steady_state_dict(self) -> Dict[Hashable, float]:
         """Stationary distribution keyed by state label."""

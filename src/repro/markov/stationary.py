@@ -29,14 +29,24 @@ class NumericalSolveError(ValueError):
     """
 
 
+#: An entry below ``-NEGATIVE_RTOL * max(pi)`` is a true negative, not
+#: round-off: the solve is rejected.
+NEGATIVE_RTOL = 1e-9
+
+
 def _finalize_pi(pi: np.ndarray) -> np.ndarray:
-    """Validate and normalise a raw steady-state solve result."""
+    """Validate and normalise a raw steady-state solve result.
+
+    Negative round-off is clipped to zero; every positive entry is kept,
+    however small, so the tail of a long chain still counts.  An entry
+    more negative than ``NEGATIVE_RTOL`` times the largest one is
+    rejected.
+    """
     if not np.all(np.isfinite(pi)):
         raise NumericalSolveError(
             "steady-state solve produced non-finite entries"
         )
-    pi = np.where(np.abs(pi) < 1e-13, 0.0, pi)
-    if np.any(pi < -1e-9):
+    if np.any(pi < -NEGATIVE_RTOL * pi.max()):
         raise NumericalSolveError(
             "steady-state solve produced negative probabilities; "
             "the chain is likely reducible"

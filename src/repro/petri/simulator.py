@@ -223,13 +223,16 @@ class PetriNetSimulator:
             return delay
 
         # each timed transition's timer source, resolved once: RESAMPLE
-        # draws straight from its stream
+        # draws from its distribution's sampler over its stream, settled
+        # when the run ends
         draws: Dict[int, Callable[[], float]] = {}
+        settles: List[Callable[[], None]] = []
         for ti in c.timed_indices:
             t = transitions[ti]
             assert isinstance(t, TimedTransition)
             if t.memory_policy is MemoryPolicy.RESAMPLE:
-                draws[ti] = partial(t.distribution.sample, self._t_rng[ti])
+                draws[ti], settle = t.distribution.sampler(self._t_rng[ti])
+                settles.append(settle)
             else:
                 draws[ti] = partial(sample_delay, ti)
 
@@ -268,13 +271,19 @@ class PetriNetSimulator:
         engine = Simulator(kernel=drain)
 
         firing_offset = [0] * n_trans
-        if warmup > 0.0:
-            engine.run_until(warmup)
-            close(warmup)
-            area[:] = [0.0] * len(area)
-            watcher_area[:] = [0.0] * len(watcher_area)
-            firing_offset = list(firing_counts)
-        engine.run_until(horizon)
+        try:
+            if warmup > 0.0:
+                engine.run_until(warmup)
+                close(warmup)
+                area[:] = [0.0] * len(area)
+                watcher_area[:] = [0.0] * len(watcher_area)
+                firing_offset = list(firing_counts)
+            engine.run_until(horizon)
+        finally:
+            # every stream ends where scalar draws would have left it,
+            # also when the run raised
+            for settle in settles:
+                settle()
         # close the window exactly at the horizon, also if the queue
         # drained or the firing cap ended the run early
         close(horizon)

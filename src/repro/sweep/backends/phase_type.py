@@ -67,7 +67,8 @@ from repro.core.phase_type import (
     stage_rate_vector,
     state_power_vector,
 )
-from repro.markov.ctmc import CTMC, _finalize_pi
+from repro.markov.ctmc import CTMC
+from repro.markov.stationary import NEGATIVE_RTOL, _finalize_pi
 from repro.sweep.backends.base import (
     CPUParamsAxesMixin,
     MetricSpec,
@@ -109,9 +110,9 @@ def _finalize_pi_stack(
     only the offending block(s) carry an exception.
     """
     if np.all(np.isfinite(x_stack)):
-        x = np.where(np.abs(x_stack) < 1e-13, 0.0, x_stack)
-        if not np.any(x < -1e-9):
-            x = np.clip(x, 0.0, None)
+        floor = -NEGATIVE_RTOL * x_stack.max(axis=1, keepdims=True)
+        if not np.any(x_stack < floor):
+            x = np.clip(x_stack, 0.0, None)
             totals = x.sum(axis=1)
             if np.all(np.isfinite(totals) & (totals > 0.0)):
                 return list(x / totals[:, None])

@@ -16,8 +16,8 @@ paths of that menu and now only check it:
 
 Both build their own system, so a bug in the production assembly cannot
 hide in the reference.  The raw vector goes through the production's
-``_finalize_pi`` (which zeroes entries below 1e-13), so rows compare like
-for like.
+``_finalize_pi`` (which clips negative round-off to zero), so rows compare
+like for like.
 """
 
 from __future__ import annotations
@@ -49,11 +49,15 @@ def sparse_steady_state(
     """Solve ``pi Q = 0, sum(pi) = 1`` by SuperLU; returns ``(pi, perm_c)``.
 
     The system is ``Q^T`` with its last balance equation replaced by the
-    normalisation row.  *perm_c*, a column permutation from an earlier
-    call on a generator with the same sparsity pattern, is applied up
-    front and SuperLU factors with ``ColPerm=NATURAL``, skipping the
-    COLAMD analysis; any valid permutation keeps the solve exact (row
-    pivoting still happens), so a stale one costs fill, never correctness.
+    normalisation row; when another state comes out the most probable,
+    the solve is repeated with that state's equation replaced, the rule
+    the production dense solve follows (pinning an unlikely state leaves
+    round-off of ~eps * max(pi) in every small entry).  *perm_c*, a column
+    permutation from an earlier call on a generator with the same
+    sparsity pattern, is applied up front and SuperLU factors with
+    ``ColPerm=NATURAL``, skipping the COLAMD analysis; any valid
+    permutation keeps the solve exact (row pivoting still happens), so a
+    stale one costs fill, never correctness.
 
     Raises
     ------
@@ -63,20 +67,34 @@ def sparse_steady_state(
     """
     Q = sparse.csr_matrix(Q, dtype=np.float64)
     n = Q.shape[0]
-    keep = np.ones(n)
-    keep[-1] = 0.0  # drop the last balance equation ...
-    ones_row = sparse.csr_matrix(
-        (np.ones(n), (np.full(n, n - 1), np.arange(n))), shape=(n, n)
-    )
-    A = (sparse.diags(keep) @ Q.T + ones_row).tocsc()  # ... for sum(pi) = 1
-    b = np.zeros(n)
-    b[-1] = 1.0
     if perm_c is not None:
         perm_c = np.asarray(perm_c)
         if perm_c.shape != (n,):
             raise ValueError(
                 f"perm_c must have length {n}, got shape {perm_c.shape}"
             )
+    pi, perm = _splu_augmented_solve(Q, n - 1, perm_c)
+    top = int(np.argmax(pi))
+    if top != n - 1:
+        pi, perm = _splu_augmented_solve(Q, top, perm_c)
+    return _finalize_pi(pi), perm
+
+
+def _splu_augmented_solve(
+    Q: sparse.csr_matrix, row: int, perm_c: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The raw solve of ``Q^T`` with equation *row* replaced by the
+    normalisation row, and the column permutation it used."""
+    n = Q.shape[0]
+    keep = np.ones(n)
+    keep[row] = 0.0  # drop one balance equation ...
+    ones_row = sparse.csr_matrix(
+        (np.ones(n), (np.full(n, row), np.arange(n))), shape=(n, n)
+    )
+    A = (sparse.diags(keep) @ Q.T + ones_row).tocsc()  # ... for sum(pi) = 1
+    b = np.zeros(n)
+    b[row] = 1.0
+    if perm_c is not None:
         A = A[:, perm_c]
     try:
         lu = splu(A, permc_spec="NATURAL" if perm_c is not None else "COLAMD")
@@ -86,10 +104,10 @@ def sparse_steady_state(
     if perm_c is None:
         # SuperLU's perm_c maps original -> factor column positions; invert
         # it so a later call can *pre*-permute the columns
-        return _finalize_pi(y), np.argsort(lu.perm_c)
+        return y, np.argsort(lu.perm_c)
     pi = np.empty(n)
     pi[perm_c] = y
-    return _finalize_pi(pi), perm_c
+    return pi, perm_c
 
 
 def power_steady_state(

@@ -2,8 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro.markov.ctmc import CTMC, DENSE_MAX_STATES
 from repro.markov.queueing import (
     MD1Queue,
     MG1Queue,
@@ -80,6 +82,39 @@ class TestMM1K:
         q = MM1KQueue(1.0, 2.0, 3)
         with pytest.raises(ValueError):
             q.p_n(4)
+
+
+def _mm1k_chain(lam: float, mu: float, K: int) -> CTMC:
+    rates = {}
+    for n in range(K):
+        rates[(n, n + 1)] = lam
+        rates[(n + 1, n)] = mu
+    return CTMC.from_rates(rates, labels=list(range(K + 1)))
+
+
+class TestMM1KSolvedChain:
+    """The solved M/M/1/K chain against its closed form, at 1e-12 relative.
+
+    Past a few hundred states the tail of a stable queue holds entries far
+    below 1e-13 whose sum, weighted by the queue length, moves the mean by
+    more than 1e-12; the steady-state solve must keep them, and must not
+    add round-off of its own there.  Up to ``DENSE_MAX_STATES`` states the
+    chain solves by dense LU, above by GMRES.
+    """
+
+    @pytest.mark.parametrize("K", [100, 250, 499, 600, 1000, 2000])
+    @pytest.mark.parametrize("rho", [0.5, 0.6, 0.8, 0.9, 0.95, 0.99])
+    def test_mean_and_utilization(self, rho, K):
+        mu = 2.0
+        lam = rho * mu
+        chain = _mm1k_chain(lam, mu, K)
+        assert chain.resolve_method() == ("lu" if K < DENSE_MAX_STATES else "gmres")
+        pi = chain.steady_state()
+        q = MM1KQueue(lam, mu, K)
+        assert float(np.arange(K + 1) @ pi) == pytest.approx(
+            q.mean_number_in_system(), rel=1e-12, abs=0.0
+        )
+        assert 1.0 - pi[0] == pytest.approx(q.utilization(), rel=1e-12, abs=0.0)
 
 
 class TestMMc:
