@@ -10,18 +10,15 @@ Three claims are measured and *asserted*, not just timed:
    one core time-slice, they do not parallelise — so the assertion is
    skipped below that; CI runs it.)
 2. **Parity** — the distributed result table matches the serial
-   runner's.  Chains past 500 states solve by GMRES, whose iterate
-   depends on its warm start, and a partition boundary resets the warm
-   start: the speedup sweep's rows agree to 1e-12 relative, the GMRES
-   regime's gate (6.7e-13 measured between 4-shard and serial runs of
-   this grid).
+   runner's bit for bit.  Chains past 500 states solve by GMRES, and
+   each point's solve starts cold from its own ILU preconditioner — the
+   template shares only its state ordering — so how the grid is sharded
+   cannot perturb a single bit.
 3. **Fault tolerance** — a worker killed mid-sweep (hard ``os._exit``
    after a few rows, connection reset mid-chunk) costs nothing but time:
    the survivors absorb the requeued points and the rows stay
-   *bit-for-bit* identical to the serial runner's.  Its 500-state chains
-   solve by dense LU, whose result is warm-start independent, so
-   sharding cannot perturb a single bit.  This one runs everywhere,
-   single core included.
+   *bit-for-bit* identical to the serial runner's (its 500-state chains
+   solve by dense LU).  This one runs everywhere, single core included.
 """
 
 import os
@@ -68,13 +65,13 @@ def _backend(buffer_capacity: int) -> GSPNBackend:
     return GSPNBackend(build_wsn_cluster_net(buffer_capacity=buffer_capacity))
 
 
-def _assert_parity(result, reference, rtol=0.0) -> None:
-    """Rows equal to *rtol* relative (``0``: bit for bit)."""
+def _assert_parity(result, reference) -> None:
+    """Rows equal bit for bit."""
     assert result.points == reference.points
     assert not result.errors and not reference.errors
     for name in reference.metric_names:
-        np.testing.assert_allclose(
-            result.column(name), reference.column(name), rtol=rtol, atol=0,
+        np.testing.assert_array_equal(
+            result.column(name), reference.column(name),
             err_msg=f"{name}: distributed differs from serial",
         )
 
@@ -87,7 +84,7 @@ def _assert_parity(result, reference, rtol=0.0) -> None:
     ),
 )
 def test_distributed_speedup_and_exact_parity(benchmark):
-    """256-point sweep, 4 local workers: >= 3x serial, rows to 1e-12."""
+    """256-point sweep, 4 local workers: >= 3x serial, bitwise rows."""
     assert len(SPEEDUP_GRID) >= 64
 
     t0 = time.perf_counter()
@@ -106,7 +103,7 @@ def test_distributed_speedup_and_exact_parity(benchmark):
     benchmark.extra_info["distributed_s"] = t_distributed
     benchmark(lambda: None)  # timings above; keep the JSON record
 
-    _assert_parity(result, serial, rtol=1e-12)
+    _assert_parity(result, serial)
     speedup = t_serial / t_distributed
     print(
         f"\n{len(SPEEDUP_GRID)}-point sweep: serial {t_serial:.2f} s, "

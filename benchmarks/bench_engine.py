@@ -106,21 +106,25 @@ def test_cpu_event_simulator_throughput(benchmark):
 
 def test_cpu_event_simulator_speedup_vs_reference():
     """The run-local-heap event simulator must be >= 3.5x the closure-and-monitor
-    reference on the Figure 3 parameters (T = 0.3, D = 0.001, 2000 s), with
-    bitwise-identical results.  Interleaved rounds, best of 3 each."""
+    reference on the Figure 3 parameters (T = 0.3, D = 0.001, 20 000 s), with
+    bitwise-identical results.  Seven rounds, each timing one run of both
+    back to back; the gate is the median of the per-round ratios, so a
+    slow spell of a shared machine has to cover most rounds to move it."""
     params = CPUModelParams.paper_defaults(T=0.3, D=0.001)
 
-    best = {"flat": float("inf"), "reference": float("inf")}
+    ratios = []
     results = {}
-    for _ in range(3):
+    for _ in range(7):
+        seconds = {}
         for name, run in (
-            ("flat", lambda sim: sim.run(horizon=2_000.0)),
-            ("reference", lambda sim: reference_cpu_run(sim, horizon=2_000.0)),
+            ("flat", lambda sim: sim.run(horizon=20_000.0)),
+            ("reference", lambda sim: reference_cpu_run(sim, horizon=20_000.0)),
         ):
             sim = CPUEventSimulator(params, seed=2)
             t0 = time.perf_counter()
             results[name] = run(sim)
-            best[name] = min(best[name], time.perf_counter() - t0)
+            seconds[name] = time.perf_counter() - t0
+        ratios.append(seconds["reference"] / seconds["flat"])
 
     got, want = results["flat"], results["reference"]
     assert got.fractions.as_dict() == want.fractions.as_dict()
@@ -131,11 +135,10 @@ def test_cpu_event_simulator_speedup_vs_reference():
     )
     assert got.mean_latency.hex() == want.mean_latency.hex()
     assert got.mean_jobs_in_system.hex() == want.mean_jobs_in_system.hex()
-    speedup = best["reference"] / best["flat"]
+    speedup = float(np.median(ratios))
     print(
-        f"\nCPU event simulator, {got.jobs_arrived} jobs: reference "
-        f"{best['reference'] * 1e3:.1f} ms, flat {best['flat'] * 1e3:.1f} ms, "
-        f"speedup {speedup:.2f}x"
+        f"\nCPU event simulator, {got.jobs_arrived} jobs: per-round "
+        f"ratios {min(ratios):.2f}-{max(ratios):.2f}x, speedup {speedup:.2f}x"
     )
     assert speedup >= 3.5, f"flat CPU event simulator only {speedup:.2f}x faster"
 

@@ -20,6 +20,10 @@ prints the table, and asserts what the size rule rests on:
 3. **Above**: at twice the constant or more, GMRES beats both LUs.
 4. **Regret**: at every size, the rule's pick is within 2x + 5 ms of the
    fastest of the three, so no size band is left to a third regime.
+5. **Order-free rows**: past the constant, an 8-point sweep of the
+   chain's first exponential rate solved forward and reversed gives
+   bit-identical rows and failures — a GMRES solve depends on its own
+   point alone.
 
 Run from the repo root (it imports ``tests.markov``)::
 
@@ -34,6 +38,8 @@ import pytest
 from repro.markov.ctmc import DENSE_MAX_STATES, dense_steady_state, gmres_steady_state
 from repro.petri.analysis import ReachabilityOptions
 from repro.petri.ctmc_export import GSPNSolver
+from repro.sweep import SweepRunner
+from repro.sweep.backends import GSPNBackend
 from repro.sweep.nets import DEMO_NETS
 from tests.markov.reference_solvers import sparse_steady_state
 
@@ -149,3 +155,29 @@ def test_rule_pick_within_2x_plus_5ms_of_fastest(table):
     for r in table:
         best = min(r["ms"].values())
         assert r["ms"][r["chosen"]] <= 2.0 * best + 5.0, r
+
+
+#: the order-free check's grid, as rates of each net's first exponential
+#: transition (``AR``, ``arrive``, ``arr0``: every net stays stable)
+ORDER_RATES = list(np.linspace(0.4, 1.2, 8))
+
+
+def test_rows_are_order_free_past_the_constant(table):
+    past = [r for r in table if r["n"] > DENSE_MAX_STATES]
+    assert past
+    for r in past:
+        factory, metrics = DEMO_NETS[r["net"]]
+        backend = GSPNBackend(
+            factory(**r["kwargs"]), ReachabilityOptions(max_markings=2_000_000)
+        )
+        axis = backend.axis_names()[0]
+        points = [{axis: rate} for rate in ORDER_RATES]
+        runner = SweepRunner(backend, list(metrics), preflight=False)
+        forward = runner.run(points)
+        backward = runner.run(points[::-1])
+        rows = np.array([list(v.values()) for v in forward.values])
+        back = np.array([list(v.values()) for v in backward.values])[::-1]
+        np.testing.assert_array_equal(back, rows, err_msg=str(r["kwargs"]))
+        assert [e.message for e in backward.errors][::-1] == [
+            e.message for e in forward.errors
+        ], r["kwargs"]

@@ -16,9 +16,8 @@ repo root).  Two claims are measured and *asserted*, not just timed:
 2. **Parity**: where both run, GMRES matches the direct LU solve to 1e-8.
    (The power-iteration cross-check lives in the tier-1 tests.)
 
-Warm-started sweeps through a shared ``SolverCache`` are covered by the
-tier-1 tests, not timed here: on the weak generic ILU their edge over
-cold per-point GMRES is too close to 2x to assert a floor.
+Every GMRES solve starts cold from its own ILU, so a sweep costs its
+points' solves; ``docs/solvers.md`` records sweep timings.
 """
 
 import time

@@ -44,7 +44,6 @@ __all__ = [
     "MM1Queue",
     "MMcQueue",
     "NumericalSolveError",
-    "SolverCache",
     "gmres_steady_state",
     "little_l",
     "little_w",
@@ -56,7 +55,6 @@ if TYPE_CHECKING:
     from repro.markov.ctmc import (
         CTMC,
         ConvergenceError,
-        SolverCache,
         gmres_steady_state,
         resolve_steady_state_method,
     )
@@ -66,7 +64,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.markov.ctmc": (
         "CTMC",
         "ConvergenceError",
-        "SolverCache",
         "gmres_steady_state",
         "resolve_steady_state_method",
     ),

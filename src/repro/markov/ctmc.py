@@ -52,7 +52,6 @@ __all__ = [
     "ConvergenceError",
     "DENSE_MAX_STATES",
     "NumericalSolveError",
-    "SolverCache",
     "dense_steady_state",
     "gmres_steady_state",
     "resolve_steady_state_method",
@@ -67,11 +66,12 @@ RateDict = Mapping[Tuple[Hashable, Hashable], float]
 #: (``wsn-cluster``) states.
 DENSE_MAX_STATES = 500
 
-#: Relative residual target of the GMRES steady-state solve: the loosest
-#: that keeps rows within 1e-12 relative of a direct LU solve.  On the
-#: ``wsn-cluster`` chains, 1e-13 measured 7.5e-12 (8 788 states, cold) and
-#: 1e-14 measured 1.1e-12 (2 916 states, a warm-started 256-point sweep);
-#: 5e-15 measured 5.9e-13 there.  1e-15 costs up to 20x the iterations.
+#: Relative residual target of the GMRES steady-state solve, set to keep
+#: rows within 1e-12 relative of a direct LU solve.  On the
+#: ``wsn-cluster`` chains, 1e-13 measured 7.5e-12 (8 788 states); over a
+#: 64-point sweep of the 2 916-state chain, 1e-14 measured 8.8e-13 and
+#: 5e-15 measured 5.4e-13, which leaves a margin.  1e-15 costs up to 20x
+#: the iterations.
 GMRES_TOL = 5e-15
 
 #: GMRES budget in inner Krylov iterations (the 119 164-state
@@ -88,14 +88,9 @@ GMRES_RESTART = 50
 #: ~linear time and merely costs extra (cheap) iterations.  When it hits
 #: a zero pivot — the 962-state split-queue net of
 #: ``benchmarks/bench_sweep.py`` does, and unpreconditioned GMRES then
-#: stalls — the strong one is built instead.
+#: stalls — or GMRES stalls under it (``cpu-gspn`` at buffer 300 and
+#: arrival rate 4.93), the strong one is built instead.
 ILU_SETTINGS = ((0.1, 2), (1e-4, 10))
-
-#: A cached ILU preconditioner is dropped (rebuilt on the next solve) once
-#: a warm-started solve needs more than this many iterations — or 3x the
-#: iteration count observed when the ILU was fresh — meaning the sweep has
-#: drifted too far from the operating point the ILU was built at.
-ILU_REFRESH_ITERATIONS = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -156,40 +151,6 @@ class ConvergenceError(RuntimeError):
                 self.residual_history,
             ),
         )
-
-
-#: ``SolverCache`` keys holding process-local objects (ILU handles) that
-#: cannot cross a pickle boundary, plus state meaningless without them.
-_PROCESS_LOCAL_KEYS = frozenset({"ilu", "ilu_iters0"})
-
-
-class SolverCache(dict):
-    """Shared preconditioner / warm-start cache for same-pattern chains.
-
-    A plain ``dict`` except that pickling drops process-local entries (the
-    ILU preconditioner wraps a SuperLU handle, which cannot cross process
-    boundaries), so sweep backends holding one stay shippable to worker
-    pools — workers simply rebuild the dropped state on first use.
-
-    Well-known keys: ``"pi0"`` (previous solution, the GMRES warm start),
-    ``"rcm_perm"`` (the state reordering), ``"ilu"`` (the ILU
-    preconditioner operator).
-    """
-
-    def __reduce__(self):
-        kept = {k: v for k, v in self.items() if k not in _PROCESS_LOCAL_KEYS}
-        return (SolverCache, (kept,))
-
-    def drop_warm_start(self) -> None:
-        """Forget the previous solution (``"pi0"``).
-
-        Pattern-level state — the RCM ordering, the ILU preconditioner —
-        is point-independent and stays.  Sweep fan-out calls this at chunk
-        boundaries: a warm start carried over from a far-away grid point
-        can slow or stall GMRES, whereas the cold uniform start is merely
-        unexciting.
-        """
-        self.pop("pi0", None)
 
 
 def resolve_steady_state_method(n: int) -> str:
@@ -258,35 +219,34 @@ def gmres_steady_state(
     Builds the augmented system (``Q^T`` with the last balance row
     replaced by the normalisation row) and solves it with restarted GMRES
     to :data:`GMRES_TOL` within :data:`GMRES_MAX_ITER` inner iterations,
-    preconditioned by an incomplete LU factorisation.  Unlike a direct
+    preconditioned by an incomplete LU factorisation of that same system:
+    the strengths of :data:`ILU_SETTINGS` are tried in order, moving on
+    when one hits a zero pivot or GMRES stalls under it.  Unlike a direct
     solve this never forms complete LU factors — which the normalisation
     row of ones fills — so memory stays bounded by the ILU fill budget.
 
-    The states are reordered by reverse Cuthill-McKee first (near-free,
-    cached per pattern family) — reachability exploration emits
-    breadth-first state orders whose ILU factors are much weaker than the
-    same budget spent on a bandwidth-reduced ordering.  Warm starts and
-    the returned distribution stay in the caller's original state order;
-    the permutation is internal.
+    The states are reordered by reverse Cuthill-McKee first (near-free)
+    — reachability exploration emits breadth-first state orders whose ILU
+    factors are much weaker than the same budget spent on a
+    bandwidth-reduced ordering.  *x0* and the returned distribution stay
+    in the caller's original state order; the permutation is internal.
+
+    Nothing but the ordering, which depends on the sparsity pattern
+    alone, carries from one solve to the next, so the result is a
+    function of *Q* (and *x0*) only: a sweep's rows do not depend on
+    which points were solved before them, or in which process.
 
     Parameters
     ----------
     Q : ndarray or sparse matrix
         Generator (rows sum to zero).
     x0 : ndarray, optional
-        Initial guess.  When omitted and *cache* holds a same-length
-        ``"pi0"`` (the previous solve of the family), that warm start is
-        used — on dense sweep grids this cuts the iteration count to a
-        handful per point.
+        Initial guess; the default is GMRES's zero start.
     cache : dict, optional
-        A :class:`SolverCache` shared by a family of same-pattern chains.
-        The ILU preconditioner is stored under ``"ilu"`` and reused across
-        solves (a stale ILU is still a valid preconditioner — it costs
-        iterations, never correctness — and is dropped for rebuild once a
-        solve needs more than ``ILU_REFRESH_ITERATIONS`` iterations or 3x
-        the fresh-ILU iteration count); the solution lands under ``"pi0"``
-        for the next warm start.  The ILU strengths tried are
-        :data:`ILU_SETTINGS`.
+        Shared by a family of same-pattern chains (the per-point chains
+        of one sweep template): the RCM ordering is computed once and
+        kept under ``"rcm_perm"``; each successful solve leaves its
+        residual history under ``"residual_history"``.
 
     Returns
     -------
@@ -297,7 +257,8 @@ def gmres_steady_state(
     ------
     ConvergenceError
         If the residual has not reached :data:`GMRES_TOL` within the
-        budget.  Assumes an irreducible chain; a reducible one may surface
+        budget under any ILU strength (the error of the last stalled
+        solve).  Assumes an irreducible chain; a reducible one may surface
         here rather than as ``NumericalSolveError``, or converge to one of
         its stationary distributions.
     """
@@ -305,20 +266,10 @@ def gmres_steady_state(
         Q = sparse.csr_matrix(np.asarray(Q, dtype=np.float64))
     Q = Q.tocsr()
     n = Q.shape[0]
-    if x0 is None and cache is not None:
-        pi0 = cache.get("pi0")
-        if pi0 is not None and np.shape(pi0) == (n,):
-            x0 = pi0
-    warm_start = x0 is not None
-    obs.incr(
-        "solver.warm_start.hits" if warm_start else "solver.warm_start.misses"
-    )
     perm: Optional[np.ndarray] = None
     if n > 2:
         perm = cache.get("rcm_perm") if cache is not None else None
-        if perm is not None and np.shape(perm) != (n,):
-            perm = None  # pattern family changed size: re-order
-        if perm is None:
+        if perm is None or np.shape(perm) != (n,):
             perm = np.asarray(reverse_cuthill_mckee(Q, symmetric_mode=False))
             if cache is not None:
                 cache["rcm_perm"] = perm
@@ -327,41 +278,48 @@ def gmres_steady_state(
             x0 = np.asarray(x0, dtype=np.float64)[perm]
     A, b = _augmented_system(Q)
 
-    # cache["ilu"] holds the preconditioner, or None recording an earlier
-    # failed factorisation (don't re-pay the failed attempt per point)
-    known_failed = False
-    M = None
-    if cache is not None and "ilu" in cache:
-        M = cache["ilu"]
-        if M is None:
-            known_failed = True
-        elif M.shape != (n, n):
-            M = None  # pattern family changed size: rebuild
-    fresh_ilu = False
-    if M is None and not known_failed:
-        with obs.span("solve.ilu_build", n=n) as ilu_sp:
-            for drop_tol, fill_factor in ILU_SETTINGS:
-                try:
-                    ilu = spilu(
-                        sparse.csc_matrix(A),
-                        drop_tol=drop_tol,
-                        fill_factor=fill_factor,
-                    )
-                except RuntimeError:
-                    continue  # zero pivot: try the next strength
-                M = LinearOperator((n, n), ilu.solve)
-                fresh_ilu = True
-                obs.incr("solver.ilu.builds")
-                ilu_sp.set("drop_tol", drop_tol)
-                break
-            else:
-                # every strength hit a zero pivot (usually a reducible
-                # chain): fall through unpreconditioned and let the
-                # convergence check speak
+    stall: Optional[ConvergenceError] = None
+    for drop_tol, fill_factor in ILU_SETTINGS:
+        with obs.span("solve.ilu_build", n=n, drop_tol=drop_tol) as ilu_sp:
+            try:
+                ilu = spilu(A, drop_tol=drop_tol, fill_factor=fill_factor)
+            except RuntimeError:
                 ilu_sp.set("failed", True)
-        if cache is not None:
-            cache["ilu"] = M
+                continue  # zero pivot: try the next strength
+        obs.incr("solver.ilu.builds")
+        try:
+            x, history = _gmres(A, b, x0, LinearOperator((n, n), ilu.solve))
+            break
+        except ConvergenceError as exc:
+            stall = exc  # a stronger ILU may still converge
+    else:
+        if stall is not None:
+            raise stall
+        # every strength hit a zero pivot (usually a reducible chain): run
+        # unpreconditioned and let the convergence check speak
+        x, history = _gmres(A, b, x0, None)
+    if perm is not None:
+        x_orig = np.empty(n)
+        x_orig[perm] = x
+        x = x_orig
+    if cache is not None:
+        # the per-iteration preconditioned residual norms of the last
+        # successful solve, for callers that want the convergence shape
+        # (a record only: no later solve reads it)
+        cache["residual_history"] = history
+    return _finalize_pi(x)
 
+
+def _gmres(
+    A: sparse.csc_matrix,
+    b: np.ndarray,
+    x0: Optional[np.ndarray],
+    M: Optional[LinearOperator],
+) -> Tuple[np.ndarray, Tuple[float, ...]]:
+    """Restarted GMRES on ``A x = b`` to :data:`GMRES_TOL`; returns the
+    solution and its preconditioned residual history, or raises
+    :class:`ConvergenceError` once :data:`GMRES_MAX_ITER` is spent."""
+    n = A.shape[0]
     residual_history: List[float] = []
 
     def _record(pr_norm: float) -> None:
@@ -369,7 +327,7 @@ def gmres_steady_state(
 
     restart = max(1, min(GMRES_RESTART, GMRES_MAX_ITER, n))
     outer = max(1, -(-GMRES_MAX_ITER // restart))  # ceil division
-    with obs.span("solve.gmres", n=n, warm_start=warm_start) as sp:
+    with obs.span("solve.gmres", n=n) as sp:
         x, info = gmres(
             A,
             b,
@@ -393,25 +351,7 @@ def gmres_steady_state(
             raise ConvergenceError(
                 "gmres", iterations, residual, GMRES_TOL, residual_history
             )
-    if perm is not None:
-        x_orig = np.empty(n)
-        x_orig[perm] = x
-        x = x_orig
-    if cache is not None:
-        cache["pi0"] = np.asarray(x, dtype=np.float64).copy()
-        # the per-iteration preconditioned residual norms of the last
-        # successful solve, for callers that want the convergence shape
-        cache["residual_history"] = tuple(residual_history)
-        if fresh_ilu:
-            cache["ilu_iters0"] = iterations
-        elif not known_failed and iterations > max(
-            ILU_REFRESH_ITERATIONS, 3 * cache.get("ilu_iters0", 0)
-        ):
-            # drifted too far from the ILU's operating point: rebuild next
-            cache.pop("ilu", None)
-            cache.pop("ilu_iters0", None)
-            obs.incr("solver.ilu.rebuilds")
-    return _finalize_pi(x)
+    return x, tuple(residual_history)
 
 
 class CTMC:
@@ -433,11 +373,11 @@ class CTMC:
         decides how uniformization multiplies; the steady-state solver is
         picked by ``n`` alone (see :meth:`steady_state`).
     factor_cache:
-        Optional :class:`SolverCache` shared by a *family* of chains with
-        the same sparsity pattern (e.g. the per-point chains of a
-        parameter sweep).  GMRES solves keep their state ordering, ILU
-        preconditioner and warm start there, so later chains reuse them.
-        Unused by chains that solve by dense LU.
+        Optional dict shared by a *family* of chains with the same
+        sparsity pattern (e.g. the per-point chains of a parameter
+        sweep): GMRES solves keep their rate-independent state ordering
+        there, so later chains reuse it.  Unused by chains that solve by
+        dense LU.
     """
 
     def __init__(
@@ -595,8 +535,8 @@ class CTMC:
         augmented system (the most probable state's balance equation
         replaced by the normalisation constraint, :func:`dense_steady_state`),
         exact to machine precision; above it, ILU-preconditioned GMRES on
-        an augmented system (:func:`gmres_steady_state`), warm-started from
-        the chain's ``factor_cache``.
+        an augmented system (:func:`gmres_steady_state`), started cold and
+        preconditioned from this chain's own generator.
 
         Returns
         -------

@@ -115,6 +115,10 @@ class MM1KQueue:
         K = self.capacity
         if math.isclose(a, 1.0):
             return 1.0 / (K + 1)
+        if a > 1.0:
+            # in powers of 1/a: a ** (K + 1) overflows for a large K
+            b = 1.0 / a
+            return (a - 1.0) * b ** (K + 1 - n) / (1.0 - b ** (K + 1))
         return (1.0 - a) * a**n / (1.0 - a ** (K + 1))
 
     def blocking_probability(self) -> float:
@@ -126,6 +130,8 @@ class MM1KQueue:
         K = self.capacity
         if math.isclose(a, 1.0):
             return K / 2.0
+        if a > 1.0:
+            return a / (1.0 - a) + (K + 1) / (1.0 - (1.0 / a) ** (K + 1))
         return a / (1.0 - a) - (K + 1) * a ** (K + 1) / (1.0 - a ** (K + 1))
 
     def effective_arrival_rate(self) -> float:

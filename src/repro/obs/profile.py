@@ -21,10 +21,7 @@ __all__ = ["attribution_fraction", "render_profile"]
 _PROFILE_COUNTERS = (
     "solver.gmres.solves",
     "solver.gmres.iterations",
-    "solver.warm_start.hits",
-    "solver.warm_start.misses",
     "solver.ilu.builds",
-    "solver.ilu.rebuilds",
     "sweep.rows.completed",
     "sweep.rows.failed",
     "dist.chunks.dispatched",

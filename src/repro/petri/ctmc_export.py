@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse
 
 from repro import obs
-from repro.markov.ctmc import CTMC, DENSE_MAX_STATES, SolverCache
+from repro.markov.ctmc import CTMC, DENSE_MAX_STATES
 from repro.petri.analysis import (
     ReachabilityGraph,
     ReachabilityOptions,
@@ -292,10 +292,9 @@ class GSPNSolver:
             self._base_rates[i] = compiled.transitions[i].rate
 
         # shared across every GMRES-solved per-point CTMC: the sparsity
-        # pattern is rate-independent, so one state ordering and one ILU
-        # preconditioner, plus the previous point's warm-start vector,
-        # serve a whole sweep
-        self._factor_cache: SolverCache = SolverCache()
+        # pattern is rate-independent, so one state ordering serves a
+        # whole sweep (it is the only thing a point solve reuses)
+        self._factor_cache: Dict[str, object] = {}
 
     @property
     def exponential_transitions(self) -> List[str]:
@@ -312,15 +311,6 @@ class GSPNSolver:
         linear pass instead of a solve.
         """
         return self._rows.copy(), self._cols.copy()
-
-    def reset_warm_start(self) -> None:
-        """Drop GMRES's warm-start vector.
-
-        Called by sweep fan-out at chunk boundaries, where the previous
-        solve belongs to a non-adjacent grid point; the shared ordering
-        and preconditioner survive (they are rate-independent).
-        """
-        self._factor_cache.drop_warm_start()
 
     def _rate_vector(self, rates: Optional[Mapping[str, float]]) -> np.ndarray:
         vec = self._base_rates.copy()
@@ -370,9 +360,9 @@ class GSPNSolver:
         transitions keep the rate from the net definition.  A chain of at
         most :data:`~repro.markov.ctmc.DENSE_MAX_STATES` states is stored
         densely and solves by dense LU; a larger one stays sparse and
-        solves by GMRES, warm-started from this solver's shared cache, so
-        consecutive solves of a sweep start from the previous point's
-        solution.
+        solves by GMRES from a cold start and its own ILU, reusing only
+        this solver's rate-independent state ordering — so a point's
+        result never depends on which points were solved before it.
         """
         rate_vec = self._rate_vector(rates)
         Q = self._assemble(rate_vec)

@@ -153,10 +153,10 @@ class SweepBackend(abc.ABC):
     Subclasses set ``name``, ``steady_kinds`` and ``transient_kinds`` and
     implement the template/solve/metric hooks.  Instances must stay
     picklable (the runner ships them to worker processes once per pool);
-    keep any unpicklable per-solve state on the solution objects, or in a
-    :class:`~repro.markov.ctmc.SolverCache`, which drops its
-    process-local entries (ILU handles and the like) at the pickle
-    boundary instead.
+    keep any unpicklable per-solve state on the solution objects.  A
+    point's solve must depend on that point alone — serial, pool,
+    distributed and service runs partition a grid differently and must
+    return the same rows.
 
     Attributes
     ----------
@@ -242,19 +242,6 @@ class SweepBackend(abc.ABC):
         raise NotImplementedError(
             f"the {self.name} backend does not batch solves"
         )
-
-    def reset_point_state(self) -> None:
-        """Forget state carried from the previously solved point.
-
-        Sweep fan-out hands each worker *contiguous, axis-ordered* chunks
-        so iterative warm starts stay adjacent — and calls this at every
-        chunk boundary, where the previous solve belongs to a far-away
-        grid point.  Backends that warm-start (e.g. through a
-        :class:`~repro.markov.ctmc.SolverCache`) drop the previous
-        solution here; pattern-level state (symbolic analyses,
-        preconditioners) is point-independent and should survive.  The
-        default is a no-op.
-        """
 
     # ------------------------------------------------------------------ #
     # axes

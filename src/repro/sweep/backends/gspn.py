@@ -15,9 +15,9 @@ use the phase-type backend for those.
 
 The chain's size picks the steady-state solver: dense LU up to
 :data:`~repro.markov.ctmc.DENSE_MAX_STATES` states, GMRES above it.  The
-per-point GMRES solves share one state ordering and ILU preconditioner —
-the sparsity pattern is rate-independent — and each warm-starts from the
-previous point's solution.
+per-point GMRES solves share one state ordering — the sparsity pattern is
+rate-independent — and nothing else: each starts cold and builds its own
+ILU preconditioner, so a row depends on its own point alone.
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ class GSPNBackend(SweepBackend):
 
     def axis_names(self) -> List[str]:
         return self.solver.exponential_transitions
-
-    def reset_point_state(self) -> None:
-        self.solver.reset_warm_start()
 
     @property
     def n_states(self) -> int:

@@ -4,14 +4,14 @@ The paper's experiments are dense parameter sweeps (the Figure 4/5
 threshold and delay grids); this package scales them past one machine.
 A :class:`~repro.sweep.distributed.runner.DistributedSweepRunner` submits
 a :class:`~repro.sweep.grid.SweepGrid` as one
-:class:`~repro.sweep.distributed.coordinator.Job` — contiguous,
-axis-ordered partitions, so iterative warm starts stay adjacent — to a
+:class:`~repro.sweep.distributed.coordinator.Job` — axis-ordered
+partitions of the grid — to a
 :class:`~repro.sweep.distributed.coordinator.JobQueue`, which hands the
 partitions to whichever workers connect — forked local processes,
 in-process asyncio tasks, or ``repro-experiments worker --connect``
 processes on other machines — and streams the result rows back into a
 :class:`~repro.sweep.results.SweepResult` ordered exactly like the
-serial runner's (bit-identical under the direct solvers).
+serial runner's and bit-identical to it.
 
 The layer is fault-tolerant at three granularities: a point that fails
 numerically yields a NaN row plus an error record; a worker that dies

@@ -11,10 +11,11 @@ Scheduling is pull-based: an idle worker checks out the next pending
 partition of the oldest live job; there is no static assignment, so a
 slow host simply takes fewer partitions and one job spans every idle
 worker.  Partitions preserve the grid's axis order: pending points are
-split into *contiguous* spans
-(:func:`~repro.sweep.engine.plan.partition_indices`), so iterative warm
-starts inside a partition stay adjacent on the parameter grid and the
-merged table is ordered exactly like the serial runner's.  On a
+split into consecutive spans
+(:func:`~repro.sweep.engine.plan.partition_indices`) and every row
+carries its grid index, so the merged table is ordered exactly like the
+serial runner's; a point's solve depends on that point alone, so the
+rows are bit-identical to it too.  On a
 batch-capable backend the boundaries align to the backend's preferred
 batch size, so each partition is a whole number of stacked solves
 shipped back as batched ``rows`` frames.

@@ -26,10 +26,10 @@ Worker modes:
   machine that can reach the bind address) at :attr:`address`; the
   coordinator hands partitions to whoever connects.
 
-The merged table is ordered exactly like the serial runner's, and for
-the direct (LU) solver paths it is bit-identical to it; iterative
-methods agree to solver tolerance because partition boundaries reset the
-warm start.  A checkpoint file makes interrupted sweeps resumable — see
+The merged table is ordered exactly like the serial runner's and is
+bit-identical to it: every point's solve depends on that point alone,
+so how the grid is partitioned never shows in the rows.  A checkpoint
+file makes interrupted sweeps resumable — see
 :mod:`repro.sweep.distributed.checkpoint`.
 """
 

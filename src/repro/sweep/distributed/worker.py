@@ -7,8 +7,7 @@ the same dispatch session.  A worker says ``hello``, gets a ``welcome``
 each is one contiguous partition of one job.  A template the worker's
 LRU lacks is fetched with ``need_template``; the partition streams back
 through the engine's shared loop
-(:func:`~repro.sweep.engine.wire.stream_partition`) — warm start reset
-at the task boundary, the same
+(:func:`~repro.sweep.engine.wire.stream_partition`) — the same
 :func:`~repro.sweep.engine.points.solve_point_row` plumbing as the
 serial path, one ``row`` message per point, or (batch-capable backends)
 one stacked ``solve_batch`` and one ``rows`` frame per batch — and ends

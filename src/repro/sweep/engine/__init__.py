@@ -2,10 +2,10 @@
 
 Every way this repo runs a sweep — the serial loop, the in-machine
 process pool, the distributed coordinator/worker fan-out, and the
-always-on service — used to re-implement the same five concerns:
-scheduling, warm-start reset, per-point failure isolation, telemetry
-shipping, and checkpoint journaling.  This package is the one place
-those concerns live now; the execution paths are thin adapters over it.
+always-on service — used to re-implement the same four concerns:
+scheduling, per-point failure isolation, telemetry shipping, and
+checkpoint journaling.  This package is the one place those concerns
+live now; the execution paths are thin adapters over it.
 
 The pieces
 ----------

@@ -53,13 +53,7 @@ class Executor(Protocol):
 
 
 class SerialExecutor:
-    """Run the plan in this process, one partition after another.
-
-    The warm start carries within a partition and resets at partition
-    boundaries (a later partition may be a far-away span of the grid);
-    the first partition starts from the template's pristine state, so a
-    single-partition plan is exactly the historical serial loop.
-    """
+    """Run the plan in this process, one partition after another."""
 
     def run(
         self,
@@ -70,9 +64,7 @@ class SerialExecutor:
     ) -> Tuple[List[List[float]], List[PointFailure]]:
         rows: Dict[int, List[float]] = {}
         errors: List[PointFailure] = []
-        for n, partition in enumerate(plan.partitions):
-            if n:
-                model.reset_point_state()
+        for partition in plan.partitions:
             for index, row, failure in iter_partition_rows(
                 model,
                 metrics,
@@ -110,17 +102,12 @@ def _solve_chunk(
 ]:
     """Solve one contiguous partition inside a pool worker.
 
-    The warm start is reset at the partition boundary — the previous
-    partition this worker solved may be a far-away span of the grid —
-    then carried point-to-point within it.
-
     The fourth element is the partition's telemetry segment (spans
     recorded during it + counter deltas) when the worker traces, else
     ``None``; the parent merges it into the run-level trace.
     """
     assert _WORKER_STATE is not None, "worker used before initialisation"
     model, metrics = _WORKER_STATE
-    model.reset_point_state()
     trace = obs.current_trace()
     mark = trace.mark() if trace is not None else 0
     rows: List[List[float]] = []

@@ -9,13 +9,12 @@ plan — the serial loop takes it as one partition, the pool and the
 distributed coordinator pull partitions off a queue, and the service
 builds one per request.
 
-Partitioning preserves the grid's axis order: points are split into
-*contiguous* spans (:func:`contiguous_chunks`), so iterative warm starts
-inside a partition stay adjacent on the parameter grid and merged tables
-are ordered exactly like the serial runner's.  After a checkpoint resume
-the remaining indices may have gaps; each maximal contiguous run is
-partitioned separately so no partition ever spans a gap (a warm start
-must never cross one).
+Partitioning preserves the grid's axis order: the pending points are
+split into consecutive spans (:func:`contiguous_chunks`), and every row
+carries its grid index, so merged tables are ordered exactly like the
+serial runner's.  A point's solve depends on that point alone, so how
+the grid is cut never shows in the rows; after a checkpoint resume a
+partition may simply span indices that are already done.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 #: Partitions handed out per worker: oversubscription for load balance
-#: while each partition stays one contiguous span of the axis-ordered
-#: grid (shared by the process pool and the distributed coordinator).
+#: (shared by the process pool and the distributed coordinator).
 PARTITIONS_PER_WORKER = 4
 
 #: How often one point may be requeued after killing its worker before it
@@ -48,10 +46,7 @@ def contiguous_chunks(n: int, n_chunks: int) -> List[Tuple[int, int]]:
     """Split ``range(n)`` into at most *n_chunks* contiguous spans.
 
     Returns ``(start, stop)`` pairs that cover ``range(n)`` in order,
-    pairwise disjoint, with sizes differing by at most one.  Contiguity is
-    the point: sweep grids enumerate row-major (last axis fastest), so a
-    contiguous span of indices is a neighbourhood of the parameter grid
-    and iterative warm starts stay adjacent within a chunk.
+    pairwise disjoint, with sizes differing by at most one.
 
     >>> contiguous_chunks(10, 3)
     [(0, 4), (4, 7), (7, 10)]
@@ -76,38 +71,21 @@ def contiguous_chunks(n: int, n_chunks: int) -> List[Tuple[int, int]]:
 def partition_indices(
     remaining: Sequence[int], n_partitions: int, *, align: int = 1
 ) -> List[List[int]]:
-    """Split the remaining grid indices into contiguous partitions.
+    """Split the remaining grid indices into consecutive partitions.
 
-    Each maximal contiguous run of *remaining* is partitioned separately
-    (its share of *n_partitions* proportional to its length), so no
-    partition spans a resume gap.  With ``align > 1`` the internal
-    boundaries inside a run are rounded down to multiples of *align* —
-    a batch-capable backend then solves whole stacked batches per
-    partition instead of paying a ragged tail in every one.
+    With ``align > 1`` the internal boundaries are rounded to multiples
+    of *align* — a batch-capable backend then solves whole stacked
+    batches per partition instead of paying a ragged tail in every one.
 
-    >>> partition_indices([0, 1, 2, 3, 4, 6, 7], 3)
-    [[0, 1, 2], [3, 4], [6, 7]]
+    >>> partition_indices([0, 1, 2, 3, 4, 6, 7], 2)
+    [[0, 1, 2, 3], [4, 6, 7]]
     >>> partition_indices(list(range(10)), 3, align=4)
     [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
     """
-    if not remaining:
-        return []
-    runs: List[List[int]] = [[remaining[0]]]
-    for index in remaining[1:]:
-        if index == runs[-1][-1] + 1:
-            runs[-1].append(index)
-        else:
-            runs.append([index])
-    partitions: List[List[int]] = []
-    total = len(remaining)
-    for run in runs:
-        share = max(1, round(n_partitions * len(run) / total))
-        spans = contiguous_chunks(len(run), share)
-        if align > 1 and len(spans) > 1:
-            spans = _align_spans(spans, len(run), align)
-        for start, stop in spans:
-            partitions.append(run[start:stop])
-    return partitions
+    spans = contiguous_chunks(len(remaining), n_partitions)
+    if align > 1 and len(spans) > 1:
+        spans = _align_spans(spans, len(remaining), align)
+    return [list(remaining[start:stop]) for start, stop in spans]
 
 
 def _align_spans(
@@ -127,7 +105,12 @@ def _align_spans(
 
 @dataclass
 class Partition:
-    """One contiguous span of pending grid points.
+    """One axis-ordered group of pending grid points.
+
+    A plan built without ``done`` indices partitions the whole grid into
+    contiguous spans, which the process pool ships as ``(first index,
+    points)``; after a checkpoint resume a partition may run across
+    indices that are already done.
 
     ``pointwise`` marks a partition that must stream per point even on a
     batch-capable backend: the coordinator downgrades a batch-framed
@@ -189,8 +172,8 @@ def build_plan(
 ) -> ExecutionPlan:
     """Plan a sweep: partition the pending points, record the budgets.
 
-    ``n_partitions`` is a target, not a promise — resume gaps and batch
-    alignment adjust the actual count.  When the backend is
+    ``n_partitions`` is a target, not a promise — batch alignment adjusts
+    the actual count.  When the backend is
     batch-capable its ``resolve_batch_size`` sizes the alignment so each
     partition is a whole number of stacked solves (plus one tail).
     """

@@ -4,7 +4,7 @@ Every execution path — serial, pool worker, distributed worker, service
 worker, and the service micro-batcher — turns grid points into metric
 rows through the functions here, so the failure taxonomy, the span
 conventions (``sweep.batch`` → ``sweep.point`` → ``sweep.solve`` /
-``sweep.metrics``), and warm-start hygiene are defined exactly once.
+``sweep.metrics``) are defined exactly once.
 
 Failure taxonomy
 ----------------
@@ -256,16 +256,9 @@ def solve_missing_rows(
     """Serially solve *missing* indices, yielding ``(index, row, failure)``.
 
     The shared resume loop of the broken-pool fallback and the
-    distributed runner's serial paths.  *missing* must be ascending; the
-    warm start is reset whenever consecutive indices are not adjacent —
-    completed work interleaves the gaps, and a warm start must never
-    cross one.
+    distributed runner's serial paths.
     """
-    previous: Optional[int] = None
     for index in missing:
-        if previous is not None and index != previous + 1:
-            model.reset_point_state()
-        previous = index
         row, failure = solve_point_row(model, metrics, points[index], index)
         obs.incr("sweep.rows.completed")
         if failure is not None:

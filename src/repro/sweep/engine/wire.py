@@ -2,9 +2,8 @@
 
 :func:`stream_partition` is what
 :func:`~repro.sweep.distributed.worker.run_worker` runs per task (one
-partition of one job): reset the warm start at the partition boundary,
-solve the points, and stream results back with exactly-once telemetry
-framing.  Two framings exist:
+partition of one job): solve the points and stream the results back
+with exactly-once telemetry framing.  Two framings exist:
 
 - **pointwise** (``pointwise=True``, or a backend that is not
   batch-capable): the historical loop — per point one ``telemetry``
@@ -76,10 +75,8 @@ async def stream_partition(
     """Solve one partition and stream its rows; returns
     ``(rows_sent, cursor, died)``.
 
-    The warm start is reset at entry (the previous partition may be a
-    far-away span of the grid — never warm-start across it) and carried
-    point-to-point within the partition.  *rows_sent* / *cursor* thread
-    the connection-lifetime totals through successive calls.
+    *rows_sent* / *cursor* thread the connection-lifetime totals through
+    successive calls.
 
     *should_die* is the fault-injection hook (``(index, rows_sent) ->
     bool``): when it fires the connection is aborted (RST, no goodbye —
@@ -92,7 +89,6 @@ async def stream_partition(
     """
     from repro.sweep.distributed.protocol import send_message
 
-    model.reset_point_state()
     batch = (
         max(1, model.resolve_batch_size(len(points)))
         if getattr(model, "batch_capable", False)

@@ -51,12 +51,10 @@ on every point.
 
 **Fan-out.**  ``n_workers > 1`` distributes *contiguous, axis-ordered
 partitions* of the grid over a process pool (the backend template ships
-to each worker once via the pool initializer).  Contiguity keeps
-iterative warm starts adjacent — each partition starts cold
-(:meth:`~repro.sweep.backends.base.SweepBackend.reset_point_state`) and
-warm-starts within itself, so a GMRES start never comes from a far-away
-grid point.  Results are ordered like, and (for the direct solvers)
-bit-identical to, the serial path.  When the template cannot be pickled
+to each worker once via the pool initializer).  Every point's solve
+depends on that point alone — a GMRES solve starts cold and builds its
+own preconditioner — so results are ordered like, and bit-identical to,
+the serial path.  When the template cannot be pickled
 (e.g. a metric closure) the runner logs a warning and falls back to
 serial execution; if the pool itself breaks mid-run, the fallback
 resumes serially *from the unfinished points only* instead of re-solving

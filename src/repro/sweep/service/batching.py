@@ -229,7 +229,6 @@ class MicroBatcher:
                 pass
         outcomes: List[_Outcome] = []
         for request in requests:
-            backend.reset_point_state()
             rows: Dict[int, List[float]] = {}
             errors: Dict[int, PointFailure] = {}
             try:
@@ -262,7 +261,6 @@ class MicroBatcher:
             start = len(all_points)
             all_points.extend(request.points)
             slices.append((request, start, len(all_points)))
-        backend.reset_point_state()
         batch = max(1, backend.resolve_batch_size(len(all_points)))
         solutions: List[Any] = []
         for base in range(0, len(all_points), batch):

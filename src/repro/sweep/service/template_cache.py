@@ -121,8 +121,8 @@ class TemplateEntry:
     """One cached, prepared backend plus its serialisation lock.
 
     ``lock`` serialises solve *flights* on the same template (a backend
-    instance is not safe for concurrent solves — its ``SolverCache``
-    warm state is mutable).  In inline mode the
+    instance makes no promise of being safe for concurrent solves).  In
+    inline mode the
     :class:`~repro.sweep.service.batching.MicroBatcher` holds it per
     flight, so concurrent same-template requests coalesce into one
     locked stacked solve instead of queueing one solve each; requests

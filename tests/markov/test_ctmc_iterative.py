@@ -12,7 +12,6 @@ from repro.markov.ctmc import (
     CTMC,
     DENSE_MAX_STATES,
     ConvergenceError,
-    SolverCache,
     gmres_steady_state,
     resolve_steady_state_method,
 )
@@ -155,19 +154,12 @@ class TestConvergenceError:
 
 
 class TestWarmStartCache:
-    def test_cache_carries_warm_start_between_chains(self):
-        cache = SolverCache()
-        chain_a = _cyclic_chain()
-        pi_a = gmres_steady_state(chain_a.Q_sparse, cache=cache)
-        assert "pi0" in cache and "ilu" in cache
-        # a same-pattern chain with slightly different rates reuses both
-        chain_b = _cyclic_chain(fast=5.5)
-        pi_b = gmres_steady_state(chain_b.Q_sparse, cache=cache)
-        np.testing.assert_allclose(pi_b, chain_b.steady_state(), atol=1e-8)
-        assert not np.allclose(pi_a, pi_b)
+    """A solve's inputs besides ``Q``: an explicit start vector, and the
+    per-template cache, which carries only the state ordering into a
+    solve."""
 
     def test_wrong_size_cache_entries_ignored(self):
-        cache = SolverCache(pi0=np.ones(3) / 3.0)
+        cache = {"rcm_perm": np.arange(3)}
         chain = _cyclic_chain(n=8)
         pi = gmres_steady_state(chain.Q_sparse, cache=cache)
         np.testing.assert_allclose(pi, chain.steady_state(), atol=1e-8)
@@ -181,25 +173,16 @@ class TestWarmStartCache:
         np.testing.assert_allclose(pi, pi_lu, atol=1e-8)
 
     def test_ctmc_factor_cache_shared_by_iterative_methods(self):
-        cache = SolverCache()
+        cache = {}
         big = _birth_death(DENSE_MAX_STATES + 1)
         CTMC(big.Q_sparse, factor_cache=cache).steady_state()
-        assert "pi0" in cache and "ilu" in cache
-        small = SolverCache()  # dense LU has nothing to share
+        assert "rcm_perm" in cache
+        small = {}  # dense LU has nothing to share
         CTMC(_cyclic_chain().Q_sparse, factor_cache=small).steady_state()
         assert not small
 
-    def test_pickling_drops_process_local_entries(self):
-        cache = SolverCache()
-        chain = _cyclic_chain()
-        gmres_steady_state(chain.Q_sparse, cache=cache)
-        revived = pickle.loads(pickle.dumps(cache))
-        assert isinstance(revived, SolverCache)
-        assert "ilu" not in revived
-        np.testing.assert_array_equal(revived["pi0"], cache["pi0"])
-
     def test_power_updates_warm_start(self):
-        cache = SolverCache()
+        cache = {}
         chain = _cyclic_chain()
         pi = power_steady_state(chain.Q_sparse, tol=1e-13, cache=cache)
         np.testing.assert_allclose(cache["pi0"], pi, atol=1e-12)
@@ -255,20 +238,29 @@ class TestReviewRegressions:
         assert (revived.residual, revived.tol) == (1e-3, 1e-10)
         assert "42 iterations" in str(revived)
 
-    def test_failed_ilu_is_attempted_once_per_cache(self, monkeypatch):
-        calls = {"n": 0}
+    def test_stall_under_weak_ilu_retries_strong(self, monkeypatch):
+        from scipy.sparse import linalg as sparse_linalg
 
-        def failing_spilu(*args, **kwargs):
-            calls["n"] += 1
-            raise RuntimeError("Factor is exactly singular")
+        class Useless:
+            def solve(self, v):
+                return v
 
-        monkeypatch.setattr(ctmc_mod, "spilu", failing_spilu)
-        cache = SolverCache()
-        chain = _cyclic_chain()
-        for _ in range(3):  # three same-family solves, one failed attempt
-            gmres_steady_state(chain.Q_sparse, cache=cache)
-        assert calls["n"] == len(ctmc_mod.ILU_SETTINGS)  # each strength once
-        assert cache["ilu"] is None
+        def weak_is_useless(A, drop_tol, fill_factor):
+            if drop_tol == ctmc_mod.ILU_SETTINGS[0][0]:
+                return Useless()
+            return sparse_linalg.spilu(A, drop_tol=drop_tol, fill_factor=fill_factor)
+
+        monkeypatch.setattr(ctmc_mod, "spilu", weak_is_useless)
+        monkeypatch.setattr(ctmc_mod, "GMRES_MAX_ITER", 20)
+        chain = _birth_death(DENSE_MAX_STATES + 1)
+        pi = gmres_steady_state(chain.Q_sparse)
+        np.testing.assert_allclose(
+            pi, sparse_steady_state(chain.Q_sparse)[0], rtol=0, atol=1e-12
+        )
+        # a solve that stalls under every strength raises the last stall
+        monkeypatch.setattr(ctmc_mod, "spilu", lambda A, **kw: Useless())
+        with pytest.raises(ConvergenceError):
+            gmres_steady_state(chain.Q_sparse)
 
     def test_zero_pivot_in_weak_ilu_retries_strong(self, monkeypatch):
         from scipy.sparse import linalg as sparse_linalg
@@ -282,11 +274,9 @@ class TestReviewRegressions:
             return sparse_linalg.spilu(A, drop_tol=drop_tol, fill_factor=fill_factor)
 
         monkeypatch.setattr(ctmc_mod, "spilu", weak_fails)
-        cache = SolverCache()
         chain = _birth_death(DENSE_MAX_STATES + 1)
-        pi = gmres_steady_state(chain.Q_sparse, cache=cache)
+        pi = gmres_steady_state(chain.Q_sparse)
         assert tried == [setting[0] for setting in ctmc_mod.ILU_SETTINGS]
-        assert cache["ilu"] is not None
         np.testing.assert_allclose(
             pi, sparse_steady_state(chain.Q_sparse)[0], rtol=0, atol=1e-12
         )

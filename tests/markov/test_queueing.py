@@ -78,6 +78,29 @@ class TestMM1K:
             q.mean_number_in_system() / q.effective_arrival_rate()
         )
 
+    @pytest.mark.parametrize("a", [1.05, 1.5, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("K", [1, 5, 40, 200])
+    def test_overloaded_matches_direct_powers(self, a, K):
+        """Where ``a ** (K + 1)`` is finite, the powers-of-``1/a`` forms
+        agree with the textbook ones."""
+        q = MM1KQueue(a, 1.0, K)
+        direct = [(1.0 - a) * a**n / (1.0 - a ** (K + 1)) for n in range(K + 1)]
+        np.testing.assert_allclose(
+            [q.p_n(n) for n in range(K + 1)], direct, rtol=1e-12, atol=0
+        )
+        mean = a / (1.0 - a) - (K + 1) * a ** (K + 1) / (1.0 - a ** (K + 1))
+        assert q.mean_number_in_system() == pytest.approx(mean, rel=1e-12)
+
+    def test_overloaded_large_capacity_is_finite(self):
+        K, a = 1000, 4.0
+        q = MM1KQueue(8.0, 2.0, K)
+        assert q.mean_number_in_system() == pytest.approx(
+            K - 1.0 / (a - 1.0), rel=1e-12
+        )
+        assert q.blocking_probability() == pytest.approx(1.0 - 1.0 / a)
+        assert q.p_n(0) == 0.0  # (1/4) ** 1001 underflows, as it should
+        assert sum(q.p_n(n) for n in range(K + 1)) == pytest.approx(1.0)
+
     def test_out_of_range_n(self):
         q = MM1KQueue(1.0, 2.0, 3)
         with pytest.raises(ValueError):

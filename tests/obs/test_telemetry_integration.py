@@ -15,7 +15,6 @@ import repro.markov.ctmc as ctmc_mod
 from repro.markov.ctmc import (
     DENSE_MAX_STATES,
     ConvergenceError,
-    SolverCache,
     gmres_steady_state,
 )
 from repro.obs import Trace
@@ -195,7 +194,7 @@ class TestDistributedSweepTelemetry:
 
 class TestResidualHistory:
     def test_gmres_success_stores_history_in_cache(self):
-        cache = SolverCache()
+        cache = {}
         pi = gmres_steady_state(mm1k_generator(), cache=cache)
         assert pi.sum() == pytest.approx(1.0)
         history = cache["residual_history"]
@@ -233,16 +232,18 @@ class TestResidualHistory:
         assert len(history) == RESIDUAL_HISTORY_LIMIT
 
     def test_power_success_stores_history(self):
-        cache = SolverCache()
+        cache = {}
         pi = power_steady_state(mm1k_generator(10), cache=cache)
         assert pi.sum() == pytest.approx(1.0)
         assert cache["residual_history"]
 
     def test_solver_cache_pickle_drops_history_safely(self):
-        cache = SolverCache()
+        # a GSPN template ships its cache to pool and wire workers: it
+        # must pickle, and holds no process-local ILU handle to lose
+        cache = {}
         gmres_steady_state(mm1k_generator(), cache=cache)
         back = pickle.loads(pickle.dumps(cache))
-        assert "ilu" not in back  # process-local keys dropped
+        assert "ilu" not in back
         assert isinstance(back.get("residual_history", ()), tuple)
 
 

@@ -3,9 +3,8 @@
 Inline workers (asyncio tasks inside the test process) exercise the full
 TCP wire protocol deterministically; a handful of process-mode tests
 cover real fork/kill behaviour.  Parity is asserted bit-for-bit against
-the serial ``SweepRunner`` wherever the direct solvers run (their solves
-are warm-start independent), and to tolerance for the iterative
-phase-type path (chunk boundaries legitimately reset its warm start).
+the serial ``SweepRunner``: every point's solve depends on that point
+alone, so sharding never shows in the rows.
 """
 
 import asyncio
@@ -69,8 +68,7 @@ class TestInlineParity:
         assert_bitwise_equal(result, reference)
 
     def test_phase_type_ordering_parity(self):
-        """Iterative backend: same ordering, tolerance-level agreement
-        (chunk boundaries reset the GMRES warm start by design)."""
+        """The phase-type backend: same ordering, same bits."""
         grid = SweepGrid({"T": [0.2, 0.5, 0.8, 1.1, 1.4, 1.7]})
         metrics = ["fraction:standby", "power"]
         reference = SweepRunner(PhaseTypeBackend(stages=4), metrics).run(grid)
@@ -80,9 +78,8 @@ class TestInlineParity:
         ).run(grid)
         assert result.points == reference.points
         for name in metrics:
-            np.testing.assert_allclose(
-                result.column(name), reference.column(name),
-                rtol=1e-8, atol=1e-12,
+            np.testing.assert_array_equal(
+                result.column(name), reference.column(name)
             )
 
     def test_single_point_grid(self):

@@ -3,8 +3,8 @@
 One stiff grid point must never abort a sweep: its row goes NaN, an
 error record lands on the result, and the rest of the grid keeps
 solving — identically in the serial and pool paths.  The pool hands out
-contiguous, axis-ordered chunks (warm starts reset at every boundary)
-and a broken pool resumes serially from the unfinished points only.
+contiguous, axis-ordered chunks and a broken pool resumes serially from
+the unfinished points only.
 """
 
 import math
@@ -17,18 +17,17 @@ import numpy as np
 import pytest
 
 import repro.markov.ctmc as ctmc_mod
-from repro.markov.ctmc import ConvergenceError, SolverCache
+from repro.markov.ctmc import ConvergenceError
 from repro.sweep import (
     PointFailure,
     SweepGrid,
     SweepResult,
     SweepRunner,
-    build_mm1k_net,
     build_wsn_cluster_net,
     contiguous_chunks,
     solve_point_row,
 )
-from repro.sweep.backends import GSPNBackend, PhaseTypeBackend
+from repro.sweep.backends import GSPNBackend
 from repro.sweep.backends.base import MetricSpec, SweepBackend
 
 
@@ -206,31 +205,6 @@ class TestContiguousChunks:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             contiguous_chunks(-1, 4)
-
-
-class TestWarmStartReset:
-    def test_solver_cache_drop_keeps_pattern_state(self):
-        cache = SolverCache(pi0=np.ones(3), rcm_perm=np.arange(3), ilu="handle")
-        cache.drop_warm_start()
-        assert "pi0" not in cache
-        assert "rcm_perm" in cache and "ilu" in cache
-
-    def test_gspn_backend_reset(self):
-        runner = SweepRunner(build_mm1k_net(), ["mean_tokens:queue"])
-        runner.model.solve({"arrive": 1.0})
-        runner.model.solver._factor_cache["pi0"] = np.ones(3)
-        runner.model.reset_point_state()
-        assert "pi0" not in runner.model.solver._factor_cache
-
-    def test_phase_type_backend_reset(self):
-        # the recursion carries nothing from point to point: the reset
-        # hook is the base no-op and a solve after it is bitwise the same
-        backend = PhaseTypeBackend(stages=4)
-        assert type(backend).reset_point_state is SweepBackend.reset_point_state
-        before = backend.solve({"T": 0.4}).pi
-        backend.solve({"T": 2.0})
-        backend.reset_point_state()
-        np.testing.assert_array_equal(backend.solve({"T": 0.4}).pi, before)
 
 
 class _OneChunkThenBroken:

@@ -65,13 +65,17 @@ class TestPlan:
             [8, 9],
         ]
 
-    def test_partitions_never_span_gaps(self):
-        """Checkpoint-resumed grids have holes; a partition crossing one
-        would warm-start across distant parameter points."""
-        assert partition_indices([0, 1, 2, 3, 4, 6, 7], 3) == [
-            [0, 1, 2],
-            [3, 4],
-            [6, 7],
+    def test_partitions_may_span_resume_gaps(self):
+        """Checkpoint-resumed grids have holes; every row carries its own
+        index and a point's solve depends on that point alone, so a
+        partition simply runs across one."""
+        assert partition_indices([0, 1, 2, 3, 4, 6, 7], 2) == [
+            [0, 1, 2, 3],
+            [4, 6, 7],
+        ]
+        assert partition_indices([0, 1, 5, 6, 7, 9], 2, align=2) == [
+            [0, 1, 5, 6],
+            [7, 9],
         ]
 
     def test_build_plan_aligns_and_skips_done(self):
