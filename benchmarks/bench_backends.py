@@ -74,9 +74,9 @@ def test_phase_type_sweep_speedup_vs_fresh_templates(benchmark):
     grid = SweepGrid({"T": THRESHOLDS})
 
     def fresh():
-        # what the sweep amortises: a fresh backend (stage structure, CSC
-        # pattern, symbolic analysis) per point — the phase-type analogue
-        # of bench_sweep's ctmc_from_net-per-point naive loop
+        # what the sweep amortises: a fresh backend (recursion lattice
+        # and collapse vectors) per point — the phase-type analogue of
+        # bench_sweep's ctmc_from_net-per-point naive loop
         rows = []
         for T in THRESHOLDS:
             backend = PhaseTypeBackend(

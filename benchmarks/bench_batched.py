@@ -18,6 +18,11 @@ batched sweep path, see ``docs/batched.md``):
 2. Across the stage matrix {2, 16, 32, 64} on the same grid, batched is
    never slower than pointwise (>= 0.95x, a margin for timer noise) and
    stays at 1e-9 parity.
+3. Across the same matrix, with the perfbench sweep-stages metrics
+   (``power``, ``fraction:standby``, ``fraction:active``), the time in
+   ``sweep.metrics`` spans is at most the time in ``sweep.batch`` spans:
+   a steady cell is one stored-vector dot product, so evaluating three
+   metrics per point must not cost more than solving the point.
 
 The measured numbers are additionally written to ``BENCH_batched.json``
 (plain JSON: times, speedups, parity errors, configuration, and the
@@ -31,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import obs
 from repro.core.params import CPUModelParams
 from repro.sweep import PhaseTypeBackend, SweepGrid
 from repro.sweep.engine import iter_partition_rows
@@ -41,6 +47,8 @@ N_MAX = 10  # 33 states
 STAGE_MATRIX = (2, 16, 32, 64)
 GRID = SweepGrid.from_specs(["T=0.05:2.0:200"])
 METRICS = ("power", "fraction:standby")
+#: the perfbench sweep-stages metrics, for the per-cell cost gate
+CELL_METRICS = ("power", "fraction:standby", "fraction:active")
 MIN_SPEEDUP = 3.0
 MIN_MATRIX_SPEEDUP = 0.95
 PARITY_ATOL = 1e-9
@@ -180,4 +188,55 @@ def test_batched_never_slower_across_stage_matrix(benchmark):
         assert race["speedup"] >= MIN_MATRIX_SPEEDUP, (
             f"batched slower than pointwise at stages {race['stages']}: "
             f"{race['speedup']:.2f}x (required >= {MIN_MATRIX_SPEEDUP}x)"
+        )
+
+
+def _span_seconds(stages, rounds=7):
+    """Median total seconds in ``sweep.metrics`` and ``sweep.batch``
+    spans over traced batched passes of ``GRID`` (after one warmup)."""
+    backend = PhaseTypeBackend(PARAMS, stages=stages)
+    points = GRID.points()
+    totals = {"sweep.metrics": [], "sweep.batch": []}
+    for round_ in range(rounds + 1):
+        with obs.tracing("bench_batched") as trace:
+            for _, _, failure in iter_partition_rows(
+                backend, CELL_METRICS, points
+            ):
+                assert failure is None
+        if round_ == 0:
+            continue  # warmup: stores each metric's vector
+        for name, samples in totals.items():
+            samples.append(
+                sum(sp.duration for sp in trace.spans if sp.name == name)
+            )
+    return {name: float(np.median(v)) for name, v in totals.items()}
+
+
+def test_metric_cost_within_batch_cost():
+    """Stages 2/16/32/64: evaluating the three sweep-stages metrics on
+    every point takes no longer than the batched solves of those points."""
+    rows = []
+    for stages in STAGE_MATRIX:
+        seconds = _span_seconds(stages)
+        rows.append({
+            "stages": stages,
+            "metrics": list(CELL_METRICS),
+            "grid_points": len(GRID.points()),
+            "metrics_seconds": seconds["sweep.metrics"],
+            "batch_seconds": seconds["sweep.batch"],
+        })
+    _record(cell_cost=rows)
+    print()
+    for row in rows:
+        print(
+            f"stages {row['stages']:2d}: sweep.metrics "
+            f"{row['metrics_seconds'] * 1e3:6.2f} ms, sweep.batch "
+            f"{row['batch_seconds'] * 1e3:6.2f} ms"
+        )
+    for row in rows:
+        assert row["metrics_seconds"] <= row["batch_seconds"], (
+            f"metric evaluation costs more than the solves at stages "
+            f"{row['stages']}: {row['metrics_seconds'] * 1e3:.2f} ms in "
+            f"sweep.metrics vs {row['batch_seconds'] * 1e3:.2f} ms in "
+            "sweep.batch"
         )

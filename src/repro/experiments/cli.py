@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
             "lint/ping/stats request over the pickle channel (default) or "
             "HTTP (--http) and render the reply.  Examples: "
             "repro-experiments query --connect 127.0.0.1:7788 --op sweep "
-            "--net mm1k --axis arrive=0.2:1.8:8 ; "
+            "--net mm1k --rate arrive=0.2:1.8:8 ; "
             "repro-experiments query --connect 127.0.0.1:8080 --http "
             "--op stats"
         ),
@@ -390,11 +390,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_model_flags(query_p)
     query_p.add_argument(
-        "--axis",
+        "--rate",
         action="append",
         default=None,
         metavar="NAME=VALUES",
-        help="sweep axis (repeatable): NAME=v1,v2 or NAME=start:stop:count",
+        help="sweep axis (repeatable, as in 'sweep'): NAME=v1,v2 or "
+        "NAME=start:stop:count",
     )
     query_p.add_argument(
         "--metric",
@@ -949,11 +950,11 @@ def _build_query_payload(args: argparse.Namespace) -> dict:
     _canonical_spec(model)  # a flag error exits 2 before any connection
     payload = {"op": args.op, "model": model}
     if args.op == "sweep":
-        if not args.axis:
-            raise ValueError("--op sweep needs at least one --axis")
-        payload["axes"] = list(args.axis)
-    elif args.axis:
-        raise ValueError("--axis applies only to --op sweep")
+        if not args.rate:
+            raise ValueError("--op sweep needs at least one --rate")
+        payload["axes"] = list(args.rate)
+    elif args.rate:
+        raise ValueError("--rate applies only to --op sweep")
     if args.metric:
         payload["metrics"] = list(args.metric)
     return payload

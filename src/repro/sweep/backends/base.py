@@ -28,6 +28,7 @@ anything else, so CLI typos fail with the menu instead of a traceback.
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
@@ -93,8 +94,13 @@ class MetricSpec:
         return self.at is not None or self.kind == "time_to_threshold"
 
 
+@functools.lru_cache(maxsize=256)
 def parse_metric_spec(spec: str) -> MetricSpec:
-    """Parse a compact metric string (see module docstring for the grammar)."""
+    """Parse a compact metric string (see module docstring for the grammar).
+
+    Memoised: a sweep evaluates the same few specs once per cell.  A spec
+    that fails to parse is not cached and raises on every call.
+    """
     head, at_sep, tail = spec.rpartition("@")
     if at_sep:
         try:
@@ -267,6 +273,15 @@ class SweepBackend(abc.ABC):
         """Evaluate one metric (callable or compact string) on a solution."""
         if callable(metric):
             return float(metric(solution))
+        spec = self.metric_spec(metric)
+        if spec.is_transient:
+            # backends without transient kinds raise their own pointer at
+            # a backend that has them
+            return float(self._transient_metric(solution, spec))
+        return float(self._steady_metric(solution, spec))
+
+    def metric_spec(self, metric: str) -> MetricSpec:
+        """Parse a string metric and check this backend has its kind."""
         spec = parse_metric_spec(metric)
         if spec.is_transient:
             if self.transient_kinds and spec.kind not in self.transient_kinds:
@@ -275,16 +290,13 @@ class SweepBackend(abc.ABC):
                     f"transient kinds {list(self.transient_kinds)} and "
                     f"steady kinds {list(self.steady_kinds)}"
                 )
-            # backends without transient kinds raise their own pointer at
-            # a backend that has them
-            return float(self._transient_metric(solution, spec))
-        if spec.kind not in self.steady_kinds:
+        elif spec.kind not in self.steady_kinds:
             raise ValueError(
                 f"metric {metric!r}: the {self.name} backend supports "
                 f"steady kinds {list(self.steady_kinds)} and transient "
                 f"kinds {list(self.transient_kinds)}"
             )
-        return float(self._steady_metric(solution, spec))
+        return spec
 
     @abc.abstractmethod
     def _steady_metric(self, solution: Any, spec: MetricSpec) -> float:

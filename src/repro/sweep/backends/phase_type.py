@@ -10,11 +10,15 @@ sweeping λ, μ, ``T`` or ``D`` only rescales the four symbolic rate slots of
 are non-zero.  This backend exploits that the same way ``GSPNSolver``
 exploits rate rebinding:
 
-- **prepare** (once): build the stage structure and the level
-  recursion's log-binomial lattice
-  (:func:`repro.core.phase_type.build_stage_lattice`), sort the COO
-  triplets into a fixed CSR pattern, and precompute the per-state
-  collapse vectors (state-kind masks, job counts, power draws);
+- **prepare** (once): build the level recursion's log-binomial lattice
+  (:func:`repro.core.phase_type.build_stage_lattice`) and fill the
+  per-state collapse vectors (state-kind masks, job counts, truncation
+  mask, power draws, initial distribution) by slicing the lattice's
+  standby/power-up/busy/idle blocks — no state list, no edge loop;
+- **the first** ``solution.Q`` (transient metrics and cross-checks only):
+  build the generator skeleton — the state list and the rate-independent
+  CSR pattern of :func:`repro.core.phase_type.build_stage_structure` —
+  once per template (:attr:`PhaseTypeTemplate.skeleton`);
 - **solve_batch** (per span of the grid): the exact ``O(states)`` level
   recursion (:func:`repro.core.phase_type.stage_chain_stationary`) run
   **once** over the span's stacked ``(B, 4)`` rate rows — no matrix is
@@ -35,7 +39,9 @@ correctness knob: :meth:`PhaseTypeBackend.resolve_batch_size` budgets
 ``docs/batched.md`` for the derivation and the memory model.
 
 Steady metrics: ``fraction:<state>`` (idle/standby/powerup/active),
-``power`` (mW), ``mean_jobs``, ``truncation_mass``.  Transient metrics
+``power`` (mW), ``mean_jobs``, ``truncation_mass``.  Each resolves once
+per template to one stored collapse vector, so a steady cell costs one
+dot product ``float(pi @ vector)``.  Transient metrics
 start from standby (the deployed-node initial state) and use the CTMC
 uniformization machinery: ``energy@t`` (joules over ``[0, t]``),
 ``accumulated_reward:<reward>@t`` (reward-seconds; rewards: ``power``,
@@ -50,7 +56,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy import sparse
@@ -65,25 +72,27 @@ from repro.core.phase_type import (
     build_stage_structure,
     stage_chain_stationary,
     stage_rate_vector,
-    state_power_vector,
 )
 from repro.markov.ctmc import CTMC
 from repro.markov.stationary import NEGATIVE_RTOL, _finalize_pi
 from repro.sweep.backends.base import (
     CPUParamsAxesMixin,
+    Metric,
     MetricSpec,
     SweepBackend,
 )
 
 __all__ = [
     "BatchedPhaseTypeBackend",
+    "GeneratorSkeleton",
     "PhaseTypeBackend",
     "PhaseTypeSweepSolution",
     "PhaseTypeTemplate",
 ]
 
-#: stage-structure state kinds -> canonical StateFractions names
-_KIND_TO_STATE = {"busy": "active", "powerup": "powerup", "standby": "standby", "idle": "idle"}
+#: canonical state name -> its block's position in the stage structure's
+#: state order (standby, power-up, busy, idle)
+_STATE_BLOCK = {"standby": 0, "powerup": 1, "active": 2, "idle": 3}
 
 #: Exception types a batched solve records *per point* instead of raising:
 #: the same numerical family the runner's pointwise isolation catches
@@ -125,23 +134,59 @@ def _finalize_pi_stack(
     return out
 
 
-@dataclass(frozen=True)
-class PhaseTypeTemplate:
-    """Everything rate-independent about one stage-expanded chain family."""
+class GeneratorSkeleton(NamedTuple):
+    """The rate-independent generator pattern of one stage chain."""
 
     states: List[Tuple]
-    n_states: int
-    lattice: StageLattice  # tables of the exact level recursion
     # fixed CSR pattern of the off-diagonal generator
     indptr: np.ndarray
     indices: np.ndarray
     rate_pick: np.ndarray  # CSR-ordered symbolic rate ids
+
+
+@dataclass(frozen=True)
+class PhaseTypeTemplate:
+    """Everything rate-independent about one stage-expanded chain family.
+
+    ``prepare`` fills the lattice and the collapse vectors; the generator
+    :attr:`skeleton` is built on first use, which only transient metrics
+    and cross-checks make.
+    """
+
+    n_states: int
+    lattice: StageLattice  # tables of the exact level recursion
     # collapse vectors
     kind_masks: Dict[str, np.ndarray]  # state name -> {0,1} occupancy mask
     jobs: np.ndarray  # jobs in system per state
     trunc_mask: np.ndarray  # states at the truncation level
     power_mw: np.ndarray  # per-state power draw
     p0: np.ndarray  # initial distribution (all mass on standby)
+    #: steady metric string -> the collapse vector it reads
+    steady_vectors: Dict[str, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    @cached_property
+    def skeleton(self) -> GeneratorSkeleton:
+        """State list and CSR pattern of the generator (built once)."""
+        lattice = self.lattice
+        with obs.span("template.skeleton", states=self.n_states):
+            states, _, rows, cols, rate_ids = build_stage_structure(
+                lattice.k_d,
+                lattice.k_t,
+                lattice.n_max,
+                lattice.has_powerup,
+                lattice.has_idle,
+            )
+        order = np.lexsort((cols, rows))
+        rows, cols, rate_ids = rows[order], cols[order], rate_ids[order]
+        # the structure emits each (src, dst) edge once; the CSR data slot
+        # can therefore be filled by a pure gather, no duplicate summing
+        dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+        assert not dup.any(), "stage structure emitted duplicate edges"
+        indptr = np.zeros(self.n_states + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=self.n_states), out=indptr[1:])
+        return GeneratorSkeleton(states, indptr, cols, rate_ids)
 
 
 @dataclass
@@ -160,9 +205,10 @@ class PhaseTypeSweepSolution:
         """The point's generator (built lazily; steady metrics skip it)."""
         if self._Q is None:
             tpl = self.template
-            data = self.rate_vec[tpl.rate_pick]
+            skeleton = tpl.skeleton
+            data = self.rate_vec[skeleton.rate_pick]
             off = sparse.csr_matrix(
-                (data, tpl.indices, tpl.indptr),
+                (data, skeleton.indices, skeleton.indptr),
                 shape=(tpl.n_states, tpl.n_states),
             )
             exit_rates = np.asarray(off.sum(axis=1)).ravel()
@@ -279,45 +325,42 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
     # ------------------------------------------------------------------ #
     def _prepare(self) -> PhaseTypeTemplate:
         with obs.span("prepare.stage_expansion") as sp:
-            states, _, rows, cols, rate_ids = build_stage_structure(
-                self.k_d, self.k_t, self.n_max, True, True
-            )
             lattice = build_stage_lattice(self.k_d, self.k_t, self.n_max)
-            sp.set("states", len(states))
-        n = len(states)
-        order = np.lexsort((cols, rows))
-        rows, cols, rate_ids = rows[order], cols[order], rate_ids[order]
-        # the structure emits each (src, dst) edge once; the CSR data slot
-        # can therefore be filled by a pure gather, no duplicate summing
-        dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
-        assert not dup.any(), "stage structure emitted duplicate edges"
-        indptr = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-
+            sp.set("states", lattice.n_states)
+        n = lattice.n_states
+        # each state's block (see _STATE_BLOCK), filled slice by slice
+        kind = np.zeros(n, dtype=np.intp)
+        kind[lattice.powerup] = _STATE_BLOCK["powerup"]
+        kind[lattice.busy] = _STATE_BLOCK["active"]
+        kind[lattice.idle] = _STATE_BLOCK["idle"]
         kind_masks = {
-            name: np.zeros(n) for name in STATE_NAMES
+            name: (kind == _STATE_BLOCK[name]).astype(np.float64)
+            for name in STATE_NAMES
         }
+        # power-up state (j, n) sits at (j - 1) * n_max + n - 1
+        levels = np.arange(1, self.n_max + 1, dtype=np.float64)
         jobs = np.zeros(n)
-        trunc = np.zeros(n)
-        for i, s in enumerate(states):
-            kind_masks[_KIND_TO_STATE[s[0]]][i] = 1.0
-            if s[0] in ("powerup", "busy"):
-                jobs[i] = s[-1]
-                if s[-1] == self.n_max:
-                    trunc[i] = 1.0
+        jobs[lattice.powerup] = np.tile(levels, self.k_d)
+        jobs[lattice.busy] = levels
+        trunc = (jobs == self.n_max).astype(np.float64)
+        profile = self.params.profile
+        by_kind = np.array(
+            [
+                profile.standby_mw,
+                profile.powerup_mw,
+                profile.active_mw,
+                profile.idle_mw,
+            ]
+        )
         p0 = np.zeros(n)
-        p0[0] = 1.0  # ("standby",) is always state 0
+        p0[0] = 1.0  # standby is always state 0
         return PhaseTypeTemplate(
-            states=states,
             n_states=n,
             lattice=lattice,
-            indptr=indptr,
-            indices=cols,
-            rate_pick=rate_ids,
             kind_masks=kind_masks,
             jobs=jobs,
             trunc_mask=trunc,
-            power_mw=state_power_vector(states, self.params.profile),
+            power_mw=by_kind[kind],
             p0=p0,
         )
 
@@ -459,35 +502,57 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         return (
             f"{self.n_states} phase-type states "
             f"(k_d={self.k_d}, k_t={self.k_t}, n_max={self.n_max}), "
-            f"structure built once, {self.steady_method} steady state in "
-            "one call per batch"
+            "structure built once (recursion lattice and reward vectors; "
+            "the generator pattern only for transient metrics), "
+            f"{self.steady_method} steady state in one call per batch, "
+            "one dot product per steady cell"
         )
 
     # ------------------------------------------------------------------ #
+    def evaluate(self, solution: PhaseTypeSweepSolution, metric: Metric) -> float:
+        """One cell: a steady string metric reads its stored vector.
+
+        The first evaluation of a steady metric string resolves it
+        (parse, kind check, argument check) to one collapse vector of the
+        template and stores it under the string; every later cell is the
+        dot product ``float(pi @ vector)``.  A spec that fails to resolve
+        is never stored, so it raises on every call.
+        """
+        if not isinstance(metric, str):
+            return super().evaluate(solution, metric)
+        tpl = solution.template
+        vector = tpl.steady_vectors.get(metric)
+        if vector is None:
+            spec = self.metric_spec(metric)
+            if spec.is_transient:
+                return float(self._transient_metric(solution, spec))
+            vector = tpl.steady_vectors[metric] = self._steady_vector(tpl, spec)
+        return float(solution.pi @ vector)
+
     def _steady_metric(
         self, solution: PhaseTypeSweepSolution, spec: MetricSpec
     ) -> float:
+        return float(solution.pi @ self._steady_vector(solution.template, spec))
+
+    @staticmethod
+    def _steady_vector(tpl: PhaseTypeTemplate, spec: MetricSpec) -> np.ndarray:
+        """The collapse vector a steady metric is the ``pi``-weighted sum of."""
         if spec.kind == "fraction":
-            return getattr(self._fractions_of(solution, spec), spec.arg)
+            if spec.arg not in STATE_NAMES:
+                raise ValueError(
+                    f"fraction metric needs a state in {list(STATE_NAMES)}, "
+                    f"got {spec.arg!r}"
+                )
+            return tpl.kind_masks[spec.arg]
         if spec.arg is not None:
             raise ValueError(
                 f"metric kind {spec.kind!r} takes no ':' argument"
             )
         if spec.kind == "power":
-            return solution.power_mw()
+            return tpl.power_mw
         if spec.kind == "mean_jobs":
-            return solution.mean_jobs()
-        return solution.truncation_mass()
-
-    def _fractions_of(
-        self, solution: PhaseTypeSweepSolution, spec: MetricSpec
-    ) -> StateFractions:
-        if spec.arg not in STATE_NAMES:
-            raise ValueError(
-                f"fraction metric needs a state in {list(STATE_NAMES)}, "
-                f"got {spec.arg!r}"
-            )
-        return solution.fractions()
+            return tpl.jobs
+        return tpl.trunc_mask
 
     def _reward_vector(
         self, solution: PhaseTypeSweepSolution, name: str

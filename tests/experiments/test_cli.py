@@ -86,6 +86,22 @@ class TestSolverFlags:
                 ["sweep", "--rate", "AR=1", "--solver", "qr"]
             )
 
+    def test_query_sweep_takes_rate_like_sweep(self, capsys):
+        from repro.experiments.cli import _build_query_payload
+
+        query = ["query", "--connect", "127.0.0.1:9", "--net", "mm1k"]
+        args = build_parser().parse_args([
+            *query, "--op", "sweep", "--rate", "arrive=0.2:1.8:8",
+            "--rate", "serve=1,2",
+        ])
+        payload = _build_query_payload(args)
+        assert payload["axes"] == ["arrive=0.2:1.8:8", "serve=1,2"]
+        # the old spelling is gone, not an alias
+        assert exit_code([
+            *query, "--op", "sweep", "--axis", "arrive=0.5,1",
+        ]) == 2
+        assert "unrecognized arguments: --axis" in capsys.readouterr().err
+
 
 class TestSteadyCommand:
     def test_default_wsn_cluster(self, capsys):

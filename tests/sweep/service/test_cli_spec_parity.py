@@ -137,7 +137,7 @@ class TestFingerprintParity:
         flags, body, axis = model
         args = cli.build_parser().parse_args([
             "query", "--connect", "127.0.0.1:9", "--op", "sweep", *flags,
-            "--axis", f"{axis}=0.5,1",
+            "--rate", f"{axis}=0.5,1",
         ])
         payload = cli._build_query_payload(args)
         assert payload["model"] == {"kind": "gspn", **body}
