@@ -273,15 +273,6 @@ class SweepBackend(abc.ABC):
         """Evaluate one metric (callable or compact string) on a solution."""
         if callable(metric):
             return float(metric(solution))
-        spec = self.metric_spec(metric)
-        if spec.is_transient:
-            # backends without transient kinds raise their own pointer at
-            # a backend that has them
-            return float(self._transient_metric(solution, spec))
-        return float(self._steady_metric(solution, spec))
-
-    def metric_spec(self, metric: str) -> MetricSpec:
-        """Parse a string metric and check this backend has its kind."""
         spec = parse_metric_spec(metric)
         if spec.is_transient:
             if self.transient_kinds and spec.kind not in self.transient_kinds:
@@ -290,13 +281,16 @@ class SweepBackend(abc.ABC):
                     f"transient kinds {list(self.transient_kinds)} and "
                     f"steady kinds {list(self.steady_kinds)}"
                 )
-        elif spec.kind not in self.steady_kinds:
+            # backends without transient kinds raise their own pointer at
+            # a backend that has them
+            return float(self._transient_metric(solution, spec))
+        if spec.kind not in self.steady_kinds:
             raise ValueError(
                 f"metric {metric!r}: the {self.name} backend supports "
                 f"steady kinds {list(self.steady_kinds)} and transient "
                 f"kinds {list(self.transient_kinds)}"
             )
-        return spec
+        return float(self._steady_metric(solution, spec))
 
     @abc.abstractmethod
     def _steady_metric(self, solution: Any, spec: MetricSpec) -> float:

@@ -39,9 +39,9 @@ correctness knob: :meth:`PhaseTypeBackend.resolve_batch_size` budgets
 ``docs/batched.md`` for the derivation and the memory model.
 
 Steady metrics: ``fraction:<state>`` (idle/standby/powerup/active),
-``power`` (mW), ``mean_jobs``, ``truncation_mass``.  Each resolves once
-per template to one stored collapse vector, so a steady cell costs one
-dot product ``float(pi @ vector)``.  Transient metrics
+``power`` (mW), ``mean_jobs``, ``truncation_mass``.  Each reads one
+collapse vector of the template, so a steady cell costs one dot product
+``float(pi @ vector)``.  Transient metrics
 start from standby (the deployed-node initial state) and use the CTMC
 uniformization machinery: ``energy@t`` (joules over ``[0, t]``),
 ``accumulated_reward:<reward>@t`` (reward-seconds; rewards: ``power``,
@@ -77,7 +77,6 @@ from repro.markov.ctmc import CTMC
 from repro.markov.stationary import NEGATIVE_RTOL, _finalize_pi
 from repro.sweep.backends.base import (
     CPUParamsAxesMixin,
-    Metric,
     MetricSpec,
     SweepBackend,
 )
@@ -161,10 +160,6 @@ class PhaseTypeTemplate:
     trunc_mask: np.ndarray  # states at the truncation level
     power_mw: np.ndarray  # per-state power draw
     p0: np.ndarray  # initial distribution (all mass on standby)
-    #: steady metric string -> the collapse vector it reads
-    steady_vectors: Dict[str, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @cached_property
     def skeleton(self) -> GeneratorSkeleton:
@@ -509,26 +504,6 @@ class PhaseTypeBackend(CPUParamsAxesMixin, SweepBackend):
         )
 
     # ------------------------------------------------------------------ #
-    def evaluate(self, solution: PhaseTypeSweepSolution, metric: Metric) -> float:
-        """One cell: a steady string metric reads its stored vector.
-
-        The first evaluation of a steady metric string resolves it
-        (parse, kind check, argument check) to one collapse vector of the
-        template and stores it under the string; every later cell is the
-        dot product ``float(pi @ vector)``.  A spec that fails to resolve
-        is never stored, so it raises on every call.
-        """
-        if not isinstance(metric, str):
-            return super().evaluate(solution, metric)
-        tpl = solution.template
-        vector = tpl.steady_vectors.get(metric)
-        if vector is None:
-            spec = self.metric_spec(metric)
-            if spec.is_transient:
-                return float(self._transient_metric(solution, spec))
-            vector = tpl.steady_vectors[metric] = self._steady_vector(tpl, spec)
-        return float(solution.pi @ vector)
-
     def _steady_metric(
         self, solution: PhaseTypeSweepSolution, spec: MetricSpec
     ) -> float:

@@ -1,8 +1,7 @@
 """Bad metric specs fail the same way on every call, memo or not.
 
-``parse_metric_spec`` is memoised and the phase-type backend stores the
-vector each steady metric string resolves to.  Neither may remember a
-failure: a bad spec raises the same exception type and message on its
+``parse_metric_spec`` is memoised, and it must not remember a failure:
+a bad spec raises the same exception type and message on its
 first and its second use — directly, through ``SweepRunner`` (with and
 without the preflight lint), and on batched wire framing, where
 ``WorkerConfigError`` names the first point whose metrics raised.
@@ -53,10 +52,9 @@ def raised(call):
 def test_direct_evaluation_raises_every_time(spec):
     model = backend()
     solution = model.solve({"T": 0.5})
-    model.evaluate(solution, "power")  # a good spec is stored meanwhile
+    model.evaluate(solution, "power")  # a good spec is memoised meanwhile
     for _ in range(2):
         assert raised(lambda: model.evaluate(solution, spec)) == BAD_SPECS[spec]
-    assert spec not in solution.template.steady_vectors
     if spec in PARSE_ERRORS:
         for _ in range(2):
             assert raised(lambda: parse_metric_spec(spec)) == BAD_SPECS[spec]
